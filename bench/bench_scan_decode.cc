@@ -3,18 +3,17 @@
 //
 // Part 1 (BM_ScanDecode) sweeps predicate selectivity from 0.01% to 100%
 // over a projection with one filter column and three payload columns (int,
-// float, string), and runs each point both ways: late materialization
-// (payload columns decoded only for surviving rows) versus eager decode
-// (every column of every block decoded before filtering — the legacy
-// behavior, kept behind ScanSpec::eager_decode). The string payload is
-// where eager decode bleeds: every unselected row still heap-allocates a
-// std::string.
+// float, string). Payload columns are decoded only for surviving rows, so
+// cost tracks selectivity; the string payload shows it most, since an
+// unselected row never heap-allocates a std::string.
 //
 // Part 2 (BM_Compressed*) is the encoded-eval versus decode-then-eval
 // sweep: predicate + COUNT(*) over each encoding (RLE / BlockDict / Delta /
 // plain) across the same selectivity range, plus group-by on a dictionary
-// key, each point run once on encoded views and once decode-first. CI
-// emits this part as BENCH_compressed_exec.json.
+// key. Each point runs once on encoded views of the encoded projection and
+// once decode-first, on an all-PLAIN second projection of the same table
+// whose blocks are flat to begin with. CI emits this part as
+// BENCH_compressed_exec.json.
 #include <benchmark/benchmark.h>
 
 #include "api/database.h"
@@ -62,7 +61,6 @@ Fixture& GetFixture() {
 void BM_ScanDecode(benchmark::State& state) {
   auto& f = GetFixture();
   int64_t sel_ppm = state.range(0);  // selectivity in parts per million
-  bool eager = state.range(1) != 0;
   int64_t threshold = kKeySpace * sel_ppm / 1000000;
 
   uint64_t rows_out = 0;
@@ -74,7 +72,6 @@ void BM_ScanDecode(benchmark::State& state) {
     spec.output_names = {"k", "a", "f", "s"};
     spec.output_types = {TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64,
                          TypeId::kString};
-    spec.eager_decode = eager;
     auto pred = Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(threshold)));
     BindSchema schema;
     schema.Add("k", TypeId::kInt64);
@@ -96,21 +93,16 @@ void BM_ScanDecode(benchmark::State& state) {
     benchmark::DoNotOptimize(rows_out);
   }
   state.SetItemsProcessed(state.iterations() * kRows);  // scanned rows/sec
-  state.SetLabel("sel=" + std::to_string(sel_ppm / 10000.0) + "%/" +
-                 (eager ? "eager" : "late") + "/rows_out=" +
+  state.SetLabel("sel=" + std::to_string(sel_ppm / 10000.0) + "%/rows_out=" +
                  std::to_string(rows_out));
 }
 
 BENCHMARK(BM_ScanDecode)
-    ->ArgNames({"ppm", "eager"})
-    ->Args({100, 0})       // 0.01%
-    ->Args({100, 1})
-    ->Args({10000, 0})     // 1%
-    ->Args({10000, 1})
-    ->Args({100000, 0})    // 10%
-    ->Args({100000, 1})
-    ->Args({1000000, 0})   // 100%
-    ->Args({1000000, 1})
+    ->ArgNames({"ppm"})
+    ->Arg(100)      // 0.01%
+    ->Arg(10000)    // 1%
+    ->Arg(100000)   // 10%
+    ->Arg(1000000)  // 100%
     ->Unit(benchmark::kMillisecond);
 
 // ---- compressed execution sweep (DESIGN.md §13) ----------------------------
@@ -121,6 +113,8 @@ constexpr int64_t kCDistinct = 1000;  // low-distinct domain of every column
 // One projection pinning each sweep encoding to a column over the same
 // 1000-value domain: `r` leads the sort order (runs of ~4000 → RLE), `s` is
 // a 1000-string dictionary, `dv` ascends (delta), `p` is the plain control.
+// A second projection of the same rows, sorted the same way, stores every
+// column PLAIN: the decode-first baseline.
 struct CompressedFixture {
   CompressedFixture() {
     DatabaseOptions opts;
@@ -144,8 +138,15 @@ struct CompressedFixture {
     proj.sort_columns = {0};
     proj.is_super = true;
     proj.segmentation.expr = Func(FuncKind::kHash, {Col("dv")});
+    ProjectionDef plain = proj;
+    plain.name = "cfact_plain";
+    // Projection creation binds the segmentation expression in place, so
+    // the twin gets its own rather than sharing `proj`'s.
+    plain.segmentation.expr = Func(FuncKind::kHash, {Col("dv")});
+    for (auto& c : plain.columns) c.encoding = EncodingId::kPlain;
     (void)db->catalog()->CreateTable(std::move(t));
     (void)db->cluster()->CreateProjectionWithBuddies(proj);
+    (void)db->cluster()->CreateProjectionWithBuddies(plain);
     RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64, TypeId::kInt64});
     Rng rng(23);
     for (int64_t i = 0; i < kCRows; ++i) {
@@ -157,9 +158,11 @@ struct CompressedFixture {
     (void)db->Load("cfact", rows, true);
     (void)db->RunTupleMover();
     ps = db->cluster()->node(0)->GetStorage("cfact_super");
+    plain_ps = db->cluster()->node(0)->GetStorage("cfact_plain");
   }
   std::unique_ptr<Database> db;
-  ProjectionStorage* ps;
+  ProjectionStorage* ps;        // encoded
+  ProjectionStorage* plain_ps;  // all PLAIN
 };
 
 CompressedFixture& GetCompressedFixture() {
@@ -174,25 +177,23 @@ const TypeId kEncTypes[] = {TypeId::kInt64, TypeId::kString, TypeId::kInt64,
 
 ScanSpec OneColumnScan(CompressedFixture& f, int enc_col, bool encoded) {
   ScanSpec spec;
-  spec.storage = f.ps;
+  spec.storage = encoded ? f.ps : f.plain_ps;
   spec.projection_columns = {enc_col};
   spec.output_names = {kEncCols[enc_col]};
   spec.output_types = {kEncTypes[enc_col]};
   spec.encoded_output = encoded;
-  spec.eager_decode = !encoded;
   return spec;
 }
 
 // Predicate + COUNT(*) on one column per encoding. `enc`=1 keeps blocks
 // encoded through predicate and aggregation (one compare per RLE run / per
 // dictionary entry, COUNT by run length); `enc`=0 is the decode-then-eval
-// baseline (global toggle off + eager decode).
+// baseline over the all-PLAIN projection.
 void BM_CompressedPredCount(benchmark::State& state) {
   auto& f = GetCompressedFixture();
   int enc_col = static_cast<int>(state.range(0));
   int64_t sel_ppm = state.range(1);
   bool encoded = state.range(2) != 0;
-  SetEncodedExecutionEnabled(encoded);
   // Thresholds picked so every encoding sweeps the same selectivity: the
   // int columns (`r` delta `dv` plain `p`) and the dictionary strings all
   // span a 1000-value domain.
@@ -233,7 +234,6 @@ void BM_CompressedPredCount(benchmark::State& state) {
     groups = rows.value().NumRows();
     benchmark::DoNotOptimize(groups);
   }
-  SetEncodedExecutionEnabled(true);
   state.SetItemsProcessed(state.iterations() * kCRows);
   state.SetLabel(std::string(kEncNames[enc_col]) + "/sel=" +
                  std::to_string(sel_ppm / 10000.0) + "%/" +
@@ -241,22 +241,21 @@ void BM_CompressedPredCount(benchmark::State& state) {
 }
 
 // Group-by on the dictionary key: encoded mode aggregates through the dense
-// code → group-id map; the baseline decodes every string first.
+// code → group-id map; the baseline reads every string flat from the
+// all-PLAIN projection.
 void BM_CompressedGroupByDict(benchmark::State& state) {
   auto& f = GetCompressedFixture();
   bool encoded = state.range(0) != 0;
-  SetEncodedExecutionEnabled(encoded);
 
   uint64_t groups = 0;
   for (auto _ : state) {
     ExecContext ctx = f.db->MakeExecContext();
     ScanSpec spec;
-    spec.storage = f.ps;
+    spec.storage = encoded ? f.ps : f.plain_ps;
     spec.projection_columns = {1, 3};
     spec.output_names = {"s", "p"};
     spec.output_types = {TypeId::kString, TypeId::kInt64};
     spec.encoded_output = encoded;
-    spec.eager_decode = !encoded;
     GroupBySpec gspec;
     gspec.group_columns = {0};
     gspec.aggs.push_back({AggKind::kCountStar, -1, TypeId::kInt64});
@@ -271,7 +270,6 @@ void BM_CompressedGroupByDict(benchmark::State& state) {
     groups = rows.value().NumRows();
     benchmark::DoNotOptimize(groups);
   }
-  SetEncodedExecutionEnabled(true);
   state.SetItemsProcessed(state.iterations() * kCRows);
   state.SetLabel(std::string("dict-group-by/") +
                  (encoded ? "encoded" : "decode-first") + "/groups=" +

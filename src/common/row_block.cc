@@ -162,87 +162,57 @@ ColumnVector ColumnVector::Decoded() const {
   return out;
 }
 
-void ColumnVector::FilterPhysical(const std::vector<uint8_t>& sel) {
-  size_t out = 0;
-  size_t n = PhysicalSize();
-  if (IsDictCoded()) {
-    // Codes live in `ints` regardless of the value type; the dictionary is
-    // shared and untouched.
-    for (size_t i = 0; i < n; ++i) {
-      if (sel[i]) {
-        ints[out] = ints[i];
-        if (!nulls.empty()) nulls[out] = nulls[i];
-        ++out;
-      }
-    }
-    ints.resize(out);
-    if (!nulls.empty()) nulls.resize(out);
-    return;
-  }
-  switch (StorageClassOf(type)) {
-    case StorageClass::kInt64:
-      for (size_t i = 0; i < n; ++i) {
-        if (sel[i]) {
-          ints[out] = ints[i];
-          if (!nulls.empty()) nulls[out] = nulls[i];
-          ++out;
-        }
-      }
-      ints.resize(out);
-      break;
-    case StorageClass::kFloat64:
-      for (size_t i = 0; i < n; ++i) {
-        if (sel[i]) {
-          doubles[out] = doubles[i];
-          if (!nulls.empty()) nulls[out] = nulls[i];
-          ++out;
-        }
-      }
-      doubles.resize(out);
-      break;
-    case StorageClass::kString:
-      for (size_t i = 0; i < n; ++i) {
-        if (sel[i]) {
-          if (out != i) strings[out] = std::move(strings[i]);
-          if (!nulls.empty()) nulls[out] = nulls[i];
-          ++out;
-        }
-      }
-      strings.resize(out);
-      break;
-  }
-  if (!nulls.empty()) nulls.resize(out);
-}
+namespace {
 
-void ColumnVector::FilterRuns(const std::vector<uint8_t>& sel) {
-  if (!IsRle()) {
-    FilterPhysical(sel);
-    return;
-  }
-  size_t n_phys = PhysicalSize();
-  size_t out = 0, row = 0;
-  for (size_t i = 0; i < n_phys; ++i) {
-    uint32_t kept = 0;
-    for (uint32_t r = 0; r < runs[i]; ++r) kept += sel[row++] ? 1 : 0;
-    if (kept == 0) continue;
-    switch (StorageClassOf(type)) {
-      case StorageClass::kInt64: ints[out] = ints[i]; break;
-      case StorageClass::kFloat64: doubles[out] = doubles[i]; break;
-      case StorageClass::kString:
-        if (out != i) strings[out] = std::move(strings[i]);
-        break;
+// Compacts physical entries in place, keeping entry i when kept(i) > 0 —
+// its surviving row count, which becomes the new run length of an RLE
+// vector. `nulls` and `runs` are either empty or parallel to `vals`.
+template <typename T, typename Kept>
+void CompactEntries(std::vector<T>* vals, std::vector<uint8_t>* nulls,
+                    std::vector<uint32_t>* runs, Kept kept) {
+  size_t out = 0;
+  for (size_t i = 0; i < vals->size(); ++i) {
+    uint32_t k = kept(i);
+    if (k == 0) continue;
+    if (out != i) {
+      (*vals)[out] = std::move((*vals)[i]);
+      if (!nulls->empty()) (*nulls)[out] = (*nulls)[i];
     }
-    if (!nulls.empty()) nulls[out] = nulls[i];
-    runs[out] = kept;
+    if (!runs->empty()) (*runs)[out] = k;
     ++out;
   }
-  switch (StorageClassOf(type)) {
-    case StorageClass::kInt64: ints.resize(out); break;
-    case StorageClass::kFloat64: doubles.resize(out); break;
-    case StorageClass::kString: strings.resize(out); break;
+  vals->resize(out);
+  if (!nulls->empty()) nulls->resize(out);
+  if (!runs->empty()) runs->resize(out);
+}
+
+}  // namespace
+
+void ColumnVector::Filter(const std::vector<uint8_t>& sel) {
+  auto compact = [&](auto* vals) {
+    if (runs.empty()) {
+      CompactEntries(vals, &nulls, &runs,
+                     [&](size_t i) -> uint32_t { return sel[i] != 0; });
+      return;
+    }
+    size_t row = 0;
+    CompactEntries(vals, &nulls, &runs, [&](size_t i) {
+      uint32_t k = 0;
+      for (uint32_t r = 0; r < runs[i]; ++r) k += sel[row++] != 0;
+      return k;
+    });
+  };
+  // Dict codes live in `ints` whatever the value type; the dictionary is
+  // shared and untouched.
+  if (dict) {
+    compact(&ints);
+    return;
   }
-  if (!nulls.empty()) nulls.resize(out);
-  runs.resize(out);
+  switch (StorageClassOf(type)) {
+    case StorageClass::kInt64: compact(&ints); break;
+    case StorageClass::kFloat64: compact(&doubles); break;
+    case StorageClass::kString: compact(&strings); break;
+  }
 }
 
 void ColumnVector::AppendGather(const ColumnVector& src,

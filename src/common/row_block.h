@@ -98,15 +98,11 @@ struct ColumnVector {
   /// when already flat).
   ColumnVector Decoded() const;
 
-  /// Keep only physical entries where sel[i] != 0. Works on flat and
-  /// dict-coded vectors (codes are filtered, dict shared); RLE vectors must
-  /// use FilterRuns.
-  void FilterPhysical(const std::vector<uint8_t>& sel);
-
-  /// RLE-aware filter: `sel` is row-parallel (Size() entries); runs are
-  /// shortened to their surviving row counts and empty runs dropped, so the
-  /// vector stays RLE through a row filter.
-  void FilterRuns(const std::vector<uint8_t>& sel);
+  /// Keep only the rows where sel[i] != 0; `sel` has one entry per logical
+  /// row (Size()). Flat vectors compact values, dict-coded vectors compact
+  /// codes (the dictionary is shared), and RLE vectors shorten runs to their
+  /// surviving row counts and drop empty ones, so they stay RLE.
+  void Filter(const std::vector<uint8_t>& sel);
 
   /// Append src[idx] for every index in `indices` (typed batch gather; both
   /// vectors must be flat). The hot path of join materialization.

@@ -186,7 +186,7 @@ class PagedRowSource : public CStoreEngine::RowSource {
     if (cached_block_[col] != block) {
       cache_[col].Clear();
       cache_[col].type = readers_[col].meta().type;
-      (void)readers_[col].ReadBlock(block, false, &cache_[col]);
+      (void)readers_[col].ReadBlock(block, &cache_[col]);
       cached_block_[col] = block;
     }
     return &cache_[col];

@@ -68,8 +68,8 @@ struct ExecStats {
   /// Encoded bytes of blocks that left the scan still encoded (runs or dict
   /// codes) — decode work the executor never paid.
   std::atomic<uint64_t> decode_elided_bytes{0};
-  /// Queries the planner ran serial because the scan shape (sorted output /
-  /// RLE passthrough) cannot ride the morsel path; keeps AllowedFanout
+  /// Queries the planner ran serial because the scan carries order (sorted
+  /// output) and so cannot ride the morsel path; keeps AllowedFanout
   /// accounting honest about the bypass (DESIGN.md §12).
   std::atomic<uint64_t> morsel_bypasses{0};
 

@@ -1,25 +1,11 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/hash.h"
 #include "storage/sort_util.h"
 
 namespace stratica {
-
-namespace {
-
-std::atomic<bool> g_encoded_exec_enabled{true};
-
-}  // namespace
-
-void SetEncodedExecutionEnabled(bool on) {
-  g_encoded_exec_enabled.store(on, std::memory_order_relaxed);
-}
-bool EncodedExecutionEnabled() {
-  return g_encoded_exec_enabled.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -321,15 +307,12 @@ Status ScanOperator::Open(ExecContext* ctx) {
     RemapColumnRefs(filter_predicate_.get(), filter_pos_);
   }
   sip_filter_cols_.clear();
-  sip_output_cols_.clear();
   for (const auto& sip : spec_.sips) {
-    std::vector<uint32_t> view, outc;
+    std::vector<uint32_t> view;
     for (int c : sip->probe_columns) {
       if (c < 0 || c >= static_cast<int>(ncols)) continue;  // same guard as above
-      outc.push_back(static_cast<uint32_t>(c));
       view.push_back(static_cast<uint32_t>(filter_pos_[c]));
     }
-    sip_output_cols_.push_back(std::move(outc));
     sip_filter_cols_.push_back(std::move(view));
   }
 
@@ -357,7 +340,7 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
   if (src != nullptr && src->epoch_reader) {
     ColumnVector epochs(TypeId::kInt64);
     STRATICA_RETURN_NOT_OK(
-        NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, false, &epochs)));
+        NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, &epochs)));
     for (size_t i = 0; i < n; ++i) {
       if (static_cast<Epoch>(epochs.ints[i]) > ctx_->epoch) (*sel)[i] = 0;
     }
@@ -508,7 +491,7 @@ Status ScanOperator::AdvanceWos(Source* src) {
       int fpos = filter_pos_[c];
       if (fpos >= 0) {
         slice.columns[c] = std::move(fview.columns[fpos]);
-        if (selected < take) slice.columns[c].FilterPhysical(sel_scratch_);
+        if (selected < take) slice.columns[c].Filter(sel_scratch_);
       } else if (selected == take) {
         slice.columns[c].AppendRange(src->wos_rows.columns[c], at, take);
       } else {
@@ -549,81 +532,17 @@ Status ScanOperator::AdvanceRos(Source* src) {
     size_t n = bm0.row_count;
     if (ctx_->stats) ctx_->stats->rows_scanned.fetch_add(n);
 
-    bool any_sip_ready = false;
-    for (const auto& sip : spec_.sips) any_sip_ready |= sip->ready.load();
-    bool deletes_here = false;
-    if (!src->deleted.empty()) {
-      auto lo =
-          std::lower_bound(src->deleted.begin(), src->deleted.end(), bm0.row_start);
-      deletes_here = lo != src->deleted.end() && *lo < bm0.row_start + n;
-    }
-    bool need_row_filter = spec_.predicate != nullptr || deletes_here ||
-                           src->epoch_reader != nullptr || any_sip_ready;
-
-    // Compressed execution (DESIGN.md §13): when the planner asked for
-    // encoded output (and the process-wide switch is on), blocks leave the
-    // scan as encoded-or-decoded views — RLE runs and dict codes survive
-    // into the output block, re-cut by the selection when rows filter.
-    bool emit_encoded =
-        spec_.encoded_output && EncodedExecutionEnabled() && !merge_mode_;
-
-    if (!need_row_filter || spec_.eager_decode) {
-      // Eager path: nothing filters rows (RLE passthrough may engage), or
-      // late materialization is explicitly disabled for A/B comparison.
-      RowBlock block(spec_.output_types);
-      bool keep_runs = spec_.rle_passthrough && !merge_mode_ && !need_row_filter;
-      bool views = emit_encoded && !need_row_filter && !spec_.eager_decode;
-      for (size_t c = 0; c < src->readers.size(); ++c) {
-        if (views) {
-          EncodedBlockView view;
-          STRATICA_RETURN_NOT_OK(
-              NoteRosFailure(src, src->readers[c].ReadBlockView(b, &view)));
-          if (view.encoded() && ctx_->stats) {
-            ctx_->stats->decode_elided_bytes.fetch_add(
-                src->readers[c].meta().blocks[b].encoded_bytes);
-          }
-          block.columns[c] = std::move(view.column);
-        } else {
-          STRATICA_RETURN_NOT_OK(NoteRosFailure(
-              src, src->readers[c].ReadBlock(b, keep_runs, &block.columns[c])));
-        }
-      }
-      if (need_row_filter) {
-        // Columns are flat here: keep_runs is false whenever filtering runs.
-        size_t selected = 0;
-        STRATICA_RETURN_NOT_OK(ComputeSelection(src, b, bm0.row_start, &block, n,
-                                                spec_.predicate.get(),
-                                                sip_output_cols_, &sel_scratch_,
-                                                &selected));
-        if (selected < n) {
-          for (auto& col : block.columns) col.FilterPhysical(sel_scratch_);
-        }
-      }
-      if (block.NumRows() > 0) {
-        src->current = std::move(block);
-        return Status::OK();
-      }
-      continue;
-    }
-
-    // Late materialization (DESIGN.md §7): read and decode only the filter
-    // view, compute the full selection from it, and touch payload columns
-    // only for surviving rows — not at all when the block comes back empty.
-    // With encoded execution on, filter columns are read as encoded views so
-    // the predicate can evaluate by run / dictionary entry.
-    bool filter_views = EncodedExecutionEnabled() && !spec_.eager_decode;
+    // Late materialization (DESIGN.md §7): read only the filter view, as
+    // encoded views so the predicate can evaluate by run / dictionary entry,
+    // compute the full selection from it, and touch payload columns only for
+    // surviving rows — not at all when the block comes back empty. A block
+    // nothing filters is the selected == n case with an empty view.
     RowBlock fblock(filter_types_);
     for (size_t i = 0; i < filter_cols_.size(); ++i) {
-      if (filter_views) {
-        EncodedBlockView view;
-        STRATICA_RETURN_NOT_OK(NoteRosFailure(
-            src, src->readers[filter_cols_[i]].ReadBlockView(b, &view)));
-        fblock.columns[i] = std::move(view.column);
-      } else {
-        STRATICA_RETURN_NOT_OK(NoteRosFailure(
-            src,
-            src->readers[filter_cols_[i]].ReadBlock(b, false, &fblock.columns[i])));
-      }
+      EncodedBlockView view;
+      STRATICA_RETURN_NOT_OK(NoteRosFailure(
+          src, src->readers[filter_cols_[i]].ReadBlockView(b, &view)));
+      fblock.columns[i] = std::move(view.column);
     }
     size_t selected = 0;
     STRATICA_RETURN_NOT_OK(ComputeSelection(src, b, bm0.row_start, &fblock, n,
@@ -639,57 +558,36 @@ Status ScanOperator::AdvanceRos(Source* src) {
       }
       continue;
     }
+    // Compressed execution (DESIGN.md §13): with encoded output, RLE runs and
+    // dict codes survive into the output block, re-cut by the selection.
+    bool emit_encoded = spec_.encoded_output && !merge_mode_;
     RowBlock block(spec_.output_types);
     for (size_t c = 0; c < src->readers.size(); ++c) {
+      ColumnVector& col = block.columns[c];
       int fpos = filter_pos_[c];
       if (fpos >= 0) {
-        ColumnVector col = std::move(fblock.columns[fpos]);
+        col = std::move(fblock.columns[fpos]);
         if (!emit_encoded && !col.IsFlat()) col = col.Decoded();
-        if (selected < n) {
-          if (col.IsRle()) {
-            col.FilterRuns(sel_scratch_);
-          } else {
-            col.FilterPhysical(sel_scratch_);
-          }
-        }
-        if (!col.IsFlat() && ctx_->stats) {
-          ctx_->stats->decode_elided_bytes.fetch_add(
-              src->readers[c].meta().blocks[b].encoded_bytes);
-        }
-        block.columns[c] = std::move(col);
       } else if (emit_encoded) {
-        // Payload as encoded-or-decoded view; runs/codes are re-cut by the
-        // selection instead of materializing values.
         EncodedBlockView view;
         STRATICA_RETURN_NOT_OK(
             NoteRosFailure(src, src->readers[c].ReadBlockView(b, &view)));
-        ColumnVector col = std::move(view.column);
-        if (selected < n) {
-          if (col.IsRle()) {
-            col.FilterRuns(sel_scratch_);
-          } else {
-            col.FilterPhysical(sel_scratch_);
-          }
-        }
-        if (ctx_->stats) {
-          if (!col.IsFlat()) {
-            ctx_->stats->decode_elided_bytes.fetch_add(
-                src->readers[c].meta().blocks[b].encoded_bytes);
-          } else {
-            ctx_->stats->rows_decoded.fetch_add(selected);
-          }
-        }
-        block.columns[c] = std::move(col);
-      } else if (selected == n) {
-        // Fully-selected block: the plain decoder is the fastest gather.
-        STRATICA_RETURN_NOT_OK(
-            NoteRosFailure(src, src->readers[c].ReadBlock(b, false, &block.columns[c])));
-        if (ctx_->stats) ctx_->stats->rows_decoded.fetch_add(n);
+        col = std::move(view.column);
+        if (col.IsFlat() && ctx_->stats) ctx_->stats->rows_decoded.fetch_add(selected);
       } else {
+        // Flat payload: the plain decoder is the fastest gather for a
+        // fully-selected block, the selective decoder for everything else.
         STRATICA_RETURN_NOT_OK(NoteRosFailure(
-            src,
-            src->readers[c].ReadBlockSelected(b, sel_scratch_, &block.columns[c])));
+            src, selected == n
+                     ? src->readers[c].ReadBlock(b, &col)
+                     : src->readers[c].ReadBlockSelected(b, sel_scratch_, &col)));
         if (ctx_->stats) ctx_->stats->rows_decoded.fetch_add(selected);
+        continue;
+      }
+      if (selected < n) col.Filter(sel_scratch_);
+      if (!col.IsFlat() && ctx_->stats) {
+        ctx_->stats->decode_elided_bytes.fetch_add(
+            src->readers[c].meta().blocks[b].encoded_bytes);
       }
     }
     src->current = std::move(block);
@@ -774,9 +672,7 @@ std::string ScanOperator::DebugString() const {
   if (!spec_.sips.empty()) s += ", SIP filters: " + std::to_string(spec_.sips.size());
   if (spec_.morsels) s += ", morsels";
   if (spec_.sorted_output) s += ", sorted";
-  if (spec_.rle_passthrough) s += ", rle";
   if (spec_.encoded_output) s += ", encoded";
-  if (spec_.eager_decode) s += ", eager";
   s += ")";
   return s;
 }

@@ -7,7 +7,9 @@
 //   - delete-vector filtering,
 //   - vectorized predicate evaluation,
 //   - Sideways Information Passing filters installed by hash joins,
-//   - optional RLE passthrough so downstream operators work on encoded data,
+//   - late materialization: payload columns decode only for surviving rows,
+//   - optional encoded output (RLE runs, dict codes) so downstream operators
+//     work on encoded data,
 //   - optional sorted output (k-way merge of sorted sources) for merge
 //     joins and pipelined aggregation.
 #ifndef STRATICA_EXEC_SCAN_H_
@@ -99,8 +101,9 @@ class MorselDispenser {
 
 /// \brief Everything a ScanOperator needs: the storage to read, which
 /// projection columns to emit (and as what), and the filter/shape knobs —
-/// predicate + prune bounds + SIP filters, sorted or RLE-run output,
-/// fixed regions or a shared morsel dispenser.
+/// predicate + prune bounds + SIP filters, sorted or encoded output,
+/// fixed regions or a shared morsel dispenser. Every block takes the same
+/// late-materializing route (DESIGN.md §7); no field switches it off.
 struct ScanSpec {
   ProjectionStorage* storage = nullptr;
   std::vector<int> projection_columns;  ///< projection col idx, in output order
@@ -113,16 +116,14 @@ struct ScanSpec {
   bool sorted_output = false;
   std::vector<uint32_t> sort_key_outputs;  ///< output indexes of sort prefix
 
-  bool rle_passthrough = false;  ///< emit runs on RLE blocks (single source)
-
   /// Compressed execution (DESIGN.md §13): emit encoded-or-decoded views —
   /// RLE blocks keep runs, BlockDict blocks keep codes + a shared sorted
   /// dictionary — so encoded-aware consumers (group-by, aggregation,
-  /// projection passthrough) work without expansion. Unlike
-  /// rle_passthrough it survives row filters (runs are re-cut by the
-  /// selection) and multi-source scans (no ordering requirement), but it is
-  /// incompatible with sorted merge output (cross-block keys need values).
-  /// The planner sets it only when the consuming chain is encoded-aware.
+  /// projection passthrough) work without expansion. It survives row
+  /// filters (runs are re-cut by the selection) and multi-source scans (no
+  /// ordering requirement); a merge-mode scan (sorted output over several
+  /// sources) ignores it, since cross-block keys need values. The planner
+  /// sets it only when the consuming chain is encoded-aware.
   bool encoded_output = false;
 
   bool use_regions = false;  ///< restrict to `regions` (+ WOS if include_wos)
@@ -135,21 +136,15 @@ struct ScanSpec {
   /// that wins MorselDispenser::ClaimWos scans it. Incompatible with
   /// sorted_output (a morsel stream has no global order).
   std::shared_ptr<MorselDispenser> morsels;
-
-  /// Disable late materialization: read + decode every projection column of
-  /// every block before filtering (the legacy eager behavior). Kept as an
-  /// A/B knob for benchmarks and differential tests; production plans leave
-  /// it off. See DESIGN.md §7.
-  bool eager_decode = false;
 };
 
-/// \brief Late-materializing columnar scan (DESIGN.md §7): decodes filter
-/// columns first, computes the selection (epoch visibility, delete
-/// vectors, predicate, SIP), and decodes payload columns only for
-/// surviving rows. Reads ROS containers and, when included, the WOS; in
-/// morsel mode (ScanSpec::morsels) it claims block ranges from the shared
-/// dispenser until drained, polling ExecContext::abandon between storage
-/// operations.
+/// \brief Late-materializing columnar scan (DESIGN.md §7): reads filter
+/// columns first as encoded views, computes the selection (epoch
+/// visibility, delete vectors, predicate, SIP), and reads payload columns
+/// only for surviving rows. Reads ROS containers and, when included, the
+/// WOS; in morsel mode (ScanSpec::morsels) it claims block ranges from the
+/// shared dispenser until drained, polling ExecContext::abandon between
+/// storage operations.
 class ScanOperator : public Operator {
  public:
   // Constructor/destructor out-of-line: Source is an incomplete type here.
@@ -225,7 +220,6 @@ class ScanOperator : public Operator {
   std::vector<TypeId> filter_types_;
   ExprPtr filter_predicate_;            ///< predicate rebound to the filter view
   std::vector<std::vector<uint32_t>> sip_filter_cols_;  ///< per SIP, view slots
-  std::vector<std::vector<uint32_t>> sip_output_cols_;  ///< per SIP, output idxs
 
   // Scratch reused across blocks: selection vectors and batched SIP buffers
   // (the hot loop must not allocate per block).
@@ -247,13 +241,6 @@ class ScanOperator : public Operator {
 /// morsels for dynamic load balancing under skew (DESIGN.md §12).
 std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
                                                      size_t k);
-
-/// Process-wide compressed-execution switch (default on). Off = scans decode
-/// every block flat and the planner never requests encoded output — the
-/// decode-first baseline for benchmarks and differential tests. Reads are
-/// relaxed-atomic; flip only between queries.
-void SetEncodedExecutionEnabled(bool on);
-bool EncodedExecutionEnabled();
 
 }  // namespace stratica
 

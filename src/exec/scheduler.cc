@@ -24,7 +24,7 @@ Scheduler::Scheduler(size_t num_workers) {
 Scheduler::~Scheduler() {
   {
     std::lock_guard lock(idle_mu_);
-    stop_ = true;
+    workers_stop_ = true;
   }
   idle_cv_.notify_all();
   for (auto& t : worker_threads_) t.join();
@@ -32,7 +32,7 @@ Scheduler::~Scheduler() {
   // drains first); run nothing, just drop.
   {
     std::lock_guard lock(pin_mu_);
-    stop_ = true;
+    pinned_stop_ = true;
   }
   pin_cv_.notify_all();
   // Joins block until in-flight pinned functions return — callers are
@@ -162,7 +162,7 @@ void Scheduler::WorkerLoop(size_t self) {
       continue;
     }
     std::unique_lock lock(idle_mu_);
-    if (stop_) return;
+    if (workers_stop_) return;
     if (queued_.load(std::memory_order_acquire) > 0) continue;
     idle_cv_.wait_for(lock, std::chrono::milliseconds(50));
   }
@@ -215,7 +215,7 @@ void Scheduler::PinnedLoop(PinnedJob first) {
     {
       std::unique_lock lock(pin_mu_);
       ++pin_idle_;
-      pin_cv_.wait(lock, [&] { return stop_ || !pin_queue_.empty(); });
+      pin_cv_.wait(lock, [&] { return pinned_stop_ || !pin_queue_.empty(); });
       if (!pin_queue_.empty()) {
         // pin_idle_ was already decremented by the submitter that queued
         // this job on our behalf.

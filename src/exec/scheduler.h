@@ -156,12 +156,13 @@ class Scheduler {
   std::atomic<size_t> queued_{0};
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-  bool stop_ = false;  ///< guarded by idle_mu_ (workers) and pin_mu_ (pinned)
+  bool workers_stop_ = false;  ///< guarded by idle_mu_
 
   std::mutex pin_mu_;
   std::condition_variable pin_cv_;
   std::deque<PinnedJob> pin_queue_;  ///< jobs claimed by a parked thread
   size_t pin_idle_ = 0;              ///< parked threads not yet claimed
+  bool pinned_stop_ = false;         ///< guarded by pin_mu_
   std::vector<std::thread> pin_threads_;
   std::atomic<size_t> pinned_active_{0};
 

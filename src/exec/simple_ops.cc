@@ -116,21 +116,15 @@ Status FilterOperator::GetNext(RowBlock* out) {
     *out = std::move(in);
     if (out->NumRows() == 0) return Status::OK();
     // Encoded blocks filter without expansion: the predicate's fast paths
-    // evaluate by run / dictionary entry and the selection re-cuts runs
-    // (FilterRuns) or compacts codes (FilterPhysical on a dict column).
+    // evaluate by run / dictionary entry and the selection re-cuts runs or
+    // compacts codes.
     std::vector<uint8_t> sel;
     uint64_t enc_rows = 0;
     STRATICA_RETURN_NOT_OK(EvalPredicate(*predicate_, *out, &sel, &enc_rows));
     if (enc_rows > 0 && ctx_ != nullptr && ctx_->stats) {
       ctx_->stats->rows_processed_encoded.fetch_add(enc_rows);
     }
-    for (auto& col : out->columns) {
-      if (col.IsRle()) {
-        col.FilterRuns(sel);
-      } else {
-        col.FilterPhysical(sel);
-      }
-    }
+    for (auto& col : out->columns) col.Filter(sel);
     if (out->NumRows() > 0) return Status::OK();
   }
 }

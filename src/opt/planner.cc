@@ -761,10 +761,10 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // ---- intra-node fan-out gate (DESIGN.md §12) -------------------------------
   // A unit pipeline splits into `fanout` morsel-driven fragments when the
   // fact is big enough to amortize the extra pipelines and nothing in the
-  // plan needs what fragments cannot give: order-carrying scans
-  // (sorted_output / rle_passthrough) would interleave arbitrarily under the
-  // ParallelUnion, and RIGHT/FULL joins must emit unmatched build rows
-  // exactly once, which a build shared across fragments cannot.
+  // plan needs what fragments cannot give: an order-carrying scan
+  // (sorted_output) would interleave arbitrarily under the ParallelUnion,
+  // and RIGHT/FULL joins must emit unmatched build rows exactly once, which
+  // a build shared across fragments cannot.
   size_t fanout = intra_node_parallelism == 0 ? 1 : intra_node_parallelism;
   bool morsel_bypass = false;
   if (fanout > 1) {
@@ -772,12 +772,11 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     bool ok = scope.tables[fact].est_rows >=
               kMinParallelRowsPerUnit * std::max<size_t>(num_units, 1);
     const ScanSpec& ft = table_plans[fact].spec;
-    // Order-carrying scan shapes are planned serial *explicitly* and
-    // recorded (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses),
-    // not silently dropped, so fan-out accounting stays honest.
-    bool order_carrying = ft.sorted_output || ft.rle_passthrough;
-    if (ok && order_carrying) morsel_bypass = true;
-    ok &= !order_carrying;
+    // Order-carrying scans are planned serial *explicitly* and recorded
+    // (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses), not
+    // silently dropped, so fan-out accounting stays honest.
+    if (ok && ft.sorted_output) morsel_bypass = true;
+    ok &= !ft.sorted_output;
     for (const auto& step : *steps) {
       ok &= step.jspec.type != JoinType::kRight &&
             step.jspec.type != JoinType::kFull;
@@ -790,8 +789,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // the chain is encoded-aware: single-table aggregation stacks (ExprEval
   // passthrough → Filter → GroupBy all consume runs/codes directly). Joins,
   // window functions and plain row-returning SELECTs keep decoded scans —
-  // their consumers want flat vectors. The scan re-checks the process-wide
-  // switch at run time, so the A/B baseline needs no replan.
+  // their consumers want flat vectors.
   {
     bool agg_query = !stmt.group_by.empty() || !stmt.having_aggs.empty();
     bool window_query = false;
@@ -800,8 +798,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       window_query |= item.kind == SelectItem::Kind::kWindow;
     }
     ScanSpec& ft = table_plans[fact].spec;
-    if (agg_query && !window_query && steps->empty() && !ft.sorted_output &&
-        !ft.rle_passthrough && EncodedExecutionEnabled()) {
+    if (agg_query && !window_query && steps->empty() && !ft.sorted_output) {
       ft.encoded_output = true;
     }
   }

@@ -42,8 +42,8 @@ struct PhysicalPlan {
   /// (small fact, order-carrying scan, RIGHT/FULL join). The executor maps
   /// this to worker fan-out; admission may replan at a smaller value.
   size_t fanout = 1;
-  /// True when the plan runs serial *specifically* because the scan shape
-  /// (sorted output / RLE passthrough) cannot ride the morsel path. Surfaced
+  /// True when the plan runs serial *specifically* because the scan carries
+  /// order (sorted output) and so cannot ride the morsel path. Surfaced
   /// as ExecStats::morsel_bypasses so AllowedFanout accounting is honest
   /// about the bypass instead of silently planning serial (DESIGN.md §12).
   bool morsel_bypass = false;

@@ -190,11 +190,10 @@ Status ColumnReader::FetchBlock(size_t idx) const {
   return Status::OK();
 }
 
-Status ColumnReader::ReadBlock(size_t idx, bool keep_runs, ColumnVector* out) const {
+Status ColumnReader::ReadBlock(size_t idx, ColumnVector* out) const {
   if (idx >= meta_.blocks.size()) return Status::InvalidArgument("block out of range");
   STRATICA_RETURN_NOT_OK(FetchBlock(idx));
   size_t offset = 0;
-  if (keep_runs) return DecodeBlockRuns(scratch_, &offset, meta_.type, out);
   return DecodeBlock(scratch_, &offset, meta_.type, out);
 }
 

@@ -92,13 +92,12 @@ class ColumnReader {
   const ColumnFileMeta& meta() const { return meta_; }
   size_t num_blocks() const { return meta_.blocks.size(); }
 
-  /// Decode block `idx`, appending to `out`. With `keep_runs`, RLE blocks
-  /// surface run-length form for encoded-data-aware operators.
-  Status ReadBlock(size_t idx, bool keep_runs, ColumnVector* out) const;
+  /// Decode block `idx` flat, appending to `out`.
+  Status ReadBlock(size_t idx, ColumnVector* out) const;
 
   /// Late-materialization read (DESIGN.md §7): decode only the entries of
   /// block `idx` with sel[i] != 0. `sel` must have one entry per block row.
-  /// Output is bit-identical to ReadBlock + FilterPhysical(sel).
+  /// Output is bit-identical to ReadBlock + Filter(sel).
   Status ReadBlockSelected(size_t idx, const std::vector<uint8_t>& sel,
                            ColumnVector* out) const;
 

@@ -408,17 +408,16 @@ Status DecodePlain(const std::string& data, size_t* offset, size_t count,
   return Status::Internal("bad storage class");
 }
 
+// `expand` = false keeps one physical entry per run (`out` must be fresh).
 Status DecodeRle(const std::string& data, size_t* offset, ColumnVector* out,
-                 bool keep_runs) {
+                 bool expand) {
   uint64_t num_runs;
   if (!GetVarint64(data, offset, &num_runs)) return Status::Corruption("rle: bad header");
   for (uint64_t r = 0; r < num_runs; ++r) {
     STRATICA_RETURN_NOT_OK(GetScalar(data, offset, out));
     uint64_t run_len;
     if (!GetVarint64(data, offset, &run_len)) return Status::Corruption("rle: bad run");
-    if (keep_runs) {
-      if (out->runs.size() + 1 < out->PhysicalSize())
-        out->runs.resize(out->PhysicalSize() - 1, 1);
+    if (!expand) {
       out->runs.push_back(static_cast<uint32_t>(run_len));
     } else {
       // Expand: the scalar was appended once; append run_len-1 more copies.
@@ -869,12 +868,11 @@ Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t
 }
 
 namespace {
-// Shared block framing for full, runs-preserving, and selective decode:
-// `sel` (nullable) engages the selective decoders; an all-ones selection
-// falls through to the full decoders (callers never keep runs AND select).
+// Shared block framing for full and selective decode: `sel` (nullable)
+// engages the selective decoders; an all-ones selection falls through to
+// the full decoders.
 Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out, bool keep_runs,
-                       const std::vector<uint8_t>* sel) {
+                       ColumnVector* out, const std::vector<uint8_t>* sel) {
   if (*offset >= data.size()) return Status::Corruption("block: empty");
   auto enc = static_cast<EncodingId>(data[(*offset)++]);
   uint64_t count;
@@ -890,9 +888,6 @@ Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
     for (uint8_t s : *sel) dense = dense && s != 0;
   }
   size_t phys_before = out->PhysicalSize();
-  // Runs only survive when the block is RLE and carries no NULLs (the common
-  // case for sort-key columns, which is where the RLE fast paths matter).
-  keep_runs = keep_runs && enc == EncodingId::kRle && nulls.empty();
   switch (enc) {
     case EncodingId::kPlain:
       STRATICA_RETURN_NOT_OK(dense
@@ -900,7 +895,7 @@ Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
                                  : DecodePlainSelected(data, offset, count, *sel, out));
       break;
     case EncodingId::kRle:
-      STRATICA_RETURN_NOT_OK(dense ? DecodeRle(data, offset, out, keep_runs)
+      STRATICA_RETURN_NOT_OK(dense ? DecodeRle(data, offset, out, /*expand=*/true)
                                    : DecodeRleSelected(data, offset, count, *sel, out));
       break;
     case EncodingId::kDeltaValue:
@@ -939,28 +934,18 @@ Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
   } else if (!out->nulls.empty()) {
     out->nulls.resize(out->PhysicalSize(), 0);
   }
-  // Keep `runs` parallel to the physical entries when a mixed-encoding file
-  // interleaves RLE blocks (which keep runs) with flat ones.
-  if (!out->runs.empty() && out->runs.size() < out->PhysicalSize()) {
-    out->runs.resize(out->PhysicalSize(), 1);
-  }
   return Status::OK();
 }
 }  // namespace
 
 Status DecodeBlock(const std::string& data, size_t* offset, TypeId type,
                    ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, /*keep_runs=*/false, nullptr);
-}
-
-Status DecodeBlockRuns(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, /*keep_runs=*/true, nullptr);
+  return DecodeBlockImpl(data, offset, type, out, nullptr);
 }
 
 Status DecodeBlockSelected(const std::string& data, size_t* offset, TypeId type,
                            const std::vector<uint8_t>& sel, ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, /*keep_runs=*/false, &sel);
+  return DecodeBlockImpl(data, offset, type, out, &sel);
 }
 
 Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
@@ -969,25 +954,30 @@ Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
   auto enc = PeekBlockEncoding(data, *offset);
   if (!enc.ok()) return enc.status();
   out->encoding = enc.value();
-  if (enc.value() == EncodingId::kRle) {
-    return DecodeBlockRuns(data, offset, type, &out->column);
-  }
-  if (enc.value() != EncodingId::kBlockDict) {
+  if (enc.value() != EncodingId::kRle && enc.value() != EncodingId::kBlockDict) {
     return DecodeBlock(data, offset, type, &out->column);
   }
 
-  // BlockDict: materialize per-row codes plus the dictionary instead of
-  // expanding values. Framing mirrors DecodeBlockImpl.
+  // RLE keeps one entry per run, BlockDict keeps per-row codes plus the
+  // dictionary instead of expanding values. Framing mirrors DecodeBlockImpl;
+  // the column is fresh, so the stored null section is its null vector.
   ++*offset;  // encoding byte
   uint64_t count;
   if (!GetVarint64(data, offset, &count)) return Status::Corruption("block: bad count");
   std::vector<uint8_t> nulls;
   STRATICA_RETURN_NOT_OK(ReadNullSection(data, offset, count, &nulls));
+  ColumnVector& col = out->column;
+  if (enc.value() == EncodingId::kRle) {
+    // Runs survive only without NULLs (the common case for sort-key
+    // columns, which is where the RLE fast paths matter).
+    STRATICA_RETURN_NOT_OK(DecodeRle(data, offset, &col, /*expand=*/!nulls.empty()));
+    col.nulls = std::move(nulls);
+    return Status::OK();
+  }
   ColumnVector raw_dict(type);
   uint64_t dict_size;
   int width;
   STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &raw_dict, &dict_size, &width));
-  ColumnVector& col = out->column;
   col.ints.reserve(count);
   if (width == 0) {
     if (count > 0 && dict_size == 0) return Status::Corruption("dict: empty");

@@ -59,14 +59,9 @@ Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t
 Status DecodeBlock(const std::string& data, size_t* offset, TypeId type,
                    ColumnVector* out);
 
-/// Like DecodeBlock but preserves run-length form when the block is RLE
-/// encoded, enabling operators to work directly on encoded data (§6.1).
-Status DecodeBlockRuns(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out);
-
 /// Selection-aware decode for late materialization (§6.1, DESIGN.md §7):
 /// appends only the entries with sel[i] != 0, producing output bit-identical
-/// to DecodeBlock followed by FilterPhysical(sel). `sel` must have exactly
+/// to DecodeBlock followed by Filter(sel). `sel` must have exactly
 /// one entry per row of the block. Each encoding materializes only selected
 /// values: RLE skips dead runs wholesale, DeltaValue and BlockDict bit-unpack
 /// only selected slots, the varint delta encodings stop decoding after the
@@ -94,13 +89,12 @@ Result<EncodingId> PeekBlockEncoding(const std::string& data, size_t offset);
 struct EncodedBlockView {
   EncodingId encoding = EncodingId::kPlain;  ///< physical encoding of the block
   ColumnVector column;
-  /// True when the column still carries encoded structure (runs or codes).
-  bool encoded() const { return !column.IsFlat(); }
 };
 
 /// Decode one block (produced by EncodeBlock) into an EncodedBlockView.
 /// `out->column` is freshly assigned (unlike the appending decoders above);
-/// `*offset` advances past the block.
+/// `*offset` advances past the block. RLE blocks carrying NULLs decode flat:
+/// their stored null section is row-parallel, not run-parallel.
 Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
                        EncodedBlockView* out);
 

@@ -278,7 +278,7 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
     // Shared merge kernel (DESIGN.md §8): sources stream through the loser
     // tree, provenance maps each merged row back to (source, position) for
     // epoch and delete-vector lookups, and purged rows are masked out of
-    // the batch in one FilterPhysical pass.
+    // the batch in one Filter pass.
     std::vector<SortKey> sort_keys;
     for (uint32_t c : cfg.sort_columns) sort_keys.push_back({c, false});
     std::vector<std::unique_ptr<MergeInput>> merge_inputs;
@@ -318,7 +318,7 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
         ++stats_.rows_merged;
       }
       if (purged_any) {
-        for (auto& col : out_batch.columns) col.FilterPhysical(keep);
+        for (auto& col : out_batch.columns) col.Filter(keep);
       }
       if (out_batch.NumRows() > 0) {
         STRATICA_RETURN_NOT_OK(writer.Append(out_batch, out_epochs));
@@ -397,10 +397,8 @@ Status TupleMover::MergeoutAll(ProjectionStorage* ps) {
 Status TupleMover::MoveDeleteVectors(ProjectionStorage* ps) {
   const uint64_t gen = ps->generation();
   // DVWOS -> DVROS: persist committed, unpersisted chunks using the same
-  // storage format as user data.
-  for (const auto& d : ps->ContainerDeleteChunks(kWosTargetId)) {
-    (void)d;  // WOS-target chunks stay in memory until their rows move out.
-  }
+  // storage format as user data. WOS-target chunks stay in memory until
+  // their rows move out.
   std::vector<RosContainerPtr> containers = ps->Containers();
   for (const auto& c : containers) {
     for (const auto& d : ps->ContainerDeleteChunks(c->id)) {

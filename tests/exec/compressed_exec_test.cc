@@ -1,14 +1,14 @@
 // Compressed-execution differential sweep (DESIGN.md §13): every query
-// shape (predicate, aggregate, group-by, order-by, having) runs twice —
-// once with encoded execution on (the default) and once with the global
-// toggle off, which restores the decode-first pipeline — over projections
-// that pin each column to a specific encoding (RLE, BlockDict, Delta,
-// plain). Results must match cell for cell, and queries expected to ride
-// an encoded fast path must report rows_processed_encoded > 0.
+// shape (predicate, aggregate, group-by, order-by, having) runs twice over
+// the same rows — once against a projection that pins each column to a
+// specific encoding (RLE, BlockDict, Delta, plain), and once against a
+// twin table whose only projection is all PLAIN, so nothing can run
+// encoded there and every operator sees flat vectors. Results must match
+// cell for cell, queries expected to ride an encoded fast path must report
+// rows_processed_encoded > 0, and the twin must report none.
 //
-// A second table repeats the sweep with NULLs sprinkled through every
-// nullable column, and operator-level tests cross-check the scan's
-// encoded_output contract against the eager_decode oracle directly.
+// A second table pair repeats the sweep with NULLs sprinkled through every
+// nullable column.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,7 +22,7 @@ namespace stratica {
 namespace {
 
 // One query shape of the sweep. `expect_encoded` marks shapes that must
-// touch an RLE/dict fast path when the toggle is on (predicate on an RLE
+// touch an RLE/dict fast path on the encoded table (predicate on an RLE
 // or sorted-dict column, group-by on a dict or RLE key, global aggregate
 // over encoded inputs). `expect_encoded_nulls` is the same expectation for
 // the NULL-bearing table: RLE blocks with NULLs decode flat (the stored
@@ -72,17 +72,21 @@ class CompressedExecFixture : public ::testing::Test {
     opts.num_nodes = 1;
     opts.k_safety = 0;
     db_ = std::make_unique<Database>(opts);
-    MakeTable("t", /*with_nulls=*/false);
-    MakeTable("tn", /*with_nulls=*/true);
+    for (bool plain : {false, true}) {
+      MakeTable("t", /*with_nulls=*/false, plain);
+      MakeTable("tn", /*with_nulls=*/true, plain);
+    }
     EXPECT_TRUE(db_->RunTupleMover().ok());
   }
 
-  ~CompressedExecFixture() override { SetEncodedExecutionEnabled(true); }
+  static std::string PlainTwin(const std::string& name) { return name + "_plain"; }
 
   // Column encodings are pinned so every sweep shape exercises a known
   // representation: k2/k16 RLE (they lead the sort order), s BlockDict,
-  // v delta, f/id plain.
-  void MakeTable(const std::string& name, bool with_nulls) {
+  // v delta, f/id plain. The `plain` twin holds the same rows with every
+  // column kPlain — the decode-first oracle.
+  void MakeTable(const std::string& base, bool with_nulls, bool plain) {
+    std::string name = plain ? PlainTwin(base) : base;
     TableDef t;
     t.name = name;
     t.columns = {{"k2", TypeId::kInt64, false}, {"k16", TypeId::kInt64, true},
@@ -97,6 +101,9 @@ class CompressedExecFixture : public ::testing::Test {
                  {"v", -1, EncodingId::kDeltaValue},
                  {"f", -1, EncodingId::kPlain},
                  {"id", -1, EncodingId::kPlain}};
+    if (plain) {
+      for (auto& c : p.columns) c.encoding = EncodingId::kPlain;
+    }
     p.sort_columns = {0, 1};
     p.is_super = true;
     p.segmentation.expr = Func(FuncKind::kHash, {Col("id")});
@@ -127,13 +134,13 @@ class CompressedExecFixture : public ::testing::Test {
     ASSERT_TRUE(db_->Load(name, rows).ok());
   }
 
-  QueryResult RunWith(bool encoded, const std::string& sql) {
-    SetEncodedExecutionEnabled(encoded);
+  QueryResult Run(const std::string& sql) {
     auto result = db_->Execute(sql);
-    SetEncodedExecutionEnabled(true);
     EXPECT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
     return result.ok() ? std::move(result).value() : QueryResult{};
   }
+
+  uint64_t EncodedRows() const { return db_->stats()->rows_processed_encoded.load(); }
 
   static void ExpectSameResults(const QueryResult& a, const QueryResult& b,
                                 const std::string& sql) {
@@ -154,10 +161,13 @@ class CompressedExecFixture : public ::testing::Test {
   void SweepTable(const std::string& table, bool nullable) {
     for (const SweepQuery& q : kSweep) {
       std::string sql = Format(q.sql, table);
-      uint64_t before = db_->stats()->rows_processed_encoded.load();
-      QueryResult encoded = RunWith(true, sql);
-      uint64_t delta = db_->stats()->rows_processed_encoded.load() - before;
-      QueryResult decoded = RunWith(false, sql);
+      uint64_t before = EncodedRows();
+      QueryResult encoded = Run(sql);
+      uint64_t delta = EncodedRows() - before;
+      std::string plain_sql = Format(q.sql, PlainTwin(table));
+      before = EncodedRows();
+      QueryResult decoded = Run(plain_sql);
+      EXPECT_EQ(EncodedRows(), before) << plain_sql << " ran encoded";
       ExpectSameResults(encoded, decoded, sql);
       if (nullable ? q.expect_encoded_nulls : q.expect_encoded) {
         EXPECT_GT(delta, 0u) << sql << " did not hit an encoded fast path";
@@ -181,7 +191,7 @@ TEST_F(CompressedExecFixture, DifferentialSweepWithNulls) {
 // dict blocks flow into the operators without expansion.
 TEST_F(CompressedExecFixture, DecodeElisionCounterMoves) {
   uint64_t before = db_->stats()->decode_elided_bytes.load();
-  RunWith(true, "SELECT s, COUNT(*) FROM t WHERE k2 = 1 GROUP BY s ORDER BY s");
+  Run("SELECT s, COUNT(*) FROM t WHERE k2 = 1 GROUP BY s ORDER BY s");
   EXPECT_GT(db_->stats()->decode_elided_bytes.load(), before);
 }
 

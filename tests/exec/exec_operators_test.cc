@@ -3,6 +3,8 @@
 // hash->merge switch), sort spill, analytic windows, exchanges.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "cluster/cluster.h"
 #include "exec/analytic.h"
 #include "exec/exchange.h"
@@ -21,8 +23,8 @@ class ExecFixture : public ::testing::Test {
     ccfg.num_nodes = 1;
     ccfg.k_safety = 0;
     ccfg.direct_ros_row_threshold = 1000000;
-    // Single local segment => one container after moveout, so the RLE
-    // passthrough path (single sorted source) engages.
+    // Single local segment => one container after moveout, so a sorted scan
+    // is a single source and may emit encoded (RLE) blocks.
     ccfg.local_segments_per_node = 1;
     cluster_ = std::make_unique<Cluster>(ccfg, &fs_, &catalog_);
     TableDef t;
@@ -170,7 +172,7 @@ TEST_F(ExecFixture, HashGroupBySpillsUnderTinyBudgetSameAnswer) {
 
 TEST_F(ExecFixture, PipelinedGroupByConsumesRleRuns) {
   ScanSpec sspec = BaseScan();
-  sspec.rle_passthrough = true;
+  sspec.encoded_output = true;
   sspec.sorted_output = true;
   sspec.sort_key_outputs = {0};
   GroupBySpec spec;
@@ -464,6 +466,39 @@ class LateMatFixture : public ::testing::Test {
     return spec;
   }
 
+  /// Two merged loads (k in [0, 20000)), a delete of every k % 7 == 0 row,
+  /// then a third load (k in [20000, 30000)) merged on top. Returns the
+  /// delete's epoch: scanned there, batches 1+2 and the deletes are visible
+  /// and batch 3 is filtered by the per-row epoch column.
+  Epoch LoadWithDeletesAndLaterEpoch() {
+    LoadBatch(0, 10000);
+    EXPECT_TRUE(cluster_->RunTupleMover().ok());
+    LoadBatch(10000, 10000);
+    EXPECT_TRUE(cluster_->RunTupleMover().ok());
+    auto txn = cluster_->txns()->Begin();
+    for (const auto& c : ps_->Containers()) {
+      RowBlock rows;
+      EXPECT_TRUE(ReadRosContainer(&fs_, *c, &rows, nullptr).ok());
+      std::vector<uint64_t> pos;
+      for (size_t r = 0; r < rows.NumRows(); ++r) {
+        if (rows.columns[0].ints[r] % 7 == 0) pos.push_back(r);
+      }
+      EXPECT_TRUE(ps_->AddDeletes(c->id, pos, txn.get()).ok());
+    }
+    auto e_del = cluster_->Commit(txn);
+    EXPECT_TRUE(e_del.ok());
+    LoadBatch(20000, 10000);
+    EXPECT_TRUE(cluster_->RunTupleMover().ok());
+    // Mergeout folds batch 3 in with visible rows, so a scan at e_del must
+    // filter by the per-row epoch column, not just skip a container.
+    bool spans = false;
+    for (const auto& c : ps_->Containers()) {
+      spans |= c->min_epoch <= e_del.value() && c->max_epoch > e_del.value();
+    }
+    EXPECT_TRUE(spans);
+    return e_del.value();
+  }
+
   ExprPtr BoundPred(ExprPtr e) {
     BindSchema schema;
     schema.Add("k", TypeId::kInt64);
@@ -509,94 +544,84 @@ TEST_F(LateMatFixture, StatsProveSelectiveDecode) {
   EXPECT_GT(stats_.payload_bytes_skipped.load(), 0u);
   EXPECT_GT(stats_.bytes_read.load(), 0u);
   EXPECT_EQ(stats_.rows_scanned.load(), 40000u);
-
-  // The eager A/B knob pays for every payload block.
-  ExecStats eager_stats;
-  ExecContext eager_ctx = ctx_;
-  eager_ctx.stats = &eager_stats;
-  spec.eager_decode = true;
-  ScanOperator eager(spec);
-  auto eager_rows = DrainOperator(&eager, &eager_ctx);
-  ASSERT_TRUE(eager_rows.ok());
-  EXPECT_EQ(eager_rows.value().NumRows(), 100u);
-  EXPECT_EQ(eager_stats.payload_bytes_skipped.load(), 0u);
-  EXPECT_GT(eager_stats.bytes_read.load(), stats_.bytes_read.load());
 }
 
-TEST_F(LateMatFixture, MatchesEagerWithDeletesEpochPredicateAndSip) {
-  // Build a container with per-row epochs: two merged loads, then a delete,
-  // then a third load merged on top, scanned at the delete's epoch so all
-  // four filters (epoch, deletes, predicate, SIP) are live at once.
-  LoadBatch(0, 10000);
-  ASSERT_TRUE(cluster_->RunTupleMover().ok());
-  LoadBatch(10000, 10000);
-  ASSERT_TRUE(cluster_->RunTupleMover().ok());
-
-  // Delete every k % 7 == 0 row currently in ROS.
-  auto txn = cluster_->txns()->Begin();
-  for (const auto& c : ps_->Containers()) {
-    RowBlock rows;
-    ASSERT_TRUE(ReadRosContainer(&fs_, *c, &rows, nullptr).ok());
-    std::vector<uint64_t> pos;
-    for (size_t r = 0; r < rows.NumRows(); ++r) {
-      if (rows.columns[0].ints[r] % 7 == 0) pos.push_back(r);
-    }
-    ASSERT_TRUE(ps_->AddDeletes(c->id, pos, txn.get()).ok());
-  }
-  auto e_del = cluster_->Commit(txn);
-  ASSERT_TRUE(e_del.ok());
-
-  LoadBatch(20000, 10000);
-  ASSERT_TRUE(cluster_->RunTupleMover().ok());
-
-  // Epoch e_del: batches 1+2 visible, deletes visible, batch 3 not yet.
-  ctx_.epoch = e_del.value();
-
-  auto run = [&](bool eager) {
-    ScanSpec spec = BaseScan();
-    spec.eager_decode = eager;
-    spec.predicate = BoundPred(Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(5000))));
-    auto sip = std::make_shared<SipFilter>();
-    sip->probe_columns = {0};
-    spec.sips = {sip};
-    RowBlock build({TypeId::kInt64});
-    for (int64_t i = 0; i < 30000; i += 3) build.columns[0].ints.push_back(i);
-    JoinSpec jspec;
-    jspec.type = JoinType::kInner;
-    jspec.probe_keys = {0};
-    jspec.build_keys = {0};
-    jspec.sip = sip;
-    HashJoinOperator join(std::make_unique<ScanOperator>(spec),
-                          std::make_unique<MaterializedOperator>(
-                              build, std::vector<std::string>{"bk"}),
-                          jspec);
-    auto rows = DrainOperator(&join, &ctx_);
-    EXPECT_TRUE(rows.ok());
-    return rows.value();
-  };
-
-  RowBlock late = run(false);
-  RowBlock eager = run(true);
-  // k < 5000, k % 3 == 0 (SIP+join), k % 7 != 0 (deleted): 1667 - 239 = 1428.
+TEST_F(LateMatFixture, DeletesOnlyFilterDecodesSurvivorsOfEveryColumn) {
+  // No predicate and no SIP: epoch visibility and delete vectors alone
+  // filter rows, so the filter view is empty and every column is payload,
+  // decoded only for surviving rows.
+  ctx_.epoch = LoadWithDeletesAndLaterEpoch();
+  ScanOperator scan(BaseScan());
+  auto rows = DrainOperator(&scan, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  const RowBlock& out = rows.value();
+  // Batches 1+2 are visible (k < 20000), minus the deleted k % 7 == 0 rows.
   size_t expected = 0;
-  for (int64_t k = 0; k < 5000; k += 3) expected += (k % 7 != 0);
-  EXPECT_EQ(late.NumRows(), expected);
-  EXPECT_EQ(eager.NumRows(), expected);
-  ASSERT_EQ(late.NumRows(), eager.NumRows());
-  EXPECT_EQ(late.ToString(late.NumRows() + 1), eager.ToString(eager.NumRows() + 1));
+  for (int64_t k = 0; k < 20000; ++k) expected += (k % 7 != 0);
+  ASSERT_EQ(out.NumRows(), expected);
+  for (size_t r = 0; r < out.NumRows(); ++r) {
+    int64_t k = out.columns[0].ints[r];
+    EXPECT_LT(k, 20000);
+    EXPECT_NE(k % 7, 0);
+    EXPECT_EQ(out.columns[1].ints[r], k * 2);
+    EXPECT_EQ(out.columns[2].strings[r], "p" + std::to_string(k % 10));
+  }
+  EXPECT_EQ(stats_.rows_decoded.load(), expected * 3);
+}
 
-  // Sanity: the epoch filter is really engaged — at the final epoch the
-  // third batch's keys join too (none pass k < 5000, so instead check a
-  // full scan sees them).
+TEST_F(LateMatFixture, DeletesEpochPredicateAndSipTogether) {
+  // All four filters (epoch, deletes, predicate, SIP) are live at once.
+  Epoch e_del = LoadWithDeletesAndLaterEpoch();
+  ctx_.epoch = e_del;
+
+  ScanSpec spec = BaseScan();
+  spec.predicate = BoundPred(Cmp(CompareOp::kLt, Col("k"), Lit(Value::Int64(5000))));
+  auto sip = std::make_shared<SipFilter>();
+  sip->probe_columns = {0};
+  spec.sips = {sip};
+  RowBlock build({TypeId::kInt64});
+  for (int64_t i = 0; i < 30000; i += 3) build.columns[0].ints.push_back(i);
+  JoinSpec jspec;
+  jspec.type = JoinType::kInner;
+  jspec.probe_keys = {0};
+  jspec.build_keys = {0};
+  jspec.sip = sip;
+  HashJoinOperator join(std::make_unique<ScanOperator>(spec),
+                        std::make_unique<MaterializedOperator>(
+                            build, std::vector<std::string>{"bk"}),
+                        jspec);
+  auto rows = DrainOperator(&join, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  const RowBlock& out = rows.value();
+
+  // k < 5000, k % 3 == 0 (SIP+join), k % 7 != 0 (deleted): 1667 - 239 = 1428,
+  // each exactly once, with its own v and s.
+  std::set<int64_t> want;
+  for (int64_t k = 0; k < 5000; k += 3) {
+    if (k % 7 != 0) want.insert(k);
+  }
+  ASSERT_EQ(out.NumRows(), want.size());
+  std::set<int64_t> seen;
+  for (size_t r = 0; r < out.NumRows(); ++r) {
+    int64_t k = out.columns[0].ints[r];
+    EXPECT_TRUE(want.count(k)) << "unexpected key " << k;
+    EXPECT_TRUE(seen.insert(k).second) << "duplicate key " << k;
+    EXPECT_EQ(out.columns[1].ints[r], k * 2);
+    EXPECT_EQ(out.columns[2].strings[r], "p" + std::to_string(k % 10));
+    EXPECT_EQ(out.columns[3].ints[r], k);  // build key
+  }
+
+  // Sanity: the epoch filter is really engaged — at the final epoch a full
+  // scan sees the third batch too.
   ExecContext head_ctx = ctx_;
   head_ctx.epoch = cluster_->epochs()->LatestQueryableEpoch();
   ScanOperator full(BaseScan());
   auto all_rows = DrainOperator(&full, &head_ctx);
   ASSERT_TRUE(all_rows.ok());
-  EXPECT_GT(all_rows.value().NumRows(), late.NumRows());
   ScanOperator at_del(BaseScan());
   auto del_rows = DrainOperator(&at_del, &ctx_);
   ASSERT_TRUE(del_rows.ok());
+  EXPECT_GT(all_rows.value().NumRows(), del_rows.value().NumRows());
   size_t deleted = 0;
   for (int64_t k = 0; k < 20000; ++k) deleted += (k % 7 == 0);
   EXPECT_EQ(del_rows.value().NumRows(), 20000u - deleted);

@@ -63,7 +63,7 @@ TEST(ColumnFileTest, SingleBlockRandomRead) {
   auto reader = ColumnReader::Open(&fs, "s.dat", "s.idx");
   ASSERT_TRUE(reader.ok());
   ColumnVector out(TypeId::kString);
-  ASSERT_TRUE(reader.value().ReadBlock(1, false, &out).ok());
+  ASSERT_TRUE(reader.value().ReadBlock(1, &out).ok());
   ASSERT_EQ(out.strings.size(), 8u);
   EXPECT_EQ(out.strings[0], "val8");
   EXPECT_EQ(out.strings[7], "val15");
@@ -173,9 +173,9 @@ TEST(ColumnFileTest, CorruptSingleBlockOnlyThatBlockFails) {
   auto reader = ColumnReader::Open(&fs, "c.dat", "c.idx");
   ASSERT_TRUE(reader.ok());
   ColumnVector out;
-  EXPECT_TRUE(reader.value().ReadBlock(0, false, &out).ok());  // early block clean
+  EXPECT_TRUE(reader.value().ReadBlock(0, &out).ok());  // early block clean
   ColumnVector bad;
-  EXPECT_EQ(reader.value().ReadBlock(5, false, &bad).code(), StatusCode::kCorruption);
+  EXPECT_EQ(reader.value().ReadBlock(5, &bad).code(), StatusCode::kCorruption);
 }
 
 TEST(ColumnFileTest, CorruptIndexDetectedAtOpen) {

@@ -63,19 +63,35 @@ TEST(EncodingTest, RleLongRuns) {
   ExpectRoundTrip(EncodingId::kRle, col);
 }
 
-TEST(EncodingTest, RlePreservesRunsWhenRequested) {
+TEST(EncodingTest, RleViewKeepsRuns) {
   ColumnVector col = MakeInts({7, 7, 7, 8, 8, 9});
   std::string buf;
   ASSERT_TRUE(EncodeBlock(EncodingId::kRle, col, 0, 6, &buf).ok());
-  ColumnVector out(TypeId::kInt64);
+  EncodedBlockView view;
   size_t offset = 0;
-  ASSERT_TRUE(DecodeBlockRuns(buf, &offset, TypeId::kInt64, &out).ok());
+  ASSERT_TRUE(DecodeBlockView(buf, &offset, TypeId::kInt64, &view).ok());
+  EXPECT_EQ(offset, buf.size());
+  EXPECT_EQ(view.encoding, EncodingId::kRle);
+  const ColumnVector& out = view.column;
   ASSERT_TRUE(out.IsRle());
   EXPECT_EQ(out.PhysicalSize(), 3u);
   EXPECT_EQ(out.Size(), 6u);
   EXPECT_EQ(out.runs[0], 3u);
   EXPECT_EQ(out.runs[1], 2u);
   EXPECT_EQ(out.runs[2], 1u);
+
+  // A NULL-bearing RLE block decodes flat: its null section is row-parallel.
+  col.nulls = {0, 0, 1, 0, 0, 0};
+  buf.clear();
+  ASSERT_TRUE(EncodeBlock(EncodingId::kRle, col, 0, 6, &buf).ok());
+  offset = 0;
+  ASSERT_TRUE(DecodeBlockView(buf, &offset, TypeId::kInt64, &view).ok());
+  ASSERT_TRUE(view.column.IsFlat());
+  ASSERT_EQ(view.column.PhysicalSize(), 6u);
+  EXPECT_EQ(view.column.nulls, col.nulls);
+  for (size_t i = 0; i < 6; ++i) {
+    if (!col.IsNull(i)) EXPECT_EQ(view.column.ints[i], col.ints[i]) << "row " << i;
+  }
 }
 
 TEST(EncodingTest, DeltaValueSmallRange) {
@@ -209,7 +225,7 @@ TEST(EncodingTest, AutoBeatsPlainOnEveryShapedInput) {
 
 // ---------------------------------------------------------------------------
 // Selective decode (late materialization): DecodeBlockSelected must be
-// bit-identical to DecodeBlock + FilterPhysical for every encoding, shape,
+// bit-identical to DecodeBlock + Filter for every encoding, shape,
 // and selection pattern, and must consume the same number of block bytes.
 
 std::vector<uint8_t> MakeSelection(int kind, size_t n) {
@@ -239,7 +255,7 @@ void ExpectSelectedMatches(EncodingId enc, const ColumnVector& col,
   ColumnVector ref(col.type);
   size_t ref_offset = 0;
   ASSERT_TRUE(DecodeBlock(buf, &ref_offset, col.type, &ref).ok());
-  ref.FilterPhysical(sel);
+  ref.Filter(sel);
 
   ColumnVector out(col.type);
   size_t offset = 0;
