@@ -1,7 +1,7 @@
-// Sort/merge subsystem sweep (DESIGN.md §8): normalized-key sort vs the
-// comparator baseline across row counts and key shapes, external sort
-// across run counts, the fused top-k path, and the k-way loser-tree merge
-// kernel A/B. Results land in BENCH_sort_merge.json.
+// Sort/merge subsystem sweep (DESIGN.md §8): normalized-key sort across row
+// counts and key shapes, external sort across run counts, the fused top-k
+// path, and the k-way loser-tree merge kernel against a scan-all-sources
+// loop. Results land in BENCH_sort_merge.json.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -102,29 +102,24 @@ class BlockSliceOperator : public Operator {
   size_t cursor_ = 0;
 };
 
-// --- ORDER BY kernel: permutation sort, normalized keys vs comparator -------
+// --- ORDER BY kernel: normalized-key permutation sort ----------------------
 
 void BM_OrderBy(benchmark::State& state) {
   size_t rows = static_cast<size_t>(state.range(0));
   KeyShape shape = static_cast<KeyShape>(state.range(1));
-  bool normalized = state.range(2) != 0;
   const RowBlock& input = InputBlock(rows);
   std::vector<SortKey> keys = KeysFor(shape);
-  SetNormalizedKeySortEnabled(normalized);
   for (auto _ : state) {
     auto perm = ComputeSortPermutationDirected(input, keys);
     RowBlock sorted = ApplyPermutation(input, perm);
     benchmark::DoNotOptimize(sorted.NumRows());
   }
-  SetNormalizedKeySortEnabled(true);
   state.SetItemsProcessed(static_cast<int64_t>(rows) * state.iterations());
-  state.SetLabel(std::string(ShapeName(shape)) +
-                 (normalized ? "/normalized" : "/comparator"));
+  state.SetLabel(ShapeName(shape));
 }
 BENCHMARK(BM_OrderBy)
-    ->ArgsProduct({{1 << 20}, {kInt1, kIntMulti, kFloat1, kString1, kMixed}, {0, 1}})
-    ->Args({10 << 20, kIntMulti, 0})
-    ->Args({10 << 20, kIntMulti, 1})
+    ->ArgsProduct({{1 << 20}, {kInt1, kIntMulti, kFloat1, kString1, kMixed}})
+    ->Args({10 << 20, kIntMulti})
     ->Unit(benchmark::kMillisecond);
 
 // --- External sort: run counts (spill + k-way loser-tree merge) -------------

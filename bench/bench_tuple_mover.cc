@@ -1,5 +1,5 @@
 // Tuple mover benchmarks: mergeout through the shared loser-tree merge
-// kernel vs the legacy comparator loop (DESIGN.md §8), and the Section 4
+// kernel across fan-ins (DESIGN.md §8), and the Section 4
 // strata-policy ablation (exponential strata bound how often a tuple is
 // rewritten; eager and lazy merging both hurt).
 #include <benchmark/benchmark.h>
@@ -49,16 +49,14 @@ struct MoverHarness {
   }
 };
 
-/// Mergeout of `fanin` containers (20k rows each), loser tree vs the
-/// comparator baseline. Setup (load + moveout) is excluded from timing.
+/// Mergeout of `fanin` containers (20k rows each). Setup (load + moveout) is
+/// excluded from timing.
 void BM_Mergeout(benchmark::State& state) {
   size_t fanin = static_cast<size_t>(state.range(0));
-  bool loser_tree = state.range(1) != 0;
   TupleMoverConfig cfg;
   cfg.strata_base_bytes = 1 << 30;  // everything in stratum 0: one big merge
   cfg.merge_fanin_min = 2;
   cfg.merge_fanin_max = fanin;
-  cfg.use_loser_tree = loser_tree;
   uint64_t rows_merged = 0;
   // Manual timing: only MergeoutOnce is measured; the load + moveout setup
   // per iteration stays outside the clock.
@@ -76,10 +74,11 @@ void BM_Mergeout(benchmark::State& state) {
     rows_merged = h.mover->stats().rows_merged;
   }
   state.SetItemsProcessed(static_cast<int64_t>(rows_merged) * state.iterations());
-  state.SetLabel(loser_tree ? "loser_tree" : "comparator");
 }
 BENCHMARK(BM_Mergeout)
-    ->ArgsProduct({{2, 8, 32}, {0, 1}})
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(32)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string_view>
 
 namespace stratica {
@@ -36,8 +37,10 @@ inline uint64_t HashString(std::string_view s) { return HashBytes(s.data(), s.si
 inline uint64_t HashInt64(int64_t v) { return Mix64(static_cast<uint64_t>(v)); }
 
 inline uint64_t HashDouble(double d) {
-  // Normalize -0.0 to +0.0 so equal values hash equally.
+  // Values CompareDoubles calls equal hash equally: -0.0 folds to +0.0 and
+  // every NaN to one quiet-NaN pattern, as the normalized sort keys do.
   if (d == 0.0) d = 0.0;
+  if (d != d) d = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   return Mix64(bits);

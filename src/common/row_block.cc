@@ -420,10 +420,8 @@ int ColumnVector::CompareEntries(const ColumnVector& a, size_t ia, const ColumnV
       int64_t x = a.ints[ia], y = b.ints[ib];
       return x < y ? -1 : (x > y ? 1 : 0);
     }
-    case StorageClass::kFloat64: {
-      double x = a.doubles[ia], y = b.doubles[ib];
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
+    case StorageClass::kFloat64:
+      return CompareDoubles(a.doubles[ia], b.doubles[ib]);
     case StorageClass::kString: {
       int c = a.strings[ia].compare(b.strings[ib]);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);

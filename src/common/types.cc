@@ -58,8 +58,7 @@ int Value::Compare(const Value& other) const {
     return s_.compare(other.s_) < 0 ? -1 : (s_ == other.s_ ? 0 : 1);
   }
   if (a == StorageClass::kFloat64 || b == StorageClass::kFloat64) {
-    double x = AsDouble(), y = other.AsDouble();
-    return x < y ? -1 : (x > y ? 1 : 0);
+    return CompareDoubles(AsDouble(), other.AsDouble());
   }
   return i_ < other.i_ ? -1 : (i_ > other.i_ ? 1 : 0);
 }

@@ -43,6 +43,17 @@ inline StorageClass StorageClassOf(TypeId t) {
 
 inline bool IsIntegerLike(TypeId t) { return StorageClassOf(t) == StorageClass::kInt64; }
 
+/// The engine's one order on doubles (DESIGN.md §8): -0.0 == +0.0, and
+/// every NaN equals every other NaN and sorts after +inf. Normalized sort
+/// keys encode exactly this order, and HashDouble hashes its equal values
+/// equally.
+inline int CompareDoubles(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  bool xn = x != x, yn = y != y;
+  return xn == yn ? 0 : (xn ? 1 : -1);
+}
+
 /// \brief Runtime scalar: a single (possibly NULL) typed value.
 ///
 /// Used at the "slow" edges of the system: query results, literals,

@@ -4,7 +4,11 @@ namespace stratica {
 
 LoserTreeMerger::LoserTreeMerger(std::vector<std::unique_ptr<MergeInput>> inputs,
                                  std::vector<SortKey> keys)
-    : keys_(std::move(keys)), k_(inputs.size()) {
+    : keys_(std::move(keys)),
+      k_(inputs.size()),
+      // Two-way merges compare each row once; a direct typed compare beats
+      // paying the per-block key build there. From k=3 up, memcmp'd keys win.
+      use_normalized_keys_(k_ > 2) {
   cursors_.resize(k_);
   for (size_t i = 0; i < k_; ++i) cursors_[i].input = std::move(inputs[i]);
 }
@@ -30,17 +34,9 @@ bool LoserTreeMerger::RowBeats(size_t a, size_t row, size_t b) const {
   const Cursor& cb = cursors_[b];
   if (ca.exhausted) return false;
   if (cb.exhausted) return true;
-  int c;
-  if (use_normalized_keys_) {
-    c = ca.keys.CompareWith(row, cb.keys, cb.pos);
-  } else if (total_order_compare_) {
-    // Inputs were sorted by normalized keys; direct compares must use the
-    // same total order on doubles (NaN after +inf, -0 == +0) or a
-    // NaN-bearing merge would interleave out of order.
-    c = CompareRowsDirectedTotal(ca.block, row, cb.block, cb.pos, keys_);
-  } else {
-    c = CompareRowsDirected(ca.block, row, cb.block, cb.pos, keys_);
-  }
+  int c = use_normalized_keys_
+              ? ca.keys.CompareWith(row, cb.keys, cb.pos)
+              : CompareRowsDirected(ca.block, row, cb.block, cb.pos, keys_);
   if (c != 0) return c < 0;
   return a < b;  // lower input index wins ties (stable merge)
 }
@@ -62,13 +58,6 @@ size_t LoserTreeMerger::InitNode(size_t node) {
 }
 
 Status LoserTreeMerger::Init() {
-  // Two-way merges compare each row once; a direct typed compare beats
-  // paying the per-block key build there. From k=3 up, memcmp'd keys win.
-  // When the knob is on but k<=2, compares still follow the normalized-key
-  // total order (inputs were sorted under it).
-  bool knob = NormalizedKeySortEnabled();
-  use_normalized_keys_ = knob && k_ > 2;
-  total_order_compare_ = knob && !use_normalized_keys_;
   for (size_t i = 0; i < k_; ++i) {
     // First fill: base must stay 0.
     Cursor& cur = cursors_[i];

@@ -78,10 +78,9 @@ struct MergeSourceRef {
 /// \brief Streaming k-way merge of sorted inputs under directed sort keys.
 ///
 /// Ties break toward the lower input index, so the merge is stable when
-/// inputs are numbered in original order — and byte-identical to the
-/// scan-all-sources comparator loops it replaces. Honors the
-/// NormalizedKeySortEnabled() A/B knob: when off, comparisons fall back to
-/// per-row CompareRowsDirected.
+/// inputs are numbered in original order. The fan-in alone picks how rows
+/// compare: memcmp over normalized keys for k > 2, CompareRowsDirected for
+/// k <= 2. Both follow the same order (DESIGN.md §8).
 class LoserTreeMerger {
  public:
   LoserTreeMerger(std::vector<std::unique_ptr<MergeInput>> inputs,
@@ -132,9 +131,7 @@ class LoserTreeMerger {
   size_t k_ = 0;
   size_t streak_ = 0;             ///< current winner's consecutive wins
   size_t streak_leaf_ = SIZE_MAX; ///< leaf the streak belongs to
-  bool use_normalized_keys_ = true;
-  /// Direct compares (k<=2 fast path) under the normalized-key total order.
-  bool total_order_compare_ = false;
+  const bool use_normalized_keys_;  ///< k > 2
 };
 
 }  // namespace stratica

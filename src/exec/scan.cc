@@ -332,26 +332,23 @@ Status ScanOperator::Open(ExecContext* ctx) {
 }
 
 Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t row_start,
-                                      RowBlock* fblock, size_t n,
-                                      const Expr* predicate,
-                                      const std::vector<std::vector<uint32_t>>& sip_cols,
-                                      std::vector<uint8_t>* sel, size_t* selected) {
-  sel->assign(n, 1);
+                                      RowBlock* fblock, size_t n, size_t* selected) {
+  sel_scratch_.assign(n, 1);
   if (src != nullptr && src->epoch_reader) {
     ColumnVector epochs(TypeId::kInt64);
     STRATICA_RETURN_NOT_OK(
         NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, &epochs)));
     for (size_t i = 0; i < n; ++i) {
-      if (static_cast<Epoch>(epochs.ints[i]) > ctx_->epoch) (*sel)[i] = 0;
+      if (static_cast<Epoch>(epochs.ints[i]) > ctx_->epoch) sel_scratch_[i] = 0;
     }
   }
   if (src != nullptr && !src->deleted.empty()) {
     auto lo = std::lower_bound(src->deleted.begin(), src->deleted.end(), row_start);
     for (auto it = lo; it != src->deleted.end() && *it < row_start + n; ++it) {
-      (*sel)[*it - row_start] = 0;
+      sel_scratch_[*it - row_start] = 0;
     }
   }
-  if (predicate != nullptr) {
+  if (filter_predicate_ != nullptr) {
     // Selection-in/selection-out: rows already dead (epoch/deletes) are
     // never evaluated, and AND chains evaluate right sides only over the
     // left sides' survivors. Swap keeps both buffers' capacity alive.
@@ -359,8 +356,9 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
     // encoded form (one compare per run / per dictionary entry).
     uint64_t enc_rows = 0;
     STRATICA_RETURN_NOT_OK(
-        EvalPredicateMasked(*predicate, *fblock, *sel, &pred_scratch_, &enc_rows));
-    sel->swap(pred_scratch_);
+        EvalPredicateMasked(*filter_predicate_, *fblock, sel_scratch_, &pred_scratch_,
+                            &enc_rows));
+    sel_scratch_.swap(pred_scratch_);
     if (enc_rows > 0 && ctx_->stats)
       ctx_->stats->rows_processed_encoded.fetch_add(enc_rows);
   }
@@ -369,13 +367,13 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
   size_t after = 0;
   if (any_sip_ready) {
     uint64_t before = 0;
-    for (uint8_t s : *sel) before += s;
+    for (uint8_t s : sel_scratch_) before += s;
     // SIP probing is row-at-a-time over physical entries: flatten any RLE
     // probe column in place (dict columns stay coded — the batched hashers
     // resolve codes through per-entry hash tables).
     for (size_t si = 0; si < spec_.sips.size(); ++si) {
       if (!spec_.sips[si]->ready.load(std::memory_order_acquire)) continue;
-      for (uint32_t c : sip_cols[si]) {
+      for (uint32_t c : sip_filter_cols_[si]) {
         if (fblock->columns[c].IsRle())
           fblock->columns[c] = fblock->columns[c].Decoded();
       }
@@ -386,7 +384,7 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
     for (size_t si = 0; si < spec_.sips.size(); ++si) {
       const auto& sip = spec_.sips[si];
       if (!sip->ready.load(std::memory_order_acquire)) continue;
-      const std::vector<uint32_t>& cols = sip_cols[si];
+      const std::vector<uint32_t>& cols = sip_filter_cols_[si];
       if (cols.empty()) continue;  // no valid probe columns: nothing to test
       if (sip->has_range && cols.size() == 1) {
         const ColumnVector& col = fblock->columns[cols[0]];
@@ -398,17 +396,17 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
           int64_t lo = std::lower_bound(dv.begin(), dv.end(), sip->min) - dv.begin();
           int64_t hi = std::upper_bound(dv.begin(), dv.end(), sip->max) - dv.begin() - 1;
           for (size_t i = 0; i < n; ++i) {
-            if ((*sel)[i] &&
+            if (sel_scratch_[i] &&
                 (col.IsNull(i) || col.ints[i] < lo || col.ints[i] > hi)) {
-              (*sel)[i] = 0;
+              sel_scratch_[i] = 0;
             }
           }
           if (ctx_->stats) ctx_->stats->rows_processed_encoded.fetch_add(n);
         } else {
           for (size_t i = 0; i < n; ++i) {
-            if ((*sel)[i] &&
+            if (sel_scratch_[i] &&
                 (col.IsNull(i) || col.ints[i] < sip->min || col.ints[i] > sip->max)) {
-              (*sel)[i] = 0;
+              sel_scratch_[i] = 0;
             }
           }
         }
@@ -417,31 +415,35 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
       // Batch-hash the probe key columns for the rows still selected (the
       // range prune above often kills most of a block), then resolve
       // membership; rows with a NULL key never join.
-      HashRowsMasked(*fblock, cols, kSipSeed, sel->data(), &hash_buf_);
+      HashRowsMasked(*fblock, cols, kSipSeed, sel_scratch_.data(), &hash_buf_);
       bool any_nulls = false;
       for (uint32_t c : cols) any_nulls |= !fblock->columns[c].nulls.empty();
       if (any_nulls) {  // 1 in null_buf_ = NULL key, which never joins
         NullKeyMask(*fblock, cols, &null_buf_);
         for (size_t i = 0; i < n; ++i) {
-          if (!(*sel)[i]) continue;
-          if (null_buf_[i] || !sip->key_hashes.Contains(hash_buf_[i])) (*sel)[i] = 0;
+          if (!sel_scratch_[i]) continue;
+          if (null_buf_[i] || !sip->key_hashes.Contains(hash_buf_[i])) {
+            sel_scratch_[i] = 0;
+          }
         }
       } else if (sel_dense) {
         // Every row probes: batched membership with home-slot prefetch.
         hit_buf_.resize(n);
         sip->key_hashes.ContainsBatch(hash_buf_.data(), n, hit_buf_.data());
-        for (size_t i = 0; i < n; ++i) (*sel)[i] &= hit_buf_[i];
+        for (size_t i = 0; i < n; ++i) sel_scratch_[i] &= hit_buf_[i];
       } else {
         for (size_t i = 0; i < n; ++i) {
-          if ((*sel)[i] && !sip->key_hashes.Contains(hash_buf_[i])) (*sel)[i] = 0;
+          if (sel_scratch_[i] && !sip->key_hashes.Contains(hash_buf_[i])) {
+            sel_scratch_[i] = 0;
+          }
         }
       }
       sel_dense = false;  // this SIP may have zeroed rows
     }
-    for (uint8_t s : *sel) after += s;
+    for (uint8_t s : sel_scratch_) after += s;
     if (ctx_->stats) ctx_->stats->rows_sip_filtered.fetch_add(before - after);
   } else {
-    for (uint8_t s : *sel) after += s;
+    for (uint8_t s : sel_scratch_) after += s;
   }
   *selected = after;
   return Status::OK();
@@ -475,9 +477,7 @@ Status ScanOperator::AdvanceWos(Source* src) {
       fview.columns[i].AppendRange(src->wos_rows.columns[filter_cols_[i]], at, take);
     }
     size_t selected = 0;
-    STRATICA_RETURN_NOT_OK(ComputeSelection(nullptr, 0, 0, &fview, take,
-                                            filter_predicate_.get(), sip_filter_cols_,
-                                            &sel_scratch_, &selected));
+    STRATICA_RETURN_NOT_OK(ComputeSelection(nullptr, 0, 0, &fview, take, &selected));
     if (selected == 0) continue;
     RowBlock slice(spec_.output_types);
     std::vector<uint32_t> idx;
@@ -545,9 +545,8 @@ Status ScanOperator::AdvanceRos(Source* src) {
       fblock.columns[i] = std::move(view.column);
     }
     size_t selected = 0;
-    STRATICA_RETURN_NOT_OK(ComputeSelection(src, b, bm0.row_start, &fblock, n,
-                                            filter_predicate_.get(), sip_filter_cols_,
-                                            &sel_scratch_, &selected));
+    STRATICA_RETURN_NOT_OK(
+        ComputeSelection(src, b, bm0.row_start, &fblock, n, &selected));
     if (selected == 0) {
       if (ctx_->stats) {
         uint64_t skipped = 0;

@@ -187,17 +187,15 @@ class ScanOperator : public Operator {
   Status AdvanceRos(Source* src);
   Status AdvanceWos(Source* src);
   /// Compute the full selection vector (epoch, deletes, predicate, SIP) for
-  /// one block of `n` rows using only the columns present in `fblock`.
-  /// `predicate` and `sip_cols` must be expressed in fblock's column space.
-  /// `src` may be null (WOS slices: deletes/epochs already applied).
+  /// one block of `n` rows into sel_scratch_, using only the filter-view
+  /// columns in `fblock` (filter_predicate_ and sip_filter_cols_ address
+  /// them). `src` may be null (WOS slices: deletes/epochs already applied).
   /// `*selected` receives the surviving row count. `fblock` may hold encoded
   /// (RLE/dict) columns — predicates evaluate on them directly; SIP probing
   /// flattens RLE probe columns in place and translates range filters to
   /// code ranges on sorted-dict columns.
   Status ComputeSelection(Source* src, size_t block_idx, uint64_t row_start,
-                          RowBlock* fblock, size_t n, const Expr* predicate,
-                          const std::vector<std::vector<uint32_t>>& sip_cols,
-                          std::vector<uint8_t>* sel, size_t* selected);
+                          RowBlock* fblock, size_t n, size_t* selected);
 
   ScanSpec spec_;
   ExecContext* ctx_ = nullptr;

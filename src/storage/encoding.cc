@@ -1,7 +1,6 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <unordered_map>
 
@@ -206,12 +205,29 @@ Status EncodeDeltaValue(const ColumnVector& col, size_t start, size_t count,
   return Status::OK();
 }
 
+// Dictionary keys are distinct under CompareEntries: for doubles every NaN
+// is one entry (std::equal_to would give each NaN row its own code).
+template <typename T>
+struct DictKey {
+  using Hash = std::hash<T>;
+  using Eq = std::equal_to<T>;
+};
+template <>
+struct DictKey<double> {
+  struct Hash {
+    size_t operator()(double d) const { return HashDouble(d); }
+  };
+  struct Eq {
+    bool operator()(double a, double b) const { return CompareDoubles(a, b) == 0; }
+  };
+};
+
 // Dictionary build shared by BlockDict encode and the Auto chooser's
 // cardinality guard. Returns false if distinct count exceeds `limit`.
 template <typename T>
 bool BuildDict(const std::vector<T>& values, size_t start, size_t count, size_t limit,
                std::vector<T>* dict, std::vector<uint32_t>* indexes) {
-  std::unordered_map<T, uint32_t> map;
+  std::unordered_map<T, uint32_t, typename DictKey<T>::Hash, typename DictKey<T>::Eq> map;
   map.reserve(std::min(count, limit * 2));
   indexes->resize(count);
   for (size_t i = 0; i < count; ++i) {
@@ -236,13 +252,8 @@ template <typename T>
 bool DictLess(const T& a, const T& b) {
   return a < b;
 }
-// Doubles need a total order (std::sort on raw NaNs is undefined): NaNs
-// sort after every number and tie with each other.
-inline bool DictLess(double a, double b) {
-  if (std::isnan(b)) return !std::isnan(a);
-  if (std::isnan(a)) return false;
-  return a < b;
-}
+// Doubles need a total order (std::sort on raw NaNs is undefined).
+inline bool DictLess(double a, double b) { return CompareDoubles(a, b) < 0; }
 
 template <typename T>
 void SortDictAndRemap(std::vector<T>* dict, std::vector<uint32_t>* indexes) {

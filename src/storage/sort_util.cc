@@ -1,7 +1,6 @@
 #include "storage/sort_util.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -9,17 +8,15 @@ namespace stratica {
 
 namespace {
 
-std::atomic<bool> g_normalized_keys_enabled{true};
-
 /// Order-preserving transform of an int64: flip the sign bit so the
 /// unsigned/byte order equals the signed order.
 inline uint64_t NormalizeInt64(int64_t v) {
   return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
 }
 
-/// Order-preserving transform of a double. -0.0 canonicalizes to +0.0 and
-/// every NaN to one quiet-NaN pattern so the byte order is total and rows
-/// the comparator calls equal stay equal.
+/// Order-preserving transform of a double under CompareDoubles: -0.0
+/// canonicalizes to +0.0 and every NaN to one quiet-NaN pattern (which
+/// encodes above +inf), so values the comparator calls equal encode equally.
 inline uint64_t NormalizeDouble(double d) {
   if (d == 0) d = 0;  // -0.0 == 0.0 folds both to +0.0
   if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
@@ -101,38 +98,11 @@ inline void AppendColumnKey(const ColumnVector& col, size_t row, bool descending
 
 }  // namespace
 
-void SetNormalizedKeySortEnabled(bool enabled) {
-  g_normalized_keys_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool NormalizedKeySortEnabled() {
-  return g_normalized_keys_enabled.load(std::memory_order_relaxed);
-}
-
 int CompareRowsDirected(const RowBlock& a, size_t ia, const RowBlock& b, size_t ib,
                         const std::vector<SortKey>& keys) {
   for (const auto& key : keys) {
     int c = ColumnVector::CompareEntries(a.columns[key.column], ia,
                                          b.columns[key.column], ib);
-    if (c != 0) return key.descending ? -c : c;
-  }
-  return 0;
-}
-
-int CompareRowsDirectedTotal(const RowBlock& a, size_t ia, const RowBlock& b,
-                             size_t ib, const std::vector<SortKey>& keys) {
-  for (const auto& key : keys) {
-    const ColumnVector& ca = a.columns[key.column];
-    const ColumnVector& cb = b.columns[key.column];
-    int c;
-    if (StorageClassOf(ca.type) == StorageClass::kFloat64 && !ca.IsNull(ia) &&
-        !cb.IsNull(ib)) {
-      uint64_t ua = NormalizeDouble(ca.doubles[ia]);
-      uint64_t ub = NormalizeDouble(cb.doubles[ib]);
-      c = ua < ub ? -1 : (ua > ub ? 1 : 0);
-    } else {
-      c = ColumnVector::CompareEntries(ca, ia, cb, ib);
-    }
     if (c != 0) return key.descending ? -c : c;
   }
   return 0;
@@ -323,12 +293,6 @@ std::vector<uint32_t> ComputeSortPermutationDirected(const RowBlock& block,
                                                      const std::vector<SortKey>& keys) {
   std::vector<uint32_t> perm(block.NumRows());
   std::iota(perm.begin(), perm.end(), 0);
-  if (!NormalizedKeySortEnabled()) {
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      return CompareRowsDirected(block, a, block, b, keys) < 0;
-    });
-    return perm;
-  }
   NormalizedKeys nk;
   // Block-local sort: sorted-dict key columns may sort by code directly.
   BuildNormalizedKeys(block, keys, &nk, /*allow_dict_codes=*/true);

@@ -26,23 +26,11 @@ struct SortKey {
   bool descending = false;
 };
 
-/// Compare rows under directed sort keys (NULL first under ASC; the
-/// comparator fallback of the normalized-key paths).
+/// Compare rows under directed sort keys (NULL first under ASC, doubles in
+/// the CompareDoubles total order). Memcmp of normalized keys agrees with it
+/// exactly; the two-way merge compares rows with it directly.
 int CompareRowsDirected(const RowBlock& a, size_t ia, const RowBlock& b, size_t ib,
                         const std::vector<SortKey>& keys);
-
-/// CompareRowsDirected with the normalized-key total order on doubles
-/// (-0.0 == +0.0, every NaN equal and after +inf). Merge paths that
-/// compare rows directly against key-sorted runs must use this so both
-/// orders agree; CompareRowsDirected has no NaN order at all.
-int CompareRowsDirectedTotal(const RowBlock& a, size_t ia, const RowBlock& b,
-                             size_t ib, const std::vector<SortKey>& keys);
-
-/// A/B knob (DESIGN.md §8): when disabled, ComputeSortPermutation* and the
-/// loser-tree merge fall back to per-row comparator sort. On by default;
-/// benches and differential tests toggle it.
-void SetNormalizedKeySortEnabled(bool enabled);
-bool NormalizedKeySortEnabled();
 
 /// \brief Packed, byte-comparable composite keys for one block.
 ///
@@ -81,8 +69,7 @@ struct NormalizedKeys {
 
 /// Encode the composite sort key of every row of a flat block. The encoding
 /// is order-preserving: memcmp of two keys == CompareRowsDirected of the
-/// rows (with -0.0 canonicalized to +0.0 and NaN to one quiet-NaN pattern
-/// so floats keep a total order).
+/// rows.
 ///
 /// Dict-coded key columns are handled either way: with `allow_dict_codes`
 /// set, a sorted-dictionary column contributes its codes as a fixed 9-byte
@@ -101,7 +88,7 @@ void AppendNormalizedKey(const RowBlock& block, size_t row,
                          std::vector<uint8_t>* out);
 
 /// Stable sort permutation of `block`'s rows under directed keys, via
-/// normalized keys (or the comparator fallback when the knob is off).
+/// normalized keys (radix sort when fixed-width, else memcmp sort).
 std::vector<uint32_t> ComputeSortPermutationDirected(const RowBlock& block,
                                                      const std::vector<SortKey>& keys);
 

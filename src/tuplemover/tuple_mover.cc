@@ -61,55 +61,31 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
   RowBlock sorted(std::vector<TypeId>(cfg.column_types));
   std::vector<uint64_t> sorted_pos;
   std::vector<Epoch> sorted_epochs;
-  if (cfg_.use_loser_tree) {
-    // Sort each chunk independently (normalized-key sort), then merge the
-    // sorted chunks through the shared loser-tree kernel — the same
-    // n·log(chunk) + k-way-merge shape the Sort operator uses for runs.
-    // Chunk order = WOS arrival order, so the merger's low-index tie-break
-    // reproduces the stable concatenate-then-sort result exactly.
-    std::vector<std::unique_ptr<MergeInput>> inputs;
-    std::vector<std::vector<uint64_t>> chunk_pos(chunks.size());
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      const auto& chunk = chunks[ci];
-      std::vector<uint32_t> perm =
-          ComputeSortPermutationDirected(chunk->rows, sort_keys);
-      chunk_pos[ci].reserve(perm.size());
-      for (uint32_t r : perm) chunk_pos[ci].push_back(chunk->start_pos + r);
-      inputs.push_back(
-          std::make_unique<BlockMergeInput>(ApplyPermutation(chunk->rows, perm)));
-    }
-    LoserTreeMerger merger(std::move(inputs), sort_keys);
-    STRATICA_RETURN_NOT_OK(merger.Init());
-    std::vector<MergeSourceRef> prov;
-    while (!merger.Done()) {
-      prov.clear();
-      STRATICA_RETURN_NOT_OK(merger.Next(&sorted, 1 << 16, &prov));
-      for (const auto& ref : prov) {
-        sorted_pos.push_back(chunk_pos[ref.input][ref.row]);
-        sorted_epochs.push_back(chunks[ref.input]->epoch);
-      }
-    }
-  } else {
-    // Legacy path: concatenate the chunks, tracking each row's global WOS
-    // position and commit epoch, then sort the whole batch.
-    RowBlock all(std::vector<TypeId>(cfg.column_types));
-    std::vector<uint64_t> wos_pos;
-    std::vector<Epoch> row_epochs;
-    for (const auto& chunk : chunks) {
-      size_t n = chunk->NumRows();
-      for (size_t r = 0; r < n; ++r) {
-        all.AppendRowFrom(chunk->rows, r);
-        wos_pos.push_back(chunk->start_pos + r);
-        row_epochs.push_back(chunk->epoch);
-      }
-    }
-    std::vector<uint32_t> perm = ComputeSortPermutation(all, cfg.sort_columns);
-    sorted = ApplyPermutation(all, perm);
-    sorted_pos.resize(perm.size());
-    sorted_epochs.resize(perm.size());
-    for (size_t i = 0; i < perm.size(); ++i) {
-      sorted_pos[i] = wos_pos[perm[i]];
-      sorted_epochs[i] = row_epochs[perm[i]];
+  // Sort each chunk independently (normalized-key sort), then merge the
+  // sorted chunks through the shared loser-tree kernel — the same
+  // n·log(chunk) + k-way-merge shape the Sort operator uses for runs.
+  // Chunk order = WOS arrival order, so the merger's low-index tie-break
+  // reproduces the stable concatenate-then-sort result exactly.
+  std::vector<std::unique_ptr<MergeInput>> inputs;
+  std::vector<std::vector<uint64_t>> chunk_pos(chunks.size());
+  for (size_t ci = 0; ci < chunks.size(); ++ci) {
+    const auto& chunk = chunks[ci];
+    std::vector<uint32_t> perm =
+        ComputeSortPermutationDirected(chunk->rows, sort_keys);
+    chunk_pos[ci].reserve(perm.size());
+    for (uint32_t r : perm) chunk_pos[ci].push_back(chunk->start_pos + r);
+    inputs.push_back(
+        std::make_unique<BlockMergeInput>(ApplyPermutation(chunk->rows, perm)));
+  }
+  LoserTreeMerger merger(std::move(inputs), sort_keys);
+  STRATICA_RETURN_NOT_OK(merger.Init());
+  std::vector<MergeSourceRef> prov;
+  while (!merger.Done()) {
+    prov.clear();
+    STRATICA_RETURN_NOT_OK(merger.Next(&sorted, 1 << 16, &prov));
+    for (const auto& ref : prov) {
+      sorted_pos.push_back(chunk_pos[ref.input][ref.row]);
+      sorted_epochs.push_back(chunks[ref.input]->epoch);
     }
   }
 
@@ -238,7 +214,6 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
     RowBlock rows;
     std::vector<Epoch> epochs;
     std::vector<std::pair<uint64_t, Epoch>> deletes;  // sorted by position
-    size_t cursor = 0;
   };
   std::vector<Source> sources(inputs.size());
   for (size_t s = 0; s < inputs.size(); ++s) {
@@ -259,14 +234,13 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
   auto new_dv = std::make_shared<DeleteVectorChunk>();
   new_dv->target_id = new_id;
 
-  // K-way merge; batched appends to the writer. Deleted state of a merged
-  // row is looked up in its source's sorted (position, epoch) delete list;
-  // rows deleted at or before the AHM are purged (no one can query history
-  // there), surviving deletes are re-targeted at output positions.
-  RowBlock out_batch(std::vector<TypeId>(cfg.column_types));
-  std::vector<Epoch> out_epochs;
-  uint64_t out_pos = 0;
-  constexpr size_t kBatch = 8192;
+  // K-way merge through the shared kernel (DESIGN.md §8); batched appends to
+  // the writer. Provenance maps each merged row back to (source, position)
+  // for its epoch and its deleted state, looked up in the source's sorted
+  // (position, epoch) delete list. Rows deleted at or before the AHM are
+  // purged (no one can query history there) by masking them out of the
+  // batch in one Filter pass; surviving deletes are re-targeted at output
+  // positions.
   auto delete_state = [&](size_t s, uint64_t pos, Epoch* del_epoch) {
     const auto& dels = sources[s].deletes;
     auto it = std::lower_bound(dels.begin(), dels.end(), std::make_pair(pos, Epoch{0}));
@@ -274,92 +248,50 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
     *del_epoch = it->second;
     return true;
   };
-  if (cfg_.use_loser_tree) {
-    // Shared merge kernel (DESIGN.md §8): sources stream through the loser
-    // tree, provenance maps each merged row back to (source, position) for
-    // epoch and delete-vector lookups, and purged rows are masked out of
-    // the batch in one Filter pass.
-    std::vector<SortKey> sort_keys;
-    for (uint32_t c : cfg.sort_columns) sort_keys.push_back({c, false});
-    std::vector<std::unique_ptr<MergeInput>> merge_inputs;
-    for (auto& src : sources) {
-      merge_inputs.push_back(std::make_unique<BlockMergeInput>(std::move(src.rows)));
-    }
-    LoserTreeMerger merger(std::move(merge_inputs), sort_keys);
-    STRATICA_RETURN_NOT_OK(merger.Init());
-    std::vector<MergeSourceRef> prov;
-    std::vector<uint8_t> keep;
-    while (!merger.Done()) {
-      out_batch = RowBlock(std::vector<TypeId>(cfg.column_types));
-      out_epochs.clear();
-      prov.clear();
-      STRATICA_RETURN_NOT_OK(merger.Next(&out_batch, kBatch, &prov));
-      size_t n = out_batch.NumRows();
-      if (n == 0) break;
-      keep.assign(n, 1);
-      bool purged_any = false;
-      for (size_t i = 0; i < n; ++i) {
-        size_t s = prov[i].input;
-        uint64_t pos = prov[i].row;
-        Epoch del_epoch = 0;
-        bool deleted = delete_state(s, pos, &del_epoch);
-        if (deleted && del_epoch <= ahm) {
-          keep[i] = 0;
-          purged_any = true;
-          ++stats_.rows_purged;
-        } else {
-          out_epochs.push_back(sources[s].epochs[pos]);
-          if (deleted) {
-            new_dv->positions.push_back(out_pos);
-            new_dv->epochs.push_back(del_epoch);
-          }
-          ++out_pos;
-        }
-        ++stats_.rows_merged;
-      }
-      if (purged_any) {
-        for (auto& col : out_batch.columns) col.Filter(keep);
-      }
-      if (out_batch.NumRows() > 0) {
-        STRATICA_RETURN_NOT_OK(writer.Append(out_batch, out_epochs));
-      }
-    }
-  } else {
-    // Legacy comparator loop (A/B baseline; byte-identical output).
-    for (;;) {
-      int min_src = -1;
-      for (size_t s = 0; s < sources.size(); ++s) {
-        if (sources[s].cursor >= sources[s].rows.NumRows()) continue;
-        if (min_src < 0 ||
-            CompareRows(sources[s].rows, sources[s].cursor, sources[min_src].rows,
-                        sources[min_src].cursor, cfg.sort_columns,
-                        cfg.sort_columns) < 0) {
-          min_src = static_cast<int>(s);
-        }
-      }
-      if (min_src < 0) break;
-      Source& src = sources[min_src];
-      uint64_t pos = src.cursor;
+  std::vector<SortKey> sort_keys;
+  for (uint32_t c : cfg.sort_columns) sort_keys.push_back({c, false});
+  std::vector<std::unique_ptr<MergeInput>> merge_inputs;
+  for (auto& src : sources) {
+    merge_inputs.push_back(std::make_unique<BlockMergeInput>(std::move(src.rows)));
+  }
+  LoserTreeMerger merger(std::move(merge_inputs), sort_keys);
+  STRATICA_RETURN_NOT_OK(merger.Init());
+  constexpr size_t kBatch = 8192;
+  uint64_t out_pos = 0;
+  RowBlock out_batch;
+  std::vector<Epoch> out_epochs;
+  std::vector<MergeSourceRef> prov;
+  std::vector<uint8_t> keep;
+  while (!merger.Done()) {
+    out_batch = RowBlock(std::vector<TypeId>(cfg.column_types));
+    out_epochs.clear();
+    prov.clear();
+    STRATICA_RETURN_NOT_OK(merger.Next(&out_batch, kBatch, &prov));
+    size_t n = out_batch.NumRows();
+    if (n == 0) break;
+    keep.assign(n, 1);
+    bool purged_any = false;
+    for (size_t i = 0; i < n; ++i) {
+      size_t s = prov[i].input;
+      uint64_t pos = prov[i].row;
       Epoch del_epoch = 0;
-      bool deleted = delete_state(static_cast<size_t>(min_src), pos, &del_epoch);
+      bool deleted = delete_state(s, pos, &del_epoch);
       if (deleted && del_epoch <= ahm) {
+        keep[i] = 0;
+        purged_any = true;
         ++stats_.rows_purged;
       } else {
-        out_batch.AppendRowFrom(src.rows, pos);
-        out_epochs.push_back(src.epochs[pos]);
+        out_epochs.push_back(sources[s].epochs[pos]);
         if (deleted) {
           new_dv->positions.push_back(out_pos);
           new_dv->epochs.push_back(del_epoch);
         }
         ++out_pos;
-        if (out_batch.NumRows() >= kBatch) {
-          STRATICA_RETURN_NOT_OK(writer.Append(out_batch, out_epochs));
-          out_batch.Clear();
-          out_epochs.clear();
-        }
       }
-      ++src.cursor;
       ++stats_.rows_merged;
+    }
+    if (purged_any) {
+      for (auto& col : out_batch.columns) col.Filter(keep);
     }
     if (out_batch.NumRows() > 0) {
       STRATICA_RETURN_NOT_OK(writer.Append(out_batch, out_epochs));

@@ -35,12 +35,6 @@ struct TupleMoverConfig {
   size_t merge_fanin_max = 16;
   /// Never produce a container larger than this (the paper uses 2TB).
   uint64_t max_ros_bytes = 2ull << 40;
-  /// A/B knob (DESIGN.md §8): order moveout/mergeout rows through the
-  /// shared normalized-key loser-tree merge kernel (exec/merge). False
-  /// falls back to the legacy per-row comparator loops — kept for
-  /// differential tests and the bench baseline; both produce byte-identical
-  /// containers.
-  bool use_loser_tree = true;
 };
 
 struct TupleMoverStats {

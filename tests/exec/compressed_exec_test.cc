@@ -11,6 +11,8 @@
 // nullable column.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -233,7 +235,8 @@ TEST(MorselBypassTest, OrderCarryingScanRecordsBypass) {
 }
 
 // Sorted-dictionary sort keys: a dict-coded block sorts by codes without
-// materializing values; the permutation must match the comparator order.
+// materializing values; the permutation must match a std::stable_sort over
+// the row comparator exactly, ties included.
 TEST(CompressedSortTest, SortedDictPermutationMatchesComparator) {
   // Build a dict-coded string column by hand: sorted dict, shuffled codes.
   ColumnVector col(TypeId::kString);
@@ -250,11 +253,12 @@ TEST(CompressedSortTest, SortedDictPermutationMatchesComparator) {
   for (int i = 0; i < 997; ++i) block.columns[1].ints.push_back(i);
 
   std::vector<SortKey> keys = {{0, false}, {1, true}};
-  auto normalized = ComputeSortPermutationDirected(block, keys);
-  SetNormalizedKeySortEnabled(false);
-  auto comparator = ComputeSortPermutationDirected(block, keys);
-  SetNormalizedKeySortEnabled(true);
-  EXPECT_EQ(normalized, comparator);
+  std::vector<uint32_t> oracle(block.NumRows());
+  std::iota(oracle.begin(), oracle.end(), 0);
+  std::stable_sort(oracle.begin(), oracle.end(), [&](uint32_t a, uint32_t b) {
+    return CompareRowsDirected(block, a, block, b, keys) < 0;
+  });
+  EXPECT_EQ(ComputeSortPermutationDirected(block, keys), oracle);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // hash->merge switch), sort spill, analytic windows, exchanges.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "cluster/cluster.h"
@@ -152,6 +154,27 @@ TEST_F(ExecFixture, HashGroupBySumsCorrectly) {
     total += rows.value().columns[2].doubles[r];
   }
   EXPECT_DOUBLE_EQ(total, 999 * 1000 / 2 * 0.5);
+}
+
+// Every NaN is one group key: group equality and group hashing both follow
+// CompareEntries, whatever the NaN's sign bit (x86's 0.0/0.0 sets it).
+TEST_F(ExecFixture, HashGroupByPutsEveryNanInOneGroup) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RowBlock input({TypeId::kFloat64});
+  input.columns[0].doubles = {nan, std::copysign(nan, -1.0), nan,
+                              std::copysign(nan, -1.0)};
+  GroupBySpec spec;
+  spec.group_columns = {0};
+  spec.aggs = {{AggKind::kCountStar, -1, TypeId::kInt64}};
+  spec.output_names = {"x", "n"};
+  HashGroupByOperator gb(
+      std::make_unique<MaterializedOperator>(input, std::vector<std::string>{"x"}),
+      spec);
+  auto rows = DrainOperator(&gb, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().NumRows(), 1u);
+  EXPECT_TRUE(std::isnan(rows.value().columns[0].doubles[0]));
+  EXPECT_EQ(rows.value().columns[1].ints[0], 4);
 }
 
 TEST_F(ExecFixture, HashGroupBySpillsUnderTinyBudgetSameAnswer) {
@@ -372,6 +395,26 @@ TEST_F(ExecFixture, AnalyticWindowFunctions) {
                        rows.value().columns[2].doubles[r]);
     }
   }
+}
+
+// NaN sorts after every number and equals every other NaN, so the two NaN
+// rows are peers of each other only.
+TEST_F(ExecFixture, RankAndDenseRankOverFloatOrderWithNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RowBlock input({TypeId::kFloat64});
+  input.columns[0].doubles = {1.0, 2.0, nan, nan};
+  AnalyticSpec spec;
+  spec.order_keys = {{0, false}};
+  spec.windows = {{WindowFunc::kRank, -1, "rank"},
+                  {WindowFunc::kDenseRank, -1, "dense_rank"}};
+  AnalyticOperator analytic(
+      std::make_unique<MaterializedOperator>(input, std::vector<std::string>{"x"}),
+      spec);
+  auto rows = DrainOperator(&analytic, &ctx_);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows.value().NumRows(), 4u);
+  EXPECT_EQ(rows.value().columns[1].ints, (std::vector<int64_t>{1, 2, 3, 3}));
+  EXPECT_EQ(rows.value().columns[2].ints, (std::vector<int64_t>{1, 2, 3, 3}));
 }
 
 TEST_F(ExecFixture, RepartitionExchangeParallelGroupBy) {

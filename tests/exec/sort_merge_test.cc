@@ -60,8 +60,6 @@ void ExpectBlocksEqual(const RowBlock& got, const RowBlock& want) {
 
 class SortMergeTest : public ::testing::Test {
  protected:
-  ~SortMergeTest() override { SetNormalizedKeySortEnabled(true); }
-
   Result<RowBlock> RunSort(const RowBlock& input, const std::vector<SortKey>& keys,
                            ExecContext* ctx, uint64_t limit_hint = 0,
                            size_t* runs_spilled = nullptr) {
@@ -91,8 +89,8 @@ TEST_F(SortMergeTest, DifferentialSpillVsInMemoryVsOracle) {
                                     << keys[0].column);
     RowBlock want = OracleSort(input, keys);
 
-    // In-memory (no cap), spilled (tiny cap), and comparator-fallback
-    // spilled — all must equal the oracle exactly, ties included.
+    // In-memory (no cap) and spilled (tiny cap) must both equal the oracle
+    // exactly, ties included.
     ExecContext mem_ctx;
     mem_ctx.fs = &fs_;
     mem_ctx.stats = &stats_;
@@ -110,12 +108,6 @@ TEST_F(SortMergeTest, DifferentialSpillVsInMemoryVsOracle) {
     ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
     EXPECT_GT(runs, 1u);  // the cap must actually externalize
     ExpectBlocksEqual(spilled.value(), want);
-
-    SetNormalizedKeySortEnabled(false);
-    auto comparator = RunSort(input, keys, &spill_ctx);
-    SetNormalizedKeySortEnabled(true);
-    ASSERT_TRUE(comparator.ok()) << comparator.status().ToString();
-    ExpectBlocksEqual(comparator.value(), want);
   }
 }
 

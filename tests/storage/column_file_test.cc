@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/fault_fs.h"
@@ -50,6 +52,24 @@ TEST(ColumnFileTest, BlockMetaMinMaxAndPositions) {
   // Column-level bounds.
   EXPECT_EQ(meta.value().min.i64(), 66);
   EXPECT_EQ(meta.value().max.i64(), 100);
+}
+
+// Block bounds follow the engine's double order: NaN is the largest value,
+// so a leading NaN must not hide the block's real minimum from pruning.
+TEST(ColumnFileTest, BlockMetaMinMaxWithNan) {
+  MemFileSystem fs;
+  ColumnWriter writer(TypeId::kFloat64, EncodingId::kPlain, 10);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ColumnVector col(TypeId::kFloat64);
+  col.doubles = {nan, 3.0, 1.0, nan};
+  ASSERT_TRUE(writer.Append(col).ok());
+  auto meta = writer.Finish(&fs, "c.dat", "c.idx");
+  ASSERT_TRUE(meta.ok());
+  ASSERT_EQ(meta.value().blocks.size(), 1u);
+  EXPECT_EQ(meta.value().blocks[0].min.f64(), 1.0);
+  EXPECT_TRUE(std::isnan(meta.value().blocks[0].max.f64()));
+  EXPECT_EQ(meta.value().min.f64(), 1.0);
+  EXPECT_TRUE(std::isnan(meta.value().max.f64()));
 }
 
 TEST(ColumnFileTest, SingleBlockRandomRead) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.h"
 
 namespace stratica {
@@ -92,6 +95,42 @@ TEST(EncodingTest, RleViewKeepsRuns) {
   for (size_t i = 0; i < 6; ++i) {
     if (!col.IsNull(i)) EXPECT_EQ(view.column.ints[i], col.ints[i]) << "row " << i;
   }
+}
+
+// RLE run detection and dictionary builds follow CompareEntries' total order
+// on doubles: NaN is its own run and its own dictionary entry, never merged
+// into a neighbouring number.
+TEST(EncodingTest, NanRowsRoundTripThroughRleAndAuto) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ColumnVector col = MakeDoubles({5.0, nan, nan, 7.0});
+  for (EncodingId enc : {EncodingId::kAuto, EncodingId::kRle}) {
+    SCOPED_TRACE(EncodingName(enc));
+    std::string buf;
+    ASSERT_TRUE(EncodeBlock(enc, col, 0, 4, &buf).ok());
+    ColumnVector out(TypeId::kFloat64);
+    size_t offset = 0;
+    ASSERT_TRUE(DecodeBlock(buf, &offset, TypeId::kFloat64, &out).ok());
+    ASSERT_EQ(out.doubles.size(), 4u);
+    EXPECT_EQ(out.doubles[0], 5.0);
+    EXPECT_TRUE(std::isnan(out.doubles[1]));
+    EXPECT_TRUE(std::isnan(out.doubles[2]));
+    EXPECT_EQ(out.doubles[3], 7.0);
+  }
+}
+
+TEST(EncodingTest, BlockDictFoldsEveryNanIntoOneEntry) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ColumnVector col = MakeDoubles({nan, 1.0, std::copysign(nan, -1.0), 1.0, nan});
+  std::string buf;
+  ASSERT_TRUE(EncodeBlock(EncodingId::kBlockDict, col, 0, 5, &buf).ok());
+  EncodedBlockView view;
+  size_t offset = 0;
+  ASSERT_TRUE(DecodeBlockView(buf, &offset, TypeId::kFloat64, &view).ok());
+  ASSERT_TRUE(view.column.IsDictCoded());
+  ASSERT_EQ(view.column.dict->PhysicalSize(), 2u);  // {1.0, NaN}
+  EXPECT_EQ(view.column.dict->doubles[0], 1.0);
+  EXPECT_TRUE(std::isnan(view.column.dict->doubles[1]));
+  EXPECT_EQ(view.column.ints, (std::vector<int64_t>{1, 0, 1, 0, 1}));
 }
 
 TEST(EncodingTest, DeltaValueSmallRange) {

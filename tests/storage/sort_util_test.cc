@@ -1,12 +1,14 @@
 // Normalized-key sort tests (DESIGN.md §8): the byte encoding must be
 // order-preserving against the row comparator for every type, direction,
-// NULL placement and composite shape, and the permutation APIs must agree
-// with the comparator fallback exactly (including stability).
+// NULL placement (and NaN / signed zero) and composite shape, and the
+// permutation APIs must agree exactly (including stability) with a
+// std::stable_sort over the row comparator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "common/rng.h"
 #include "storage/sort_util.h"
@@ -14,19 +16,15 @@
 namespace stratica {
 namespace {
 
-/// Restores the A/B knob around each test.
-class SortUtilTest : public ::testing::Test {
- protected:
-  ~SortUtilTest() override { SetNormalizedKeySortEnabled(true); }
-};
-
 RowBlock MixedBlock(size_t n, uint64_t seed, bool with_nulls) {
   Rng rng(seed);
   RowBlock block({TypeId::kInt64, TypeId::kFloat64, TypeId::kString});
   for (size_t r = 0; r < n; ++r) {
     // Small domains so duplicates and shared prefixes are common.
     block.columns[0].ints.push_back(rng.Range(-5, 5));
-    block.columns[1].doubles.push_back(static_cast<double>(rng.Range(-3, 3)) * 0.5);
+    double d = static_cast<double>(rng.Range(-3, 3)) * 0.5;
+    if (rng.Uniform(8) == 0) d = std::numeric_limits<double>::quiet_NaN();
+    block.columns[1].doubles.push_back(d);
     std::string s = rng.RandomString(rng.Uniform(4));
     if (rng.Uniform(4) == 0) s.push_back('\0');  // embedded zero bytes
     if (rng.Uniform(4) == 0) s += "x";
@@ -60,7 +58,7 @@ void ExpectOrderPreserving(const RowBlock& block, const std::vector<SortKey>& ke
   }
 }
 
-TEST_F(SortUtilTest, Int64KeyEdgeValues) {
+TEST(SortUtilTest, Int64KeyEdgeValues) {
   RowBlock block({TypeId::kInt64});
   for (int64_t v : {std::numeric_limits<int64_t>::min(), int64_t{-1}, int64_t{0},
                     int64_t{1}, std::numeric_limits<int64_t>::max(), int64_t{-42},
@@ -71,22 +69,27 @@ TEST_F(SortUtilTest, Int64KeyEdgeValues) {
   ExpectOrderPreserving(block, {{0, true}});
 }
 
-TEST_F(SortUtilTest, DoubleKeyEdgeValues) {
+TEST(SortUtilTest, DoubleKeyEdgeValues) {
   RowBlock block({TypeId::kFloat64});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (double v : {-std::numeric_limits<double>::infinity(), -1e300, -1.5, -0.0, 0.0,
                    std::numeric_limits<double>::denorm_min(), 1.5, 1e300,
-                   std::numeric_limits<double>::infinity()}) {
+                   std::numeric_limits<double>::infinity(), nan,
+                   std::copysign(nan, -1.0)}) {
     block.columns[0].doubles.push_back(v);
   }
   ExpectOrderPreserving(block, {{0, false}});
   ExpectOrderPreserving(block, {{0, true}});
-  // -0.0 and +0.0 must encode identically (the comparator calls them equal).
+  // -0.0 and +0.0 must encode identically (the comparator calls them equal),
+  // as must both NaNs, which sort after +inf.
   NormalizedKeys nk;
   BuildNormalizedKeys(block, {{0, false}}, &nk);
   EXPECT_EQ(nk.Compare(3, 4), 0);
+  EXPECT_EQ(nk.Compare(9, 10), 0);
+  EXPECT_LT(nk.Compare(8, 9), 0);
 }
 
-TEST_F(SortUtilTest, StringKeysWithEmbeddedZerosAndPrefixes) {
+TEST(SortUtilTest, StringKeysWithEmbeddedZerosAndPrefixes) {
   RowBlock block({TypeId::kString});
   for (const char* base :
        {"", "a", "ab", "abc", "b", "ba", "z", "zz", "A", "aa"}) {
@@ -100,7 +103,7 @@ TEST_F(SortUtilTest, StringKeysWithEmbeddedZerosAndPrefixes) {
   ExpectOrderPreserving(block, {{0, true}});
 }
 
-TEST_F(SortUtilTest, NullsFirstAscLastDesc) {
+TEST(SortUtilTest, NullsFirstAscLastDesc) {
   RowBlock block({TypeId::kInt64});
   block.columns[0].ints = {5, 0, -5, 0};
   block.columns[0].nulls = {0, 1, 0, 1};
@@ -115,7 +118,7 @@ TEST_F(SortUtilTest, NullsFirstAscLastDesc) {
   EXPECT_EQ(nk.Compare(1, 3), 0);
 }
 
-TEST_F(SortUtilTest, CompositeKeysAllShapesDifferential) {
+TEST(SortUtilTest, CompositeKeysAllShapesDifferential) {
   RowBlock block = MixedBlock(60, 7, /*with_nulls=*/true);
   // Every combination of (leading column, direction mix) that crosses the
   // fixed-width and variable-width encoders.
@@ -137,7 +140,18 @@ TEST_F(SortUtilTest, CompositeKeysAllShapesDifferential) {
   }
 }
 
-TEST_F(SortUtilTest, PermutationMatchesComparatorFallback) {
+/// std::stable_sort oracle for the normalized-key permutation.
+std::vector<uint32_t> OraclePermutation(const RowBlock& block,
+                                        const std::vector<SortKey>& keys) {
+  std::vector<uint32_t> perm(block.NumRows());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    return CompareRowsDirected(block, a, block, b, keys) < 0;
+  });
+  return perm;
+}
+
+TEST(SortUtilTest, PermutationMatchesStableSortOracle) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     RowBlock block = MixedBlock(500, seed, /*with_nulls=*/true);
     std::vector<std::vector<SortKey>> shapes = {
@@ -147,17 +161,14 @@ TEST_F(SortUtilTest, PermutationMatchesComparatorFallback) {
         {{1, true}, {2, true}, {0, false}},    // everything
     };
     for (const auto& keys : shapes) {
-      SetNormalizedKeySortEnabled(true);
-      auto fast = ComputeSortPermutationDirected(block, keys);
-      SetNormalizedKeySortEnabled(false);
-      auto oracle = ComputeSortPermutationDirected(block, keys);
-      ASSERT_EQ(fast, oracle) << "seed " << seed;  // identical incl. tie order
+      ASSERT_EQ(ComputeSortPermutationDirected(block, keys),
+                OraclePermutation(block, keys))
+          << "seed " << seed;  // identical incl. tie order
     }
   }
-  SetNormalizedKeySortEnabled(true);
 }
 
-TEST_F(SortUtilTest, AscendingPermutationApiStillStableSorts) {
+TEST(SortUtilTest, AscendingPermutationApiStillStableSorts) {
   RowBlock block({TypeId::kInt64, TypeId::kInt64});
   block.columns[0].ints = {3, 1, 3, 1, 2};
   block.columns[1].ints = {0, 1, 2, 3, 4};  // payload identifies input order
@@ -168,7 +179,7 @@ TEST_F(SortUtilTest, AscendingPermutationApiStillStableSorts) {
   EXPECT_TRUE(IsSorted(sorted, {0}));
 }
 
-TEST_F(SortUtilTest, AppendNormalizedKeyMatchesBatchBuild) {
+TEST(SortUtilTest, AppendNormalizedKeyMatchesBatchBuild) {
   RowBlock block = MixedBlock(40, 11, /*with_nulls=*/true);
   std::vector<SortKey> keys = {{0, false}, {2, true}, {1, false}};
   NormalizedKeys nk;

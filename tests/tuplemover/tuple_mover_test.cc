@@ -1,9 +1,14 @@
-// Tuple mover tests (DESIGN.md §8): the loser-tree moveout/mergeout path
-// must produce byte-identical container files, delete vectors and stats to
-// the legacy comparator path, including delete re-targeting and AHM purges.
+// Tuple mover tests (DESIGN.md §8): moveout and mergeout are checked
+// against oracles built from the data itself. Every inserted row carries a
+// unique payload v = batch * 1000 + i, so the merged container can be
+// checked row by row: sort order, which rows were purged at the AHM, each
+// row's commit epoch, stability within equal keys, and which rows the
+// re-targeted delete vectors point at.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 
 #include "common/rng.h"
 #include "storage/projection_storage.h"
@@ -22,12 +27,16 @@ struct MoverWorld {
   std::unique_ptr<ProjectionStorage> ps;
   std::unique_ptr<TupleMover> mover;
 
-  explicit MoverWorld(bool use_loser_tree) {
+  // Filled by RunWorkload: each batch's commit epoch, and the v payloads of
+  // the rows each delete round targeted.
+  std::vector<Epoch> batch_epochs;
+  std::set<int64_t> deleted_v[2];
+
+  MoverWorld() {
     tm = std::make_unique<TransactionManager>(&epochs, &locks);
     TupleMoverConfig cfg;
     cfg.strata_base_bytes = 16 << 10;
     cfg.merge_fanin_min = 2;
-    cfg.use_loser_tree = use_loser_tree;
     mover = std::make_unique<TupleMover>(&epochs, cfg);
     ProjectionStorageConfig pcfg;
     pcfg.projection = "p";
@@ -39,9 +48,9 @@ struct MoverWorld {
     ps = std::make_unique<ProjectionStorage>(&fs, "node0/p", pcfg);
   }
 
-  /// Identical deterministic workload on every world: batches of skewed
-  /// keys (duplicates across and within batches), per-batch moveout, some
-  /// committed deletes, partial AHM advance, then mergeout to quiescence.
+  /// Deterministic workload: batches of skewed keys (duplicates across and
+  /// within batches), per-batch moveout, some committed deletes, partial
+  /// AHM advance, then mergeout to quiescence.
   void RunWorkload() {
     Rng rng(77);
     for (int batch = 0; batch < 6; ++batch) {
@@ -53,7 +62,9 @@ struct MoverWorld {
       }
       auto txn = tm->Begin();
       ASSERT_TRUE(ps->InsertWos(std::move(rows), txn.get()).ok());
-      ASSERT_TRUE(tm->Commit(txn).ok());
+      auto epoch = tm->Commit(txn);
+      ASSERT_TRUE(epoch.ok());
+      batch_epochs.push_back(epoch.value());
       ASSERT_TRUE(mover->Moveout(ps.get()).ok());
     }
     // Committed deletes on the first two containers: some will purge (AHM
@@ -65,10 +76,15 @@ struct MoverWorld {
                 return a->id < b->id;
               });
     for (int round = 0; round < 2; ++round) {
+      RowBlock target;
+      std::vector<Epoch> target_epochs;
+      ASSERT_TRUE(
+          ReadRosContainer(&fs, *containers[round], &target, &target_epochs).ok());
       auto txn = tm->Begin();
       std::vector<uint64_t> positions;
       for (uint64_t p = static_cast<uint64_t>(round); p < 60; p += 7) {
         positions.push_back(p);
+        deleted_v[round].insert(target.columns[2].ints[p]);
       }
       ASSERT_TRUE(
           ps->AddDeletes(containers[round]->id, std::move(positions), txn.get()).ok());
@@ -81,62 +97,63 @@ struct MoverWorld {
   }
 };
 
-std::map<std::string, std::string> AllFiles(const MemFileSystem& fs) {
-  std::map<std::string, std::string> files;
-  auto list = fs.List("");
-  EXPECT_TRUE(list.ok());
-  for (const auto& path : list.value()) {
-    auto data = fs.ReadFile(path);
-    EXPECT_TRUE(data.ok());
-    files[path] = data.value();
-  }
-  return files;
-}
+TEST(TupleMoverMergePathTest, MergeoutMatchesDataOracle) {
+  MoverWorld world;
+  ASSERT_NO_FATAL_FAILURE(world.RunWorkload());
+  ASSERT_EQ(world.deleted_v[0].size(), 9u);
+  ASSERT_EQ(world.deleted_v[1].size(), 9u);
 
-TEST(TupleMoverMergePathTest, LoserTreeByteIdenticalToComparatorPath) {
-  MoverWorld fast(/*use_loser_tree=*/true);
-  MoverWorld legacy(/*use_loser_tree=*/false);
-  fast.RunWorkload();
-  legacy.RunWorkload();
+  // Six containers merged into one; round 0's deletes were purged.
+  EXPECT_EQ(world.mover->stats().rows_merged, 3000u);
+  EXPECT_EQ(world.mover->stats().rows_purged, 9u);
+  auto containers = world.ps->Containers();
+  ASSERT_EQ(containers.size(), 1u);
+  RowBlock rows;
+  std::vector<Epoch> row_epochs;
+  ASSERT_TRUE(ReadRosContainer(&world.fs, *containers[0], &rows, &row_epochs).ok());
+  rows.DecodeAll();
+  ASSERT_EQ(rows.NumRows(), 2991u);
+  ASSERT_EQ(row_epochs.size(), rows.NumRows());
 
-  // Same work done...
-  EXPECT_GT(fast.mover->stats().mergeouts, 0u);
-  EXPECT_GT(fast.mover->stats().rows_purged, 0u);
-  EXPECT_EQ(fast.mover->stats().mergeouts, legacy.mover->stats().mergeouts);
-  EXPECT_EQ(fast.mover->stats().rows_merged, legacy.mover->stats().rows_merged);
-  EXPECT_EQ(fast.mover->stats().rows_purged, legacy.mover->stats().rows_purged);
-  EXPECT_EQ(fast.ps->NumContainers(), legacy.ps->NumContainers());
-
-  // ...and byte-identical artifacts: every container data/index/meta file.
-  auto fast_files = AllFiles(fast.fs);
-  auto legacy_files = AllFiles(legacy.fs);
-  ASSERT_EQ(fast_files.size(), legacy_files.size());
-  for (const auto& [path, data] : legacy_files) {
-    auto it = fast_files.find(path);
-    ASSERT_NE(it, fast_files.end()) << "missing " << path;
-    EXPECT_EQ(it->second, data) << "content differs: " << path;
-  }
-
-  // Surviving (post-AHM) deletes re-targeted identically.
-  auto dv_of = [](ProjectionStorage* ps) {
-    std::vector<std::pair<uint64_t, Epoch>> all;
-    for (const auto& c : ps->Containers()) {
-      for (const auto& d : ps->ContainerDeleteChunks(c->id)) {
-        for (size_t i = 0; i < d->positions.size(); ++i) {
-          all.emplace_back(d->positions[i], d->epochs[i]);
-        }
+  EXPECT_TRUE(IsSorted(rows, {0, 1}));
+  const std::vector<int64_t>& v = rows.columns[2].ints;
+  std::set<int64_t> want_v;
+  for (int64_t batch = 0; batch < 6; ++batch) {
+    for (int64_t i = 0; i < 500; ++i) {
+      if (world.deleted_v[0].count(batch * 1000 + i) == 0) {
+        want_v.insert(batch * 1000 + i);
       }
     }
-    std::sort(all.begin(), all.end());
-    return all;
-  };
-  auto fast_dvs = dv_of(fast.ps.get());
-  EXPECT_FALSE(fast_dvs.empty());
-  EXPECT_EQ(fast_dvs, dv_of(legacy.ps.get()));
+  }
+  EXPECT_EQ(std::set<int64_t>(v.begin(), v.end()), want_v);
+  // Within a run of equal (k, s), each batch's rows keep ascending v: both
+  // the moveout sort and the mergeout merge are stable.
+  std::map<int64_t, int64_t> last_v_of_batch;
+  for (size_t r = 0; r < rows.NumRows(); ++r) {
+    const int64_t batch = v[r] / 1000;
+    ASSERT_EQ(row_epochs[r], world.batch_epochs[batch]) << "row " << r;
+    if (r > 0 && CompareRows(rows, r - 1, rows, r, {0, 1}, {0, 1}) != 0) {
+      last_v_of_batch.clear();
+    }
+    auto it = last_v_of_batch.find(batch);
+    if (it != last_v_of_batch.end()) ASSERT_LT(it->second, v[r]) << "row " << r;
+    last_v_of_batch[batch] = v[r];
+  }
+
+  // Round 1's deletes survive, re-targeted at exactly those rows.
+  std::multiset<int64_t> retargeted_v;
+  for (const auto& d : world.ps->ContainerDeleteChunks(containers[0]->id)) {
+    for (uint64_t pos : d->positions) {
+      ASSERT_LT(pos, rows.NumRows());
+      retargeted_v.insert(v[pos]);
+    }
+  }
+  EXPECT_EQ(retargeted_v, std::multiset<int64_t>(world.deleted_v[1].begin(),
+                                                 world.deleted_v[1].end()));
 }
 
 TEST(TupleMoverMergePathTest, MoveoutProducesSortedContainers) {
-  MoverWorld world(/*use_loser_tree=*/true);
+  MoverWorld world;
   Rng rng(5);
   // Several committed chunks in one moveout: the per-chunk-sort + k-way
   // merge path must still produce a fully sorted container.
