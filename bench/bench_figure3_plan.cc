@@ -22,21 +22,19 @@ double RunFigure3Pipeline(Database* db, int parallelism, bool prepass,
                           uint64_t* out_rows) {
   auto* ps = db->cluster()->node(0)->GetStorage("sales_super");
   ExecContext ctx = db->MakeExecContext();
-  auto snap = ps->GetSnapshot(ctx.epoch);
-  auto region_lists = PlanScanRegions(snap, parallelism);
+  auto morsels = std::make_shared<MorselDispenser>(parallelism);
 
   // Scan -> StorageUnion(reseg by cust) -> parallel [prepass] GroupBys ->
-  // ParallelUnion -> final GroupBy -> Filter(HAVING).
+  // ParallelUnion -> final GroupBy -> Filter(HAVING). The scans share one
+  // morsel dispenser.
   std::vector<OperatorPtr> producers;
-  for (size_t p = 0; p < region_lists.size(); ++p) {
+  for (int p = 0; p < parallelism; ++p) {
     ScanSpec spec;
     spec.storage = ps;
     spec.projection_columns = {0, 1};  // cust, price
     spec.output_names = {"cust", "price"};
     spec.output_types = {TypeId::kInt64, TypeId::kFloat64};
-    spec.use_regions = true;
-    spec.regions = region_lists[p];
-    spec.include_wos = p == 0;
+    spec.morsels = morsels;
     producers.push_back(std::make_unique<ScanOperator>(spec));
   }
   auto consumers = MakeRepartitionExchange(std::move(producers), parallelism, {0},

@@ -495,8 +495,7 @@ Result<LoadResult> Cluster::Load(const std::string& table, const RowBlock& rows,
   }
   result.rows_loaded = accepted.NumRows();
 
-  if (!direct_ros && cfg_.auto_direct_ros_threshold_enabled &&
-      accepted.NumRows() >= cfg_.direct_ros_row_threshold) {
+  if (!direct_ros && accepted.NumRows() >= cfg_.direct_ros_row_threshold) {
     direct_ros = true;  // large loads waste WOS memory (Section 7)
   }
 

@@ -38,9 +38,8 @@ struct ClusterConfig {
   uint32_t local_segments_per_node = 3;
   uint64_t wos_capacity_rows = 1 << 20;
   TupleMoverConfig tuple_mover;
-  bool auto_direct_ros_threshold_enabled = true;
   /// Loads at least this large bypass the WOS ("Direct Loading to the
-  /// ROS", Section 7).
+  /// ROS", Section 7); UINT64_MAX turns automatic direct loading off.
   uint64_t direct_ros_row_threshold = 100000;
 };
 

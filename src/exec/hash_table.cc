@@ -53,10 +53,7 @@ void FlatHashTable::Rehash(size_t new_slots) {
   slots_.assign(new_slots, Slot{});
   mask_ = new_slots - 1;
   used_slots_ = 0;
-  for (uint32_t id = 0; id < next_.size(); ++id) {
-    if (next_[id] == kUnlinked) continue;
-    Link(id, entry_hash_[id]);
-  }
+  for (uint32_t id = 0; id < next_.size(); ++id) Link(id, entry_hash_[id]);
 }
 
 uint32_t FlatHashTable::Insert(uint64_t hash) {
@@ -68,32 +65,11 @@ uint32_t FlatHashTable::Insert(uint64_t hash) {
   return id;
 }
 
-uint32_t FlatHashTable::InsertUnlinked() {
-  uint32_t id = static_cast<uint32_t>(next_.size());
-  entry_hash_.push_back(0);
-  next_.push_back(kUnlinked);
-  return id;
-}
-
-void FlatHashTable::InsertBatch(const uint64_t* hashes, size_t n, const uint8_t* skip) {
-  Reserve(next_.size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    if (skip && skip[i]) {
-      InsertUnlinked();
-    } else {
-      Insert(hashes[i]);
-    }
-  }
-}
-
 void FlatHashTable::ProbeBatch(const uint64_t* hashes, size_t n,
                                uint32_t* out_heads) const {
   constexpr size_t kPrefetchDistance = 8;
   for (size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) {
-      __builtin_prefetch(&slots_[static_cast<size_t>(hashes[i + kPrefetchDistance]) &
-                                 mask_]);
-    }
+    if (i + kPrefetchDistance < n) Prefetch(hashes[i + kPrefetchDistance]);
     out_heads[i] = Probe(hashes[i]);
   }
 }

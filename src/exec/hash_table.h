@@ -25,10 +25,11 @@ namespace stratica {
 ///
 /// Payload ids are assigned densely in insertion order (entry N of the table
 /// has id N), which matches how consumers store their row-wise payloads:
-/// group-by keys row g, join build row r. Entries sharing an exact 64-bit
-/// hash form an intrusive chain walked via Next(). Growth rebuilds the slot
-/// directory only; ids are stable and there are no tombstones (the engine
-/// never deletes individual keys — tables are built, probed, and dropped).
+/// group-by keys row g, a join build shard's row map entry e. Entries
+/// sharing an exact 64-bit hash form an intrusive chain walked via Next().
+/// Growth rebuilds the slot directory only; ids are stable and there are no
+/// tombstones (the engine never deletes individual keys — tables are built,
+/// probed, and dropped).
 class FlatHashTable {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
@@ -62,19 +63,16 @@ class FlatHashTable {
   /// home slot of upcoming hashes so independent probes overlap cache misses.
   void ProbeBatch(const uint64_t* hashes, size_t n, uint32_t* out_heads) const;
 
+  /// Prefetch the home slot of `hash` ahead of a later Probe.
+  void Prefetch(uint64_t hash) const {
+    __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
+  }
+
   /// Next payload in the equal-hash chain (kNone terminates).
   uint32_t Next(uint32_t payload) const { return next_[payload]; }
 
   /// Append a payload (id == NumEntries()) linked under `hash`.
   uint32_t Insert(uint64_t hash);
-
-  /// Append a payload that participates in the dense id space but is never
-  /// returned by probes (e.g. a build row with a NULL join key).
-  uint32_t InsertUnlinked();
-
-  /// Batch append payloads [NumEntries(), NumEntries()+n) for hashes[0..n).
-  /// skip[i] != 0 inserts entry i unlinked. skip may be null (insert all).
-  void InsertBatch(const uint64_t* hashes, size_t n, const uint8_t* skip = nullptr);
 
  private:
   struct Slot {
@@ -82,8 +80,6 @@ class FlatHashTable {
     uint32_t head = kNone;
   };
   static constexpr size_t kMinSlots = 16;
-  /// Marks an entry that is not linked into any slot chain.
-  static constexpr uint32_t kUnlinked = UINT32_MAX - 1;
 
   void Rehash(size_t new_slots);
   void GrowIfNeeded() {
@@ -96,7 +92,7 @@ class FlatHashTable {
 
   std::vector<Slot> slots_;
   std::vector<uint64_t> entry_hash_;  ///< per payload, for rehash + chains
-  std::vector<uint32_t> next_;        ///< equal-hash chain / kUnlinked
+  std::vector<uint32_t> next_;        ///< equal-hash chain
   size_t mask_ = 0;
   size_t used_slots_ = 0;
 };

@@ -70,9 +70,9 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
     block.DecodeAll();
     size_t block_bytes = block.MemoryBytes();
     if (ctx->budget && !ctx->budget->TryReserve(block_bytes)) {
-      // Same runtime switch as the serial join: spool the build rows to one
-      // spill file; every fragment then sort-merges its own probe subset
-      // against the full spilled build (their union is the unit's result).
+      // Runtime algorithm switch: spool the build rows to one spill file;
+      // every fragment then sort-merges its own probe subset against the
+      // full spilled build (their union is the unit's result).
       if (ctx->stats) ctx->stats->hash_to_merge_switches.fetch_add(1);
       SpillWriter writer(ctx->fs, ctx->NextSpillPath());
       STRATICA_RETURN_NOT_OK(writer.Append(rows_));
@@ -111,17 +111,25 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
   HashRows(rows_, spec_.build_keys, kGroupKeySeed, &hashes);
   NullKeyMask(rows_, spec_.build_keys, &null_keys);
   size_t num_shards = shards_.size();
+  next_row_.assign(n, FlatHashTable::kNone);
   auto insert_shard = [&](size_t s) {
     Shard& sh = shards_[s];
     sh.table.Reserve(n / num_shards + 16);
+    sh.rows.reserve(n / num_shards + 16);
     for (size_t r = 0; r < n; ++r) {
-      // NULL keys never match a probe; with RIGHT/FULL excluded from shared
-      // builds, the rows need not enter the table at all.
+      // NULL keys never match a probe, so the rows enter no shard; a
+      // fan-out-1 RIGHT/FULL join still emits them from rows_.
       if (null_keys[r]) continue;
       uint64_t h = hashes[r];
-      if (((h >> 32) & shard_mask_) != s) continue;
+      if (ShardOf(h) != s) continue;
       sh.table.Insert(h);
       sh.rows.push_back(static_cast<uint32_t>(r));
+    }
+    // Translate the shard's chains to rows_ indexes. Every row belongs to
+    // one shard, so tasks write disjoint next_row_ entries.
+    for (uint32_t e = 0; e < sh.rows.size(); ++e) {
+      uint32_t next = sh.table.Next(e);
+      next_row_[sh.rows[e]] = next == FlatHashTable::kNone ? next : sh.rows[next];
     }
   };
   constexpr size_t kParallelBuildMinRows = 8192;
@@ -141,6 +149,9 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
         StorageClassOf(rows_.columns[spec_.build_keys[0]].type) ==
             StorageClass::kInt64;
     HashRows(rows_, spec_.build_keys, kSipSeed, &hashes);
+    // No Reserve: distinct-key count is unknown (often << n) and the set
+    // grows geometrically; reserving for n rows would allocate O(rows)
+    // outside the operator budget.
     bool first = true;
     for (size_t r = 0; r < n; ++r) {
       if (null_keys[r]) continue;
@@ -162,6 +173,22 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
   return Status::OK();
 }
 
+void SharedJoinBuild::ProbeHeads(const uint64_t* hashes, const uint8_t* null_keys,
+                                 size_t n, uint32_t* heads) const {
+  constexpr size_t kPrefetchDistance = 8;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchDistance < n) {
+      uint64_t ahead = hashes[i + kPrefetchDistance];
+      shards_[ShardOf(ahead)].table.Prefetch(ahead);
+    }
+    heads[i] = FlatHashTable::kNone;
+    if (null_keys[i]) continue;
+    const Shard& sh = shards_[ShardOf(hashes[i])];
+    uint32_t local = sh.table.Probe(hashes[i]);
+    if (local != FlatHashTable::kNone) heads[i] = sh.rows[local];
+  }
+}
+
 void SharedJoinBuild::FragmentClosed(ExecContext* ctx) {
   std::lock_guard lock(mu_);
   if (open_fragments_ == 0) return;
@@ -180,8 +207,7 @@ std::vector<TypeId> HashJoinOperator::OutputTypes() const {
   if (fallback_) return fallback_->OutputTypes();
   std::vector<TypeId> t = probe_->OutputTypes();
   if (!ProbeOnlyOutput(spec_.type)) {
-    for (TypeId bt : shared_ ? shared_->OutputTypes() : build_->OutputTypes())
-      t.push_back(bt);
+    for (TypeId bt : shared_->OutputTypes()) t.push_back(bt);
   }
   return t;
 }
@@ -190,115 +216,17 @@ std::vector<std::string> HashJoinOperator::OutputNames() const {
   if (fallback_) return fallback_->OutputNames();
   std::vector<std::string> n = probe_->OutputNames();
   if (!ProbeOnlyOutput(spec_.type)) {
-    for (const auto& bn : shared_ ? shared_->OutputNames() : build_->OutputNames())
-      n.push_back(bn);
+    for (const auto& bn : shared_->OutputNames()) n.push_back(bn);
   }
   return n;
 }
 
 std::vector<Operator*> HashJoinOperator::Children() const {
   if (fallback_) return {fallback_.get()};
-  // Shared build: the designated fragment exposes the build subtree so
-  // EXPLAIN and plan-memory estimation see it exactly once.
-  if (shared_) {
-    if (show_build_) return {probe_.get(), shared_->child()};
-    return {probe_.get()};
-  }
-  return {probe_.get(), build_.get()};
-}
-
-Status HashJoinOperator::BuildTable() {
-  build_rows_ = RowBlock(build_->OutputTypes());
-  index_.Clear();
-  build_bytes_ = 0;
-  for (;;) {
-    RowBlock block;
-    STRATICA_RETURN_NOT_OK(build_->GetNext(&block));
-    if (block.NumRows() == 0) break;
-    block.DecodeAll();
-    size_t bytes = block.MemoryBytes();
-    if (ctx_->budget && !ctx_->budget->TryReserve(bytes)) {
-      // Runtime algorithm switch: spool what we have plus the rest of the
-      // build input to disk and run a sort-merge join instead.
-      if (ctx_->stats) ctx_->stats->hash_to_merge_switches.fetch_add(1);
-      SpillWriter writer(ctx_->fs, ctx_->NextSpillPath());
-      STRATICA_RETURN_NOT_OK(writer.Append(build_rows_));
-      STRATICA_RETURN_NOT_OK(writer.Append(block));
-      for (;;) {
-        RowBlock more;
-        STRATICA_RETURN_NOT_OK(build_->GetNext(&more));
-        if (more.NumRows() == 0) break;
-        more.DecodeAll();
-        STRATICA_RETURN_NOT_OK(writer.Append(more));
-      }
-      STRATICA_RETURN_NOT_OK(writer.Finish());
-      if (ctx_->stats) {
-        ctx_->stats->rows_spilled.fetch_add(writer.rows());
-        ctx_->stats->spill_files.fetch_add(1);
-      }
-      STRATICA_RETURN_NOT_OK(build_->Close());
-      ctx_->budget->Release(build_bytes_);
-      build_bytes_ = 0;
-      build_rows_ = RowBlock(build_->OutputTypes());
-      index_.Clear();
-
-      std::vector<SortKey> lkeys, rkeys;
-      for (uint32_t k : spec_.probe_keys) lkeys.push_back({k, false});
-      for (uint32_t k : spec_.build_keys) rkeys.push_back({k, false});
-      auto spill_src = std::make_unique<SpillSourceOperator>(
-          writer.path(), build_->OutputTypes(), build_->OutputNames());
-      auto sorted_build =
-          std::make_unique<SortOperator>(std::move(spill_src), rkeys);
-      auto sorted_probe = std::make_unique<SortOperator>(std::move(probe_), lkeys);
-      JoinSpec mj_spec = spec_;
-      mj_spec.sip = nullptr;  // no hash table to filter with
-      fallback_ = std::make_unique<MergeJoinOperator>(
-          std::move(sorted_probe), std::move(sorted_build), mj_spec);
-      return fallback_->Open(ctx_);
-    }
-    build_bytes_ += bytes;
-    for (size_t r = 0; r < block.NumRows(); ++r) build_rows_.AppendRowFrom(block, r);
-    // Batch insert: hash all key columns once, then append entries whose ids
-    // are exactly the build_rows_ row indexes. NULL-key rows never join, so
-    // they enter the table unlinked (kept only for RIGHT/FULL emission).
-    size_t n = block.NumRows();
-    HashRows(block, spec_.build_keys, kGroupKeySeed, &hash_buf_);
-    NullKeyMask(block, spec_.build_keys, &null_key_buf_);
-    index_.InsertBatch(hash_buf_.data(), n, null_key_buf_.data());
-  }
-  build_matched_.assign(build_rows_.NumRows(), 0);
-
-  // Publish the SIP filter (scan-side hash seed, Section 6.1).
-  if (spec_.sip) {
-    bool single_int_key =
-        spec_.build_keys.size() == 1 &&
-        StorageClassOf(build_rows_.columns[spec_.build_keys[0]].type) ==
-            StorageClass::kInt64;
-    size_t n = build_rows_.NumRows();
-    HashRows(build_rows_, spec_.build_keys, kSipSeed, &hash_buf_);
-    NullKeyMask(build_rows_, spec_.build_keys, &null_key_buf_);
-    // No Reserve: distinct-key count is unknown (often << n) and the set
-    // grows geometrically; reserving for n rows would allocate O(rows)
-    // outside the operator budget.
-    bool first = true;
-    for (size_t r = 0; r < n; ++r) {
-      if (null_key_buf_[r]) continue;
-      spec_.sip->key_hashes.Insert(hash_buf_[r]);
-      if (single_int_key) {
-        int64_t v = build_rows_.columns[spec_.build_keys[0]].ints[r];
-        if (first) {
-          spec_.sip->min = spec_.sip->max = v;
-          first = false;
-        } else {
-          spec_.sip->min = std::min(spec_.sip->min, v);
-          spec_.sip->max = std::max(spec_.sip->max, v);
-        }
-      }
-    }
-    spec_.sip->has_range = single_int_key && !first;
-    spec_.sip->ready.store(true, std::memory_order_release);
-  }
-  return Status::OK();
+  // The designated fragment exposes the build subtree so EXPLAIN and
+  // plan-memory estimation see it exactly once.
+  if (show_build_) return {probe_.get(), shared_->child()};
+  return {probe_.get()};
 }
 
 Status HashJoinOperator::Open(ExecContext* ctx) {
@@ -306,48 +234,44 @@ Status HashJoinOperator::Open(ExecContext* ctx) {
   fallback_.reset();
   probe_done_ = false;
   emitting_unmatched_ = false;
-  probe_cursor_ = 0;
   unmatched_cursor_ = 0;
-  if (shared_) {
-    if (spec_.type == JoinType::kRight || spec_.type == JoinType::kFull) {
-      return Status::InvalidArgument(
-          "shared join build cannot serve ", JoinTypeName(spec_.type),
-          ": unmatched build rows must be emitted exactly once");
-    }
-    STRATICA_RETURN_NOT_OK(shared_->Ensure(ctx));
-    if (shared_->spilled()) {
-      std::vector<SortKey> lkeys, rkeys;
-      for (uint32_t k : spec_.probe_keys) lkeys.push_back({k, false});
-      for (uint32_t k : spec_.build_keys) rkeys.push_back({k, false});
-      auto spill_src = std::make_unique<SpillSourceOperator>(
-          shared_->spill_path(), shared_->OutputTypes(), shared_->OutputNames());
-      auto sorted_build =
-          std::make_unique<SortOperator>(std::move(spill_src), rkeys);
-      auto sorted_probe = std::make_unique<SortOperator>(std::move(probe_), lkeys);
-      JoinSpec mj_spec = spec_;
-      mj_spec.sip = nullptr;
-      fallback_ = std::make_unique<MergeJoinOperator>(
-          std::move(sorted_probe), std::move(sorted_build), mj_spec);
-      return fallback_->Open(ctx);
-    }
-    return probe_->Open(ctx);
+  bool emits_unmatched_build =
+      spec_.type == JoinType::kRight || spec_.type == JoinType::kFull;
+  if (emits_unmatched_build && shared_->fanout() > 1) {
+    return Status::InvalidArgument(
+        "shared join build cannot serve ", JoinTypeName(spec_.type),
+        ": unmatched build rows must be emitted exactly once");
   }
-  STRATICA_RETURN_NOT_OK(build_->Open(ctx));
-  STRATICA_RETURN_NOT_OK(BuildTable());
-  if (fallback_) return Status::OK();  // probe was consumed by the fallback
-  STRATICA_RETURN_NOT_OK(build_->Close());
+  STRATICA_RETURN_NOT_OK(shared_->Ensure(ctx));
+  if (shared_->spilled()) {
+    // Runtime switch to sort-merge: this fragment's probe input against the
+    // whole spilled build.
+    std::vector<SortKey> lkeys, rkeys;
+    for (uint32_t k : spec_.probe_keys) lkeys.push_back({k, false});
+    for (uint32_t k : spec_.build_keys) rkeys.push_back({k, false});
+    auto spill_src = std::make_unique<SpillSourceOperator>(
+        shared_->spill_path(), shared_->OutputTypes(), shared_->OutputNames());
+    auto sorted_build = std::make_unique<SortOperator>(std::move(spill_src), rkeys);
+    auto sorted_probe = std::make_unique<SortOperator>(std::move(probe_), lkeys);
+    JoinSpec mj_spec = spec_;
+    mj_spec.sip = nullptr;  // no hash table to filter with
+    fallback_ = std::make_unique<MergeJoinOperator>(
+        std::move(sorted_probe), std::move(sorted_build), mj_spec);
+    return fallback_->Open(ctx);
+  }
+  build_matched_.assign(emits_unmatched_build ? shared_->rows().NumRows() : 0, 0);
   return probe_->Open(ctx);
 }
 
 Status HashJoinOperator::EmitUnmatchedBuild(RowBlock* out) {
+  const RowBlock& brows = shared_->rows();
   auto probe_types = probe_->OutputTypes();
-  while (unmatched_cursor_ < build_rows_.NumRows() &&
-         out->NumRows() < ctx_->vector_size) {
+  while (unmatched_cursor_ < brows.NumRows() && out->NumRows() < ctx_->vector_size) {
     size_t r = unmatched_cursor_++;
     if (build_matched_[r]) continue;
     AppendNullRow(out, 0, probe_types);
-    for (size_t c = 0; c < build_rows_.NumColumns(); ++c) {
-      out->columns[probe_types.size() + c].AppendFrom(build_rows_.columns[c], r);
+    for (size_t c = 0; c < brows.NumColumns(); ++c) {
+      out->columns[probe_types.size() + c].AppendFrom(brows.columns[c], r);
     }
   }
   return Status::OK();
@@ -357,11 +281,9 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
   if (fallback_) return fallback_->GetNext(out);
   *out = RowBlock(OutputTypes());
   bool build_output = !ProbeOnlyOutput(spec_.type);
+  bool track_matched = !build_matched_.empty();
   size_t probe_width = probe_->OutputTypes().size();
-  // Shared-build mode reads the sibling-shared row store and sharded
-  // tables; the serial mode owns both. Either way `brows` rows are indexed
-  // by the global ids collected into build_idx below.
-  const RowBlock& brows = shared_ ? shared_->rows() : build_rows_;
+  const RowBlock& brows = shared_->rows();
 
   // Process one whole probe block per call: match indexes are collected
   // first, then columns materialize with typed batch gathers.
@@ -376,22 +298,14 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
     std::vector<uint32_t> lonely_probe;          // unmatched probe rows
     size_t n = probe_block_.NumRows();
     // Hash the whole probe block once, then resolve every row's chain head
-    // in one batched probe pass; the per-row loop only walks candidates.
+    // in one batched probe pass; the per-row loop only walks candidates,
+    // which are rows() indexes.
     HashRows(probe_block_, spec_.probe_keys, kGroupKeySeed, &hash_buf_);
     NullKeyMask(probe_block_, spec_.probe_keys, &null_key_buf_);
     head_buf_.resize(n);
-    if (shared_) {
-      for (size_t r = 0; r < n; ++r) {
-        head_buf_[r] = null_key_buf_[r]
-                           ? FlatHashTable::kNone
-                           : shared_->ProbeHead(shared_->ShardOf(hash_buf_[r]),
-                                                hash_buf_[r]);
-      }
-    } else {
-      index_.ProbeBatch(hash_buf_.data(), n, head_buf_.data());
-    }
+    shared_->ProbeHeads(hash_buf_.data(), null_key_buf_.data(), n, head_buf_.data());
     // Single int-class key fast path: candidates reached via the chain have
-    // non-NULL build keys (NULL-key rows are unlinked) and the probe row's
+    // non-NULL build keys (NULL-key rows enter no shard) and the probe row's
     // key is non-NULL when we get here, so raw value compare suffices.
     const int64_t* probe_ints = nullptr;
     const int64_t* build_ints = nullptr;
@@ -405,32 +319,28 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
     }
     for (size_t r = 0; r < n; ++r) {
       size_t matches = 0;
-      if (!null_key_buf_[r]) {
-        uint32_t shard = shared_ ? shared_->ShardOf(hash_buf_[r]) : 0;
-        for (uint32_t e = head_buf_[r]; e != FlatHashTable::kNone;
-             e = shared_ ? shared_->NextInShard(shard, e) : index_.Next(e)) {
-          uint32_t br = shared_ ? shared_->GlobalRow(shard, e) : e;
-          bool eq;
-          if (probe_ints) {
-            eq = probe_ints[r] == build_ints[br];
-          } else {
-            eq = true;
-            for (size_t k = 0; k < spec_.probe_keys.size() && eq; ++k) {
-              eq = ColumnVector::CompareEntries(
-                       probe_block_.columns[spec_.probe_keys[k]], r,
-                       brows.columns[spec_.build_keys[k]], br) == 0;
-            }
+      for (uint32_t br = head_buf_[r]; br != FlatHashTable::kNone;
+           br = shared_->NextRow(br)) {
+        bool eq;
+        if (probe_ints) {
+          eq = probe_ints[r] == build_ints[br];
+        } else {
+          eq = true;
+          for (size_t k = 0; k < spec_.probe_keys.size() && eq; ++k) {
+            eq = ColumnVector::CompareEntries(
+                     probe_block_.columns[spec_.probe_keys[k]], r,
+                     brows.columns[spec_.build_keys[k]], br) == 0;
           }
-          if (!eq) continue;
-          ++matches;
-          // Matched bits feed RIGHT/FULL emission only; shared builds never
-          // serve those types, so sibling fragments need not synchronize.
-          if (!shared_) build_matched_[br] = 1;
-          if (spec_.type == JoinType::kSemi || spec_.type == JoinType::kAnti) break;
-          if (build_output) {
-            probe_idx.push_back(static_cast<uint32_t>(r));
-            build_idx.push_back(br);
-          }
+        }
+        if (!eq) continue;
+        ++matches;
+        // Matched bits feed RIGHT/FULL emission, which only fan-out 1
+        // serves, so no sibling fragment writes them concurrently.
+        if (track_matched) build_matched_[br] = 1;
+        if (spec_.type == JoinType::kSemi || spec_.type == JoinType::kAnti) break;
+        if (build_output) {
+          probe_idx.push_back(static_cast<uint32_t>(r));
+          build_idx.push_back(br);
         }
       }
       bool emit_lonely = (spec_.type == JoinType::kAnti && matches == 0) ||
@@ -453,7 +363,7 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
         out->columns[c].AppendGather(probe_block_.columns[c], lonely_probe);
       }
       if (build_output) {
-        auto build_types = shared_ ? shared_->OutputTypes() : build_->OutputTypes();
+        auto build_types = shared_->OutputTypes();
         for (size_t i = 0; i < lonely_probe.size(); ++i) {
           AppendNullRow(out, probe_width, build_types);
         }
@@ -473,24 +383,16 @@ Status HashJoinOperator::GetNext(RowBlock* out) {
 }
 
 Status HashJoinOperator::Close() {
-  if (fallback_) {
-    // A shared build that spilled still holds a fragment slot.
-    if (shared_) shared_->FragmentClosed(ctx_);
-    return fallback_->Close();
-  }
-  if (shared_) {
-    shared_->FragmentClosed(ctx_);  // last fragment releases the build bytes
-    return probe_->Close();
-  }
-  if (ctx_ && ctx_->budget) ctx_->budget->Release(build_bytes_);
-  build_bytes_ = 0;
-  return probe_->Close();
+  // The last fragment to close releases the build bytes; a build that
+  // spilled still counted this fragment.
+  shared_->FragmentClosed(ctx_);
+  return fallback_ ? fallback_->Close() : probe_->Close();
 }
 
 std::string HashJoinOperator::DebugString() const {
   std::string s = std::string("JoinHash(") + JoinTypeName(spec_.type);
   if (spec_.sip) s += ", SIP";
-  if (shared_) s += ", shared build /" + std::to_string(shared_->fanout());
+  if (shared_->fanout() > 1) s += ", shared build /" + std::to_string(shared_->fanout());
   if (fallback_) s += ", switched to sort-merge at runtime";
   return s + ")";
 }

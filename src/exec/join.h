@@ -1,8 +1,10 @@
 // Join operators (Section 6.1 #3): hash join and merge join, both able to
 // externalize; all of INNER, LEFT/RIGHT/FULL OUTER, SEMI and ANTI.
 //
-// The hash join builds from its inner (right) child. When the build side
-// exceeds the memory budget the engine switches algorithms at runtime —
+// The hash join builds from its inner (right) child into a SharedJoinBuild:
+// a serial join owns one with fan-out 1, and the morsel fragments of a
+// parallel plan share one with fan-out N (DESIGN.md §12). When the build
+// side exceeds the memory budget the engine switches algorithms at runtime —
 // "if Vertica determines at runtime the hash table for a hash join will not
 // fit in memory, we will perform a sort-merge join instead" — by spooling
 // the build side to disk and delegating to a MergeJoin over sorted inputs.
@@ -36,9 +38,9 @@ struct JoinSpec {
   std::shared_ptr<SipFilter> sip;
 };
 
-/// \brief Hash-join build side shared by sibling morsel fragments
-/// (DESIGN.md §12): the inner table of one scan unit is read and hashed
-/// once, not once per fragment.
+/// \brief The build side of a hash join (DESIGN.md §12): the inner input
+/// is read and hashed once, however many fragments probe it. A serial join
+/// is the case `fanout` = 1.
 ///
 /// The first fragment to Open executes the build under the lock: it pulls
 /// the owned build child to completion, then inserts the rows into
@@ -46,14 +48,14 @@ struct JoinSpec {
 /// the query's Scheduler (shard = high hash bits, so a probe derives its
 /// shard from the key hash alone and only ever reads one shard). Later
 /// fragments block until the build resolves and probe the shards read-only.
-/// NULL-key rows are dropped at build time — shared builds never serve
-/// RIGHT/FULL joins, the only types that emit unmatched build rows (they
-/// would also race the matched-bit array across fragments; the planner
-/// keeps such plans serial). If the accumulated build side exceeds the
-/// memory budget, the rows are spooled to a single spill file and every
-/// fragment independently switches to a sort-merge join over it (each
-/// fragment's probe subset against the full build unions to the exact
-/// per-unit result).
+/// NULL-key rows stay in rows() but enter no shard: they never match, and
+/// only a fan-out-1 RIGHT/FULL join emits them as unmatched build rows
+/// (the matched-bit array would race across fragments, so the operator
+/// rejects RIGHT/FULL above fan-out 1 and the planner keeps such plans
+/// serial). If the accumulated build side exceeds the memory budget, the
+/// rows are spooled to a single spill file and every fragment independently
+/// switches to a sort-merge join over it (each fragment's probe subset
+/// against the full build unions to the exact per-unit result).
 class SharedJoinBuild {
  public:
   /// `spec` carries the build keys and, for the pipeline that owns SIP
@@ -73,24 +75,19 @@ class SharedJoinBuild {
   const std::string& spill_path() const { return spill_path_; }
   const RowBlock& rows() const { return rows_; }
   size_t fanout() const { return fanout_; }
+  const JoinSpec& spec() const { return spec_; }
   Operator* child() const { return build_.get(); }
   std::vector<TypeId> OutputTypes() const { return build_->OutputTypes(); }
   std::vector<std::string> OutputNames() const { return build_->OutputNames(); }
 
-  uint32_t ShardOf(uint64_t hash) const {
-    return static_cast<uint32_t>((hash >> 32) & shard_mask_);
-  }
-  /// First local entry in `shard` whose hash matches, or kNone.
-  uint32_t ProbeHead(uint32_t shard, uint64_t hash) const {
-    return shards_[shard].table.Probe(hash);
-  }
-  uint32_t NextInShard(uint32_t shard, uint32_t local) const {
-    return shards_[shard].table.Next(local);
-  }
-  /// Map a shard-local entry id to its rows() index.
-  uint32_t GlobalRow(uint32_t shard, uint32_t local) const {
-    return shards_[shard].rows[local];
-  }
+  /// Batched probe: heads[i] = the first rows() index whose key hash equals
+  /// hashes[i], or FlatHashTable::kNone (always where null_keys[i] is set).
+  /// Prefetches the home slot of upcoming rows in their shards so
+  /// independent probes overlap their cache misses.
+  void ProbeHeads(const uint64_t* hashes, const uint8_t* null_keys, size_t n,
+                  uint32_t* heads) const;
+  /// The next rows() index in `row`'s equal-hash chain, or kNone.
+  uint32_t NextRow(uint32_t row) const { return next_row_[row]; }
 
  private:
   struct Shard {
@@ -98,6 +95,9 @@ class SharedJoinBuild {
     std::vector<uint32_t> rows;  ///< local entry id -> rows_ row index
   };
 
+  uint32_t ShardOf(uint64_t hash) const {
+    return static_cast<uint32_t>((hash >> 32) & shard_mask_);
+  }
   Status Build(ExecContext* ctx);  ///< caller holds mu_
 
   OperatorPtr build_;
@@ -109,31 +109,37 @@ class SharedJoinBuild {
   bool spilled_ = false;
   std::string spill_path_;
   RowBlock rows_;
+  /// Equal-hash chains in rows_ index space, so probers never see shards.
+  std::vector<uint32_t> next_row_;
   std::vector<Shard> shards_;
   size_t shard_mask_ = 0;
   size_t bytes_ = 0;           ///< budget reservation held until last close
   size_t open_fragments_;      ///< fragments that have not closed yet
 };
 
-/// \brief Hash join (Section 6.1 #3): consumes the inner child into a flat
-/// hash table, then streams the probe side with batched hash/probe passes.
+/// \brief Hash join (Section 6.1 #3): probes a SharedJoinBuild of the inner
+/// child, streaming the probe side with batched hash/probe passes.
 /// Externalizes by switching to a sort-merge join at runtime when the build
-/// would not fit, and publishes a SIP filter after an in-memory build. In
-/// morsel-fragment plans the build is a SharedJoinBuild owned jointly with
-/// sibling fragments; only the probe side is per-fragment.
+/// would not fit, and publishes a SIP filter after an in-memory build. A
+/// serial join owns its build (fan-out 1); the morsel fragments of a
+/// parallel plan share one, and only the probe side is per-fragment.
 class HashJoinOperator : public Operator {
  public:
+  /// Serial join: the build is owned by this operator alone (fan-out 1).
   HashJoinOperator(OperatorPtr probe, OperatorPtr build, JoinSpec spec)
-      : probe_(std::move(probe)), build_(std::move(build)), spec_(std::move(spec)) {}
+      : HashJoinOperator(std::move(probe),
+                         std::make_shared<SharedJoinBuild>(std::move(build),
+                                                           std::move(spec), 1),
+                         /*show_build=*/true) {}
 
-  /// Morsel-fragment variant (DESIGN.md §12): probe against a build shared
-  /// with sibling fragments. `show_build` lets exactly one fragment expose
-  /// the build subtree via Children() so EXPLAIN and plan-memory estimation
-  /// count it once.
+  /// Probe against `shared`, which may be shared with sibling morsel
+  /// fragments (DESIGN.md §12); the join spec is the build's. `show_build`
+  /// lets exactly one fragment expose the build subtree via Children() so
+  /// EXPLAIN and plan-memory estimation count it once.
   HashJoinOperator(OperatorPtr probe, std::shared_ptr<SharedJoinBuild> shared,
-                   JoinSpec spec, bool show_build = false)
+                   bool show_build)
       : probe_(std::move(probe)),
-        spec_(std::move(spec)),
+        spec_(shared->spec()),
         shared_(std::move(shared)),
         show_build_(show_build) {}
 
@@ -145,37 +151,31 @@ class HashJoinOperator : public Operator {
   std::string DebugString() const override;
   std::vector<Operator*> Children() const override;
   size_t MemoryEstimateBytes() const override {
-    // Build-side rows + hash table up to the spill-to-merge threshold. A
-    // shared build is one table split across `fanout` sibling operators, so
-    // each fragment accounts a slice and the unit totals what one serial
-    // join would have reserved.
-    size_t e = 8 << 20;
-    return shared_ ? std::max<size_t>(e / shared_->fanout(), 64 << 10) : e;
+    // Build-side rows + hash table up to the spill-to-merge threshold. The
+    // build is one table split across `fanout` sibling operators, so each
+    // fragment accounts a slice and the unit totals what one serial join
+    // reserves.
+    return std::max<size_t>((8 << 20) / shared_->fanout(), 64 << 10);
   }
 
   bool switched_to_merge() const { return fallback_ != nullptr; }
 
  private:
-  Status BuildTable();
   Status EmitUnmatchedBuild(RowBlock* out);
 
-  OperatorPtr probe_, build_;  ///< build_ null when shared_ is set
+  OperatorPtr probe_;
   JoinSpec spec_;
-  std::shared_ptr<SharedJoinBuild> shared_;
+  std::shared_ptr<SharedJoinBuild> shared_;  ///< never null
   bool show_build_ = false;
   ExecContext* ctx_ = nullptr;
 
-  RowBlock build_rows_;
-  /// Entry id == build_rows_ row index; NULL-key rows are unlinked entries.
-  FlatHashTable index_;
+  /// Per rows() index: matched by some probe row (RIGHT/FULL only).
   std::vector<uint8_t> build_matched_;
-  size_t build_bytes_ = 0;
-  std::vector<uint64_t> hash_buf_;  // batched key hashes (build + probe)
+  std::vector<uint64_t> hash_buf_;  // batched probe key hashes
   std::vector<uint32_t> head_buf_;  // batched probe chain heads
   std::vector<uint8_t> null_key_buf_;
 
   RowBlock probe_block_;
-  size_t probe_cursor_ = 0;
   bool probe_done_ = false;
   size_t unmatched_cursor_ = 0;
   bool emitting_unmatched_ = false;

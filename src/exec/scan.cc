@@ -35,6 +35,37 @@ void RemapColumnRefs(Expr* e, const std::vector<int>& pos) {
   for (auto& c : e->children) RemapColumnRefs(c.get(), pos);
 }
 
+/// Carve a snapshot's containers into `k` balanced lists of block-range
+/// morsels for the MorselDispenser. Each container is split into up to `k`
+/// contiguous block ranges (never fewer than one block per range — a
+/// single-block container is one indivisible morsel), and the ranges are
+/// dealt round-robin so every list holds a similar share of every container
+/// — one large container still spreads across all workers (Section 3.5:
+/// runtime division into logical regions, no physical sub-partitioning).
+std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
+                                                     size_t k) {
+  if (k == 0) k = 1;
+  std::vector<ScanRegion> all;
+  for (const auto& c : snap.ros) {
+    size_t num_blocks = c->columns.empty() ? 0 : c->columns[0].meta.blocks.size();
+    if (num_blocks <= 1 || k == 1) {
+      all.push_back({c, 0, SIZE_MAX});
+      continue;
+    }
+    size_t pieces = std::min(k, num_blocks);
+    size_t per = num_blocks / pieces, extra = num_blocks % pieces;
+    size_t lo = 0;
+    for (size_t p = 0; p < pieces; ++p) {
+      size_t take = per + (p < extra ? 1 : 0);
+      all.push_back({c, lo, lo + take});
+      lo += take;
+    }
+  }
+  std::vector<std::vector<ScanRegion>> out(k);
+  for (size_t i = 0; i < all.size(); ++i) out[i % k].push_back(all[i]);
+  return out;
+}
+
 }  // namespace
 
 /// One stream of filtered blocks: a container region or the WOS.
@@ -78,34 +109,6 @@ struct ScanOperator::SourceMergeInput : public MergeInput {
 
 ScanOperator::ScanOperator(ScanSpec spec) : spec_(std::move(spec)) {}
 ScanOperator::~ScanOperator() = default;
-
-std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
-                                                     size_t k) {
-  if (k == 0) k = 1;
-  // Split every container into ~k block ranges, then deal ranges round-robin
-  // so each worker touches a balanced share of every container — one large
-  // container still spreads across all k workers (Section 3.5: runtime
-  // division into logical regions, no physical sub-partitioning).
-  std::vector<ScanRegion> all;
-  for (const auto& c : snap.ros) {
-    size_t num_blocks = c->columns.empty() ? 0 : c->columns[0].meta.blocks.size();
-    if (num_blocks <= 1 || k == 1) {
-      all.push_back({c, 0, SIZE_MAX});
-      continue;
-    }
-    size_t pieces = std::min(k, num_blocks);
-    size_t per = num_blocks / pieces, extra = num_blocks % pieces;
-    size_t lo = 0;
-    for (size_t p = 0; p < pieces; ++p) {
-      size_t take = per + (p < extra ? 1 : 0);
-      all.push_back({c, lo, lo + take});
-      lo += take;
-    }
-  }
-  std::vector<std::vector<ScanRegion>> out(k);
-  for (size_t i = 0; i < all.size(); ++i) out[i % k].push_back(all[i]);
-  return out;
-}
 
 const StorageSnapshot& MorselDispenser::EnsureSnapshot(ProjectionStorage* storage,
                                                        Epoch epoch, uint64_t txn_id) {
@@ -248,15 +251,9 @@ Status ScanOperator::Open(ExecContext* ctx) {
     // ROS sources open lazily as morsels are claimed (GetNext); only the
     // WOS — one indivisible morsel — is materialized here, by the single
     // fragment that wins the claim.
-    if (spec_.include_wos && !Abandoned() && spec_.morsels->ClaimWos()) {
+    if (!Abandoned() && spec_.morsels->ClaimWos()) {
       STRATICA_RETURN_NOT_OK(OpenWosSource());
     }
-  } else if (spec_.use_regions) {
-    for (const auto& region : spec_.regions) {
-      if (Abandoned()) break;
-      STRATICA_RETURN_NOT_OK(OpenContainerSource(region));
-    }
-    if (spec_.include_wos && !Abandoned()) STRATICA_RETURN_NOT_OK(OpenWosSource());
   } else {
     for (const auto& c : snap_.ros) {
       if (Abandoned()) break;

@@ -60,9 +60,9 @@ struct ScanRegion {
 ///
 /// Every sibling fragment scan of a unit holds the same dispenser. The
 /// first fragment to Open snapshots the storage and carves the snapshot
-/// into morsels (block-range ScanRegions via PlanScanRegions) under the
-/// lock; later fragments reuse that snapshot, so all fragments see one
-/// consistent epoch/container set. Fragments then claim morsels one at a
+/// into block-range morsels (ScanRegions) under the lock; later fragments
+/// reuse that snapshot, so all fragments see one consistent
+/// epoch/container set. Fragments then claim morsels one at a
 /// time — dynamic self-scheduling, so a fragment stuck on an expensive
 /// morsel simply claims fewer of them. The WOS is a single implicit morsel
 /// claimed by exactly one fragment.
@@ -82,8 +82,6 @@ class MorselDispenser {
   /// True exactly once: the claiming fragment scans the WOS.
   bool ClaimWos() { return !wos_claimed_.exchange(true, std::memory_order_relaxed); }
 
-  size_t num_morsels() const { return morsels_.size(); }
-
   /// Morsel granularity: enough claims per fragment that work-stealing by
   /// claim order absorbs skewed per-morsel costs without making each claim
   /// (a reader re-open per column) dominate.
@@ -101,9 +99,10 @@ class MorselDispenser {
 
 /// \brief Everything a ScanOperator needs: the storage to read, which
 /// projection columns to emit (and as what), and the filter/shape knobs —
-/// predicate + prune bounds + SIP filters, sorted or encoded output,
-/// fixed regions or a shared morsel dispenser. Every block takes the same
-/// late-materializing route (DESIGN.md §7); no field switches it off.
+/// predicate + prune bounds + SIP filters, sorted or encoded output, and
+/// an optional shared morsel dispenser (else the scan reads every container
+/// plus the WOS). Every block takes the same late-materializing route
+/// (DESIGN.md §7); no field switches it off.
 struct ScanSpec {
   ProjectionStorage* storage = nullptr;
   std::vector<int> projection_columns;  ///< projection col idx, in output order
@@ -126,14 +125,9 @@ struct ScanSpec {
   /// sets it only when the consuming chain is encoded-aware.
   bool encoded_output = false;
 
-  bool use_regions = false;  ///< restrict to `regions` (+ WOS if include_wos)
-  std::vector<ScanRegion> regions;
-  bool include_wos = true;
-
   /// Morsel-driven mode (DESIGN.md §12): claim block ranges from a shared
-  /// dispenser instead of scanning fixed regions. Takes precedence over
-  /// use_regions; include_wos still gates the WOS, but only the fragment
-  /// that wins MorselDispenser::ClaimWos scans it. Incompatible with
+  /// dispenser instead of scanning every container; only the fragment that
+  /// wins MorselDispenser::ClaimWos scans the WOS. Incompatible with
   /// sorted_output (a morsel stream has no global order).
   std::shared_ptr<MorselDispenser> morsels;
 };
@@ -227,18 +221,6 @@ class ScanOperator : public Operator {
   std::vector<uint8_t> hit_buf_;
   std::vector<uint8_t> null_buf_;
 };
-
-/// Carve a snapshot's containers into `k` balanced lists of block-range
-/// morsels. Each container is split into up to `k` contiguous block ranges
-/// (never fewer than one block per range — a single-block container is one
-/// indivisible morsel), and the ranges are dealt round-robin so every list
-/// holds a similar share of every container. Callers pick `k` to set morsel
-/// grain: static fragment assignment passes k = fan-out (one list per
-/// worker); the MorselDispenser passes k = fan-out × kMorselsPerWorker and
-/// flattens the lists into one claim queue, trading slightly smaller
-/// morsels for dynamic load balancing under skew (DESIGN.md §12).
-std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
-                                                     size_t k);
 
 }  // namespace stratica
 

@@ -815,27 +815,30 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     // Fan-out state is created fresh per invocation: a hedge rebuild gets
     // its own dispenser and builds because the loser pipeline's entire
     // output (all its fragments) is dropped at the outer exchange slot.
+    // Every join step gets one build, shared by all `fanout` fragments (a
+    // serial plan is fan-out 1).
     std::shared_ptr<MorselDispenser> dispenser;
+    if (fanout > 1) dispenser = std::make_shared<MorselDispenser>(fanout);
     std::vector<std::shared_ptr<SharedJoinBuild>> shared_builds;
-    if (fanout > 1) {
-      dispenser = std::make_shared<MorselDispenser>(fanout);
-      for (const auto& step : *steps) {
-        OperatorPtr build_op;
-        if (step.colocated) {
-          ScanSpec s = step.build_spec;
-          s.storage = step.build_units[u % step.build_units.size()];
-          build_op = std::make_unique<ScanOperator>(s);
-        } else {
-          build_op = std::make_unique<BroadcastConsumerOperator>(
-              step.broadcast, /*primary=*/primary && u == 0);
-        }
-        JoinSpec jspec = step.jspec;
-        // The SIP is published exactly once, inside the shared build, before
-        // any fragment's probe opens (same writer rule as the serial path).
-        if (primary && u == 0) jspec.sip = step.sip;
-        shared_builds.push_back(std::make_shared<SharedJoinBuild>(
-            std::move(build_op), std::move(jspec), fanout));
+    for (const auto& step : *steps) {
+      OperatorPtr build_op;
+      if (step.colocated) {
+        ScanSpec s = step.build_spec;
+        s.storage = step.build_units[u % step.build_units.size()];
+        build_op = std::make_unique<ScanOperator>(s);
+      } else {
+        build_op = std::make_unique<BroadcastConsumerOperator>(
+            step.broadcast, /*primary=*/primary && u == 0);
       }
+      JoinSpec jspec = step.jspec;
+      // Only the primary pipeline of unit 0 populates shared SIP filters,
+      // exactly once inside the build and before any fragment's probe
+      // opens. Hedge pipelines read them through their scans (a
+      // not-yet-ready SIP passes rows through) but never write them, so a
+      // replacement racing its orphaned primary cannot corrupt the filter.
+      if (primary && u == 0) jspec.sip = step.sip;
+      shared_builds.push_back(std::make_shared<SharedJoinBuild>(
+          std::move(build_op), std::move(jspec), fanout));
     }
     auto build_fragment = [&](size_t f) -> Result<OperatorPtr> {
       ScanSpec fact_spec = fact_template;
@@ -843,32 +846,10 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
       fact_spec.morsels = dispenser;  // null = plain full-unit scan
       OperatorPtr stream = std::make_unique<ScanOperator>(fact_spec);
       for (size_t si = 0; si < steps->size(); ++si) {
-        const JoinStep& step = (*steps)[si];
-        if (dispenser) {
-          // Probe against the build shared with sibling fragments; fragment
-          // 0 exposes the build subtree for EXPLAIN / memory estimation.
-          stream = std::make_unique<HashJoinOperator>(
-              std::move(stream), shared_builds[si], step.jspec,
-              /*show_build=*/f == 0);
-          continue;
-        }
-        JoinSpec jspec = step.jspec;
-        // Only the primary pipeline of unit 0 populates shared SIP filters;
-        // hedge pipelines read them through their scans (a not-yet-ready SIP
-        // passes rows through) but never write them, so a replacement racing
-        // its orphaned primary cannot corrupt the filter.
-        if (primary && u == 0) jspec.sip = step.sip;
-        OperatorPtr build_side_op;
-        if (step.colocated) {
-          ScanSpec s = step.build_spec;
-          s.storage = step.build_units[u % step.build_units.size()];
-          build_side_op = std::make_unique<ScanOperator>(s);
-        } else {
-          build_side_op = std::make_unique<BroadcastConsumerOperator>(
-              step.broadcast, /*primary=*/primary && u == 0);
-        }
-        stream = std::make_unique<HashJoinOperator>(std::move(stream),
-                                                    std::move(build_side_op), jspec);
+        // Fragment 0 exposes the build subtree for EXPLAIN / memory
+        // estimation.
+        stream = std::make_unique<HashJoinOperator>(
+            std::move(stream), shared_builds[si], /*show_build=*/f == 0);
       }
       if (residual_expr) {
         stream = std::make_unique<FilterOperator>(std::move(stream), residual_expr);

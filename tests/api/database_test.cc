@@ -160,6 +160,8 @@ TEST_F(DatabaseFixture, ExplainShowsSipAndJoin) {
       "WHERE c.tier = 1");
   EXPECT_NE(r.message.find("JoinHash"), std::string::npos) << r.message;
   EXPECT_NE(r.message.find("Scan"), std::string::npos) << r.message;
+  // A serial plan's build has fan-out 1, which EXPLAIN does not mention.
+  EXPECT_EQ(r.message.find("shared build"), std::string::npos) << r.message;
 }
 
 TEST_F(DatabaseFixture, QueriesSurviveNodeFailureViaBuddies) {

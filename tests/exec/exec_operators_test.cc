@@ -290,6 +290,23 @@ TEST_F(ExecFixture, HashJoinAllTypes) {
   }
 }
 
+TEST_F(ExecFixture, SharedBuildRejectsRightAndFullAboveFanoutOne) {
+  // RIGHT/FULL emit unmatched build rows exactly once, which fragments
+  // sharing one build cannot coordinate: Open refuses them above fan-out 1.
+  for (JoinType t : {JoinType::kRight, JoinType::kFull}) {
+    JoinSpec spec;
+    spec.type = t;
+    spec.probe_keys = {1};
+    spec.build_keys = {1};
+    auto build = std::make_shared<SharedJoinBuild>(
+        std::make_unique<ScanOperator>(BaseScan()), spec, 2);
+    HashJoinOperator join(std::make_unique<ScanOperator>(BaseScan()), build,
+                          /*show_build=*/true);
+    EXPECT_EQ(join.Open(&ctx_).code(), StatusCode::kInvalidArgument)
+        << JoinTypeName(t);
+  }
+}
+
 TEST_F(ExecFixture, MergeJoinMatchesHashJoin) {
   auto mk_probe = [] {
     return std::make_unique<MaterializedOperator>(
@@ -420,14 +437,11 @@ TEST_F(ExecFixture, RankAndDenseRankOverFloatOrderWithNan) {
 TEST_F(ExecFixture, RepartitionExchangeParallelGroupBy) {
   // Figure 3 shape: StorageUnion resegments to parallel GroupBys whose
   // results merge through a ParallelUnion.
-  auto snap = ps_->GetSnapshot(ctx_.epoch);
-  auto regions = PlanScanRegions(snap, 2);
+  auto morsels = std::make_shared<MorselDispenser>(2);
   std::vector<OperatorPtr> producers;
-  for (auto& region_list : regions) {
+  for (int p = 0; p < 2; ++p) {
     ScanSpec s = BaseScan();
-    s.use_regions = true;
-    s.regions = region_list;
-    s.include_wos = producers.empty();
+    s.morsels = morsels;
     producers.push_back(std::make_unique<ScanOperator>(s));
   }
   auto consumers = MakeRepartitionExchange(std::move(producers), 3, {0},

@@ -72,22 +72,6 @@ TEST(FlatHashTable, EqualHashesChainAllPayloads) {
   }
 }
 
-TEST(FlatHashTable, UnlinkedEntriesKeepDenseIdsButNeverProbe) {
-  FlatHashTable t;
-  std::vector<uint64_t> hashes = {Mix64(1), Mix64(2), Mix64(3), Mix64(4)};
-  std::vector<uint8_t> skip = {0, 1, 0, 1};  // entries 1 and 3 unlinked
-  t.InsertBatch(hashes.data(), hashes.size(), skip.data());
-  EXPECT_EQ(t.NumEntries(), 4u);
-  EXPECT_EQ(t.Probe(Mix64(1)), 0u);
-  EXPECT_EQ(t.Probe(Mix64(2)), FlatHashTable::kNone);
-  EXPECT_EQ(t.Probe(Mix64(3)), 2u);
-  EXPECT_EQ(t.Probe(Mix64(4)), FlatHashTable::kNone);
-  // Growth must not resurrect unlinked entries.
-  for (uint64_t i = 0; i < 1000; ++i) t.Insert(Mix64(100 + i));
-  EXPECT_EQ(t.Probe(Mix64(2)), FlatHashTable::kNone);
-  EXPECT_EQ(t.Probe(Mix64(3)), 2u);
-}
-
 TEST(FlatHashTable, ProbeBatchMatchesScalarProbe) {
   FlatHashTable t;
   Rng rng(7);

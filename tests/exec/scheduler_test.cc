@@ -1,8 +1,9 @@
 // Unified worker pool tests (DESIGN.md §12): work-stealing under skewed
 // task costs, deadlock-free fork/join on tiny pools, pinned-thread reuse,
 // reservation->fan-out mapping, parallel-plan correctness against serial
-// plans, stats-merge exactness at 16 workers, and cooperative abandonment
-// of morsel fragments under an early-closing consumer (LIMIT).
+// plans, stats-merge exactness at 16 workers, cooperative abandonment of
+// morsel fragments under an early-closing consumer (LIMIT), and a shared
+// hash-join build spilling to sort-merge under two fragments.
 #include "exec/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 #include <thread>
 
 #include "api/database.h"
+#include "exec/exchange.h"
+#include "exec/join.h"
 #include "exec/resource_manager.h"
+#include "exec/scan.h"
 
 namespace stratica {
 namespace {
@@ -280,6 +284,67 @@ TEST(ParallelPlanTest, ReservationNeverExceededUnderParallelStress) {
   auto stats = db.resource_manager()->stats();
   EXPECT_LE(stats.peak_reserved_bytes, 32ull << 20);
   EXPECT_EQ(stats.active_queries, 0u);
+}
+
+
+TEST(SharedJoinBuildTest, SpillsToMergeUnderTwoFragments) {
+  // Two fragments probe one build that cannot fit a 1-byte budget: the build
+  // spills once and each fragment sort-merges its own probe morsels against
+  // the whole spilled build; the union is the exact 1:1 self-join.
+  DatabaseOptions opts;
+  opts.num_nodes = 1;
+  opts.k_safety = 0;
+  opts.worker_threads = 2;
+  Database db(opts);
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT NOT NULL, v INT)").ok());
+  RowBlock rows({TypeId::kInt64, TypeId::kInt64});
+  for (int i = 0; i < 1000; ++i) {
+    rows.columns[0].ints.push_back(i);
+    rows.columns[1].ints.push_back(i % 13);
+  }
+  ASSERT_TRUE(db.Load("t", rows).ok());
+  ASSERT_TRUE(db.RunTupleMover().ok());
+
+  ScanSpec scan;
+  scan.storage = db.cluster()->node(0)->GetStorage("t_super");
+  ASSERT_NE(scan.storage, nullptr);
+  scan.projection_columns = {0, 1};
+  scan.output_names = {"id", "v"};
+  scan.output_types = {TypeId::kInt64, TypeId::kInt64};
+  JoinSpec spec;
+  spec.type = JoinType::kInner;
+  spec.probe_keys = {0};
+  spec.build_keys = {0};
+  auto build =
+      std::make_shared<SharedJoinBuild>(std::make_unique<ScanOperator>(scan), spec, 2);
+  auto morsels = std::make_shared<MorselDispenser>(2);
+  std::vector<OperatorPtr> fragments;
+  std::vector<HashJoinOperator*> joins;
+  for (int f = 0; f < 2; ++f) {
+    ScanSpec probe = scan;
+    probe.morsels = morsels;
+    auto join = std::make_unique<HashJoinOperator>(std::make_unique<ScanOperator>(probe),
+                                                   build, /*show_build=*/f == 0);
+    joins.push_back(join.get());
+    fragments.push_back(std::move(join));
+  }
+  OperatorPtr root = MakeUnionExchange(std::move(fragments), "ParallelUnion",
+                                       /*count_network=*/false);
+
+  ResourceBudget budget(1);
+  ExecStats stats;
+  ExecContext ctx = db.MakeExecContext();
+  ctx.budget = &budget;
+  ctx.stats = &stats;
+  ASSERT_NE(ctx.scheduler, nullptr);
+  auto out = DrainOperator(root.get(), &ctx);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value().NumRows(), 1000u);  // id is unique: 1:1 self join
+  for (size_t r = 0; r < out.value().NumRows(); ++r) {
+    EXPECT_EQ(out.value().columns[0].ints[r], out.value().columns[2].ints[r]) << r;
+  }
+  EXPECT_EQ(stats.hash_to_merge_switches.load(), 1u);
+  for (const HashJoinOperator* join : joins) EXPECT_TRUE(join->switched_to_merge());
 }
 
 }  // namespace
