@@ -73,36 +73,6 @@ BENCHMARK(BM_HashGroupBy)
     ->Arg(10000000)
     ->Unit(benchmark::kMillisecond);
 
-/// Prepass flavor: the L1-sized table right above scans; low cardinality is
-/// its design point, high cardinality exercises the flush + runtime-disable
-/// path.
-void BM_PrepassGroupBy(benchmark::State& state) {
-  int64_t cardinality = state.range(0);
-  const RowBlock& input = InputFor(cardinality);
-  GroupBySpec spec;
-  spec.group_columns = {0};
-  spec.aggs = {{AggKind::kSum, 1, TypeId::kFloat64}};
-  spec.output_names = {"k", "total"};
-  PrepassGroupByOperator gb(
-      std::make_unique<MaterializedOperator>(input,
-                                             std::vector<std::string>{"k", "payload"}),
-      spec);
-  for (auto _ : state) {
-    ExecContext ctx;
-    auto rows = DrainOperator(&gb, &ctx);
-    if (!rows.ok()) {
-      state.SkipWithError(rows.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(rows.value().NumRows());
-  }
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(kRows) * state.iterations(), benchmark::Counter::kIsRate);
-  state.SetLabel("distinct=" + std::to_string(cardinality));
-}
-
-BENCHMARK(BM_PrepassGroupBy)->Arg(10)->Arg(1000)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace stratica
 

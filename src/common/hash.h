@@ -55,7 +55,8 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t h) {
 /// HashColumn/HashRows loops so every hashing path agrees on NULLs).
 inline constexpr uint64_t kNullHash = 0x5ca1ab1e;
 
-/// Seed for group-key hashing (group-by tables, exchange repartitioning).
+/// Seed for key hashing in group-by tables, their grace partitions and
+/// hash-join builds.
 inline constexpr uint64_t kGroupKeySeed = 0x6b7d;
 /// Seed for SIP key hashing (join build side and scan-side filtering must
 /// agree bit-for-bit).

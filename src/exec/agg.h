@@ -1,7 +1,7 @@
-// Aggregate function framework shared by the GroupBy flavors and the
-// Analytic operator. Supports single-phase evaluation plus the
-// partial/combine split used by prepass operators (Section 6.1) and
-// two-stage distributed aggregation (Section 3.6).
+// Aggregate function framework shared by HashGroupBy and the Analytic
+// operator. Supports single-phase evaluation plus the partial/combine split
+// used by per-fragment prepass aggregation (Section 6.1) and two-stage
+// distributed aggregation (Section 3.6).
 #ifndef STRATICA_EXEC_AGG_H_
 #define STRATICA_EXEC_AGG_H_
 
@@ -95,7 +95,7 @@ struct AggState {
 /// Evaluation phase of a GroupBy operator.
 enum class AggPhase : uint8_t {
   kSingle,   ///< raw input -> final values
-  kPartial,  ///< raw input -> partial columns (prepass / local stage)
+  kPartial,  ///< raw input -> partial columns (per-fragment / local stage)
   kCombine,  ///< partial columns -> final values (final stage)
 };
 

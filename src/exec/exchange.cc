@@ -2,17 +2,11 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
-
 namespace stratica {
 
 ExchangeState::ExchangeState(std::vector<ExchangeProducerSpec> producers,
-                             size_t num_consumers,
-                             std::vector<uint32_t> partition_columns,
                              bool count_network)
-    : partition_columns_(std::move(partition_columns)),
-      count_network_(count_network),
-      queues_(num_consumers) {
+    : count_network_(count_network) {
   producers_.reserve(producers.size());
   slots_.reserve(producers.size());
   for (auto& spec : producers) {
@@ -24,19 +18,9 @@ ExchangeState::ExchangeState(std::vector<ExchangeProducerSpec> producers,
   }
 }
 
-ExchangeState::ExchangeState(std::vector<OperatorPtr> producers, size_t num_consumers,
-                             std::vector<uint32_t> partition_columns,
-                             bool count_network)
-    : partition_columns_(std::move(partition_columns)),
-      count_network_(count_network),
-      queues_(num_consumers) {
-  producers_ = std::move(producers);
-  slots_.resize(producers_.size());
-}
-
 ExchangeState::~ExchangeState() {
   {
-    // A failed query can destroy the tree without draining or closing every
+    // A failed query can destroy the tree without draining or closing its
     // consumer; producers may be blocked in Push waiting for queue room.
     // Cancel first or the joins below deadlock. cancelled_ also stops any
     // further hedge/reroute spawns, so joining below is safe.
@@ -85,7 +69,7 @@ void ExchangeState::Start(ExecContext* ctx) {
   }
 }
 
-bool ExchangeState::Push(size_t slot, int source, size_t c, RowBlock block) {
+bool ExchangeState::Push(size_t slot, int source, RowBlock block) {
   std::unique_lock lock(mu_);
   Slot& s = slots_[slot];
   // First block out of any source claims the slot; later sources for the
@@ -103,37 +87,32 @@ bool ExchangeState::Push(size_t slot, int source, size_t c, RowBlock block) {
     ctx_->stats->exchange_bytes.fetch_add(block.MemoryBytes(),
                                           std::memory_order_relaxed);
   }
-  cv_.wait(lock,
-           [&] { return cancelled_ || queues_[c].blocks.size() < kQueueCapacity; });
+  cv_.wait(lock, [&] { return cancelled_ || queue_.size() < kQueueCapacity; });
   if (cancelled_) return false;
-  queues_[c].blocks.push_back(std::move(block));
+  queue_.push_back(std::move(block));
   cv_.notify_all();
   return true;
 }
 
 void ExchangeState::ConsumerClosed() {
-  bool last = false;
   {
     std::unique_lock lock(mu_);
-    if (++consumers_closed_ >= queues_.size()) {
-      cancelled_ = true;
-      for (auto& s : slots_) AbandonLosers(s, -1);
-      cv_.notify_all();
-      last = true;
-    }
+    cancelled_ = true;
+    for (auto& s : slots_) AbandonLosers(s, -1);
+    cv_.notify_all();
   }
-  // DESIGN.md §12 invariant: once the last consumer closes, every producer
-  // task is joined before Close returns — cancellation + abandonment above
-  // keeps the joins short, and nothing downstream can observe a worker
-  // touching plan state after teardown.
-  if (last) JoinProducers();
+  // DESIGN.md §12 invariant: once the consumer closes, every producer task
+  // is joined before Close returns — cancellation + abandonment above keeps
+  // the joins short, and nothing downstream can observe a worker touching
+  // plan state after teardown.
+  JoinProducers();
 }
 
 void ExchangeState::CloseAll() {
   // Output is complete (or doomed): whatever any source still produces is
   // unwanted, so tell them all to stop.
   for (auto& s : slots_) AbandonLosers(s, -1);
-  for (auto& q : queues_) q.closed = true;
+  queue_closed_ = true;
   cv_.notify_all();
 }
 
@@ -212,7 +191,7 @@ void ExchangeState::FinishSource(size_t slot, int source, Status st,
       AbandonLosers(s, -1);
       if (++slots_done_ == slots_.size()) CloseAll();
     } else {
-      // The claimed source already emitted blocks; consumers may have seen
+      // The claimed source already emitted blocks; the consumer may have seen
       // them, so the exchange cannot replay this partition. Surface the
       // error with its origin; statement-level replan handles recovery.
       if (error_.ok()) error_ = ContextualError(slot, st);
@@ -286,33 +265,12 @@ void ExchangeState::ProducerLoop(size_t slot, int source, Operator* op,
     op_ctx = &pctx;
   }
   Status st = op->Open(op_ctx);
-  std::vector<uint64_t> hashes;  // partition-hash scratch, reused per block
   while (st.ok()) {
     RowBlock block;
     st = op->GetNext(&block);
     if (!st.ok() || block.NumRows() == 0) break;
-    bool alive = true;
-    if (partition_columns_.empty() || queues_.size() == 1) {
-      alive = Push(slot, source, slot % queues_.size(), std::move(block));
-    } else {
-      block.DecodeAll();
-      std::vector<RowBlock> parts;
-      parts.reserve(queues_.size());
-      std::vector<TypeId> types;
-      for (const auto& c : block.columns) types.push_back(c.type);
-      for (size_t q = 0; q < queues_.size(); ++q) parts.emplace_back(types);
-      // Batched partition hashing: one type-specialized pass per key column
-      // instead of a per-row HashEntry dispatch.
-      HashRows(block, partition_columns_, kGroupKeySeed, &hashes);
-      for (size_t r = 0; r < block.NumRows(); ++r) {
-        parts[hashes[r] % queues_.size()].AppendRowFrom(block, r);
-      }
-      for (size_t q = 0; q < queues_.size() && alive; ++q) {
-        if (parts[q].NumRows() == 0) continue;
-        alive = Push(slot, source, q, std::move(parts[q]));
-      }
-    }
-    if (!alive) break;  // exchange cancelled, or this source lost its claim
+    // Stop when the exchange was cancelled or this source lost its claim.
+    if (!Push(slot, source, std::move(block))) break;
   }
   if (st.ok()) st = op->Close();
   // Pipeline barrier: fold this source's thread-local counters into the
@@ -324,17 +282,17 @@ void ExchangeState::ProducerLoop(size_t slot, int source, Operator* op,
   FinishSource(slot, source, std::move(st), ctx);
 }
 
-Status ExchangeState::Pop(size_t c, RowBlock* out) {
+Status ExchangeState::Pop(RowBlock* out) {
   std::unique_lock lock(mu_);
   for (;;) {
     if (!error_.ok()) return error_;
-    if (!queues_[c].blocks.empty()) {
-      *out = std::move(queues_[c].blocks.front());
-      queues_[c].blocks.pop_front();
+    if (!queue_.empty()) {
+      *out = std::move(queue_.front());
+      queue_.pop_front();
       cv_.notify_all();
       return Status::OK();
     }
-    if (queues_[c].closed) {
+    if (queue_closed_) {
       out->Clear();
       out->columns.clear();
       return Status::OK();  // EOF: empty block with no columns
@@ -370,55 +328,29 @@ Status ExchangeState::Pop(size_t c, RowBlock* out) {
 }
 
 std::string ExchangeConsumerOperator::DebugString() const {
-  return label_ + "(" + std::to_string(state_->producers().size()) + " pipelines -> " +
-         std::to_string(state_->num_consumers()) + ")";
+  return label_ + "(" + std::to_string(state_->producers().size()) + " pipelines -> 1)";
 }
 
 std::vector<Operator*> ExchangeConsumerOperator::Children() const {
-  // Only the first consumer lists the producers, so EXPLAIN prints each
-  // producer pipeline once.
   std::vector<Operator*> kids;
-  if (index_ == 0) {
-    for (const auto& p : state_->producers()) kids.push_back(p.get());
-  }
+  for (const auto& p : state_->producers()) kids.push_back(p.get());
   return kids;
 }
 
 OperatorPtr MakeUnionExchange(std::vector<OperatorPtr> producers, std::string label,
                               bool count_network) {
-  std::vector<TypeId> types = producers.front()->OutputTypes();
-  std::vector<std::string> names = producers.front()->OutputNames();
-  auto state = std::make_shared<ExchangeState>(std::move(producers), 1,
-                                               std::vector<uint32_t>{}, count_network);
-  return std::make_unique<ExchangeConsumerOperator>(state, 0, types, names,
-                                                    std::move(label));
+  std::vector<ExchangeProducerSpec> specs(producers.size());
+  for (size_t p = 0; p < producers.size(); ++p) specs[p].op = std::move(producers[p]);
+  return MakeUnionExchange(std::move(specs), std::move(label), count_network);
 }
 
 OperatorPtr MakeUnionExchange(std::vector<ExchangeProducerSpec> producers,
                               std::string label, bool count_network) {
   std::vector<TypeId> types = producers.front().op->OutputTypes();
   std::vector<std::string> names = producers.front().op->OutputNames();
-  auto state = std::make_shared<ExchangeState>(std::move(producers), 1,
-                                               std::vector<uint32_t>{}, count_network);
-  return std::make_unique<ExchangeConsumerOperator>(state, 0, types, names,
+  auto state = std::make_shared<ExchangeState>(std::move(producers), count_network);
+  return std::make_unique<ExchangeConsumerOperator>(state, types, names,
                                                     std::move(label));
-}
-
-std::vector<OperatorPtr> MakeRepartitionExchange(std::vector<OperatorPtr> producers,
-                                                 size_t num_consumers,
-                                                 std::vector<uint32_t> partition_columns,
-                                                 std::string label,
-                                                 bool count_network) {
-  std::vector<TypeId> types = producers.front()->OutputTypes();
-  std::vector<std::string> names = producers.front()->OutputNames();
-  auto state = std::make_shared<ExchangeState>(
-      std::move(producers), num_consumers, std::move(partition_columns), count_network);
-  std::vector<OperatorPtr> consumers;
-  for (size_t c = 0; c < num_consumers; ++c) {
-    consumers.push_back(std::make_unique<ExchangeConsumerOperator>(
-        state, c, types, names, label));
-  }
-  return consumers;
 }
 
 }  // namespace stratica

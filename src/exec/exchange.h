@@ -1,11 +1,8 @@
-// Exchange infrastructure (Section 6.1): one queue-based core implements
-//   StorageUnion  — dispatches worker threads over ROS regions of one node,
-//                   optionally resegmenting rows so parallel GroupBys above
-//                   compute complete results (Figure 3);
-//   ParallelUnion — merges parallel pipelines' outputs;
-//   Send/Recv     — ships tuples between (simulated) nodes, either
-//                   broadcast or segmented by an expression, with traffic
-//                   accounted in ExecStats::exchange_bytes.
+// Exchange (Section 6.1): a gather — N producer pipelines feed one queue
+// read by one consumer. The planner uses it in two roles:
+//   ParallelUnion — merges the morsel fragments of one node (DESIGN.md §12);
+//   Recv          — gathers per-node pipelines onto the initiator, with
+//                   traffic accounted in ExecStats::exchange_bytes.
 //
 // Straggler hedging (DESIGN.md §11): a producer pipeline that has made zero
 // progress by a deadline can be speculatively re-issued against a buddy copy
@@ -19,9 +16,9 @@
 // Producers run as pinned tasks on the query's Scheduler (DESIGN.md §12) —
 // the unified worker pool — each under a private ExecContext whose
 // thread-local ExecStats merge into the query's stats when the source
-// finishes (the pipeline barrier). When the last consumer closes, the
-// exchange cancels and JOINS every producer task before Close returns, so
-// no worker touches plan state after teardown.
+// finishes (the pipeline barrier). When the consumer closes, the exchange
+// cancels and JOINS every producer task before Close returns, so no worker
+// touches plan state after teardown.
 #ifndef STRATICA_EXEC_EXCHANGE_H_
 #define STRATICA_EXEC_EXCHANGE_H_
 
@@ -49,44 +46,33 @@ struct ExchangeProducerSpec {
   std::function<Result<OperatorPtr>()> rebuild;
 };
 
-/// \brief Shared state of one exchange: P producer pipelines hash-partition
-/// their rows into C consumer queues.
+/// \brief Shared state of one exchange: P producer pipelines push whole
+/// blocks into one bounded queue.
 class ExchangeState {
  public:
-  /// `partition_columns` empty means blocks pass through whole to queue
-  /// (producer_index % consumers) — the union case.
-  ExchangeState(std::vector<ExchangeProducerSpec> producers, size_t num_consumers,
-                std::vector<uint32_t> partition_columns, bool count_network);
-  ExchangeState(std::vector<OperatorPtr> producers, size_t num_consumers,
-                std::vector<uint32_t> partition_columns, bool count_network);
+  ExchangeState(std::vector<ExchangeProducerSpec> producers, bool count_network);
 
   ~ExchangeState();
 
-  /// Launch producers as pinned scheduler tasks (idempotent; first consumer
-  /// Open calls this). Uses ctx->scheduler, falling back to the process-wide
+  /// Launch producers as pinned scheduler tasks (idempotent; consumer Open
+  /// calls this). Uses ctx->scheduler, falling back to the process-wide
   /// default pool for hand-built trees.
   void Start(ExecContext* ctx);
 
-  /// Pop the next block for consumer `c`; empty block = EOF. Doubles as the
-  /// hedging clock: a starving consumer checks producer deadlines.
-  Status Pop(size_t c, RowBlock* out);
+  /// Pop the next block; empty block = EOF. Doubles as the hedging clock: a
+  /// starving consumer checks producer deadlines.
+  Status Pop(RowBlock* out);
 
-  /// Called by consumer Close; when every consumer has closed, producers
-  /// are cancelled AND joined before this returns (DESIGN.md §12: teardown
-  /// joins all morsel workers before operator Close), so abandoned
-  /// pipelines (e.g. under a LIMIT) terminate and release their threads.
+  /// Called by consumer Close: producers are cancelled AND joined before
+  /// this returns (DESIGN.md §12: teardown joins all morsel workers before
+  /// operator Close), so abandoned pipelines (e.g. under a LIMIT) terminate
+  /// and release their threads.
   void ConsumerClosed();
 
-  size_t num_consumers() const { return queues_.size(); }
   const std::vector<OperatorPtr>& producers() const { return producers_; }
 
  private:
   using Clock = std::chrono::steady_clock;
-
-  struct Queue {
-    std::deque<RowBlock> blocks;
-    bool closed = false;
-  };
 
   /// Hedging state of one producer slot. A slot may be served by several
   /// sources (primary = source 0, hedges/reroutes = 1..); the first source
@@ -112,7 +98,7 @@ class ExchangeState {
   void FinishSource(size_t slot, int source, Status st, ExecContext* ctx);
   /// Returns false when the exchange was cancelled or `source` lost its
   /// claim on the slot (another source produced output first).
-  bool Push(size_t slot, int source, size_t c, RowBlock block);
+  bool Push(size_t slot, int source, RowBlock block);
   /// Spawn a replacement source for `slot` (caller holds mu_ and has already
   /// bumped attempts/running and the hedge/reroute counter).
   void SpawnBackup(size_t slot, ExecContext* ctx);
@@ -136,16 +122,15 @@ class ExchangeState {
   /// nested workers that may still be writing counters here.
   std::vector<std::shared_ptr<ExecStats>> source_stats_;  ///< guarded by mu_
   std::vector<OperatorPtr> producers_;
-  std::vector<uint32_t> partition_columns_;
   bool count_network_;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<Queue> queues_;
+  std::deque<RowBlock> queue_;
+  bool queue_closed_ = false;  ///< every slot done, or the exchange failed
   std::vector<Slot> slots_;
   std::vector<OperatorPtr> backup_ops_;  ///< keeps hedge pipelines alive
   size_t slots_done_ = 0;
-  size_t consumers_closed_ = 0;
   bool started_ = false;
   bool cancelled_ = false;
   Status error_;
@@ -162,14 +147,13 @@ class ExchangeState {
   static constexpr size_t kQueueCapacity = 16;
 };
 
-/// \brief Consumer endpoint: reads one partition of an exchange.
+/// \brief Consumer endpoint: reads the exchange's queue.
 class ExchangeConsumerOperator : public Operator {
  public:
-  ExchangeConsumerOperator(std::shared_ptr<ExchangeState> state, size_t index,
+  ExchangeConsumerOperator(std::shared_ptr<ExchangeState> state,
                            std::vector<TypeId> types, std::vector<std::string> names,
                            std::string label)
       : state_(std::move(state)),
-        index_(index),
         types_(std::move(types)),
         names_(std::move(names)),
         label_(std::move(label)) {}
@@ -178,7 +162,7 @@ class ExchangeConsumerOperator : public Operator {
     state_->Start(ctx);
     return Status::OK();
   }
-  Status GetNext(RowBlock* out) override { return state_->Pop(index_, out); }
+  Status GetNext(RowBlock* out) override { return state_->Pop(out); }
   Status Close() override {
     state_->ConsumerClosed();
     return Status::OK();
@@ -190,26 +174,18 @@ class ExchangeConsumerOperator : public Operator {
 
  private:
   std::shared_ptr<ExchangeState> state_;
-  size_t index_;
   std::vector<TypeId> types_;
   std::vector<std::string> names_;
   std::string label_;
 };
 
 /// Build a union-all exchange (ParallelUnion / Recv): many producers, one
-/// consumer, no resegmentation.
-OperatorPtr MakeUnionExchange(std::vector<OperatorPtr> producers, std::string label,
-                              bool count_network);
-/// Hedging-aware variant: producers carry origin + buddy-rebuild factories.
+/// consumer. Producers carry origin + buddy-rebuild factories for hedging.
 OperatorPtr MakeUnionExchange(std::vector<ExchangeProducerSpec> producers,
                               std::string label, bool count_network);
-
-/// Build a resegmenting exchange: `producers` feed `num_consumers` queues
-/// partitioned by hash of `partition_columns`. Returns the consumers.
-std::vector<OperatorPtr> MakeRepartitionExchange(std::vector<OperatorPtr> producers,
-                                                 size_t num_consumers,
-                                                 std::vector<uint32_t> partition_columns,
-                                                 std::string label, bool count_network);
+/// Producers with no origin and no rebuild (not hedgeable).
+OperatorPtr MakeUnionExchange(std::vector<OperatorPtr> producers, std::string label,
+                              bool count_network);
 
 }  // namespace stratica
 

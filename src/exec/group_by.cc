@@ -54,7 +54,7 @@ uint32_t HashGroupByOperator::FindOrInsertGroup(Table* table, const RowBlock& bl
   return group;
 }
 
-Status HashGroupByOperator::Consume(RowBlock* blockp) {
+void HashGroupByOperator::Consume(RowBlock* blockp) {
   if (spec_.phase != AggPhase::kCombine) {
     // Encoded fast paths (DESIGN.md §13).
     if (spec_.group_columns.empty()) return ConsumeGlobal(*blockp);
@@ -116,16 +116,9 @@ Status HashGroupByOperator::Consume(RowBlock* blockp) {
       }
     }
   }
-  // Externalize when over budget: flush groups (key + serialized states) to
-  // grace partitions by key hash.
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
 }
 
-Status HashGroupByOperator::ConsumeGlobal(const RowBlock& block) {
+void HashGroupByOperator::ConsumeGlobal(const RowBlock& block) {
   size_t n = block.NumRows();
   // One group, no key columns; create it exactly as the general path would
   // so spill/merge see an identical table shape.
@@ -173,14 +166,9 @@ Status HashGroupByOperator::ConsumeGlobal(const RowBlock& block) {
   if (enc_rows > 0 && ctx_->stats) {
     ctx_->stats->rows_processed_encoded.fetch_add(enc_rows);
   }
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
 }
 
-Status HashGroupByOperator::ConsumeDictKey(RowBlock* blockp) {
+void HashGroupByOperator::ConsumeDictKey(RowBlock* blockp) {
   RowBlock& block = *blockp;
   // The per-row walk below needs row-parallel agg inputs; RLE agg columns
   // flatten (dict agg columns stay coded — Update resolves the code).
@@ -219,14 +207,9 @@ Status HashGroupByOperator::ConsumeDictKey(RowBlock* blockp) {
     }
   }
   if (ctx_->stats) ctx_->stats->rows_processed_encoded.fetch_add(n);
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
 }
 
-Status HashGroupByOperator::ConsumeRleKey(RowBlock* blockp) {
+void HashGroupByOperator::ConsumeRleKey(RowBlock* blockp) {
   RowBlock& block = *blockp;
   uint32_t gcol = spec_.group_columns[0];
   // Aggregate inputs other than the key itself are consumed row-at-a-time
@@ -244,18 +227,7 @@ Status HashGroupByOperator::ConsumeRleKey(RowBlock* blockp) {
   for (size_t p = 0; p < gc.PhysicalSize(); ++p) {
     uint32_t run = gc.runs[p];
     uint64_t h = HashCombine(kGroupKeySeed, gc.HashEntry(p));
-    uint32_t group = FlatHashTable::kNone;
-    for (uint32_t e = table_.index.Probe(h); e != FlatHashTable::kNone;
-         e = table_.index.Next(e)) {
-      if (GroupKeyEquals(table_.keys, identity_cols_, e, block, spec_.group_columns,
-                         p)) {
-        group = e;
-        break;
-      }
-    }
-    if (group == FlatHashTable::kNone) {
-      group = FindOrInsertGroup(&table_, block, spec_.group_columns, p, h);
-    }
+    uint32_t group = FindOrInsertGroup(&table_, block, spec_.group_columns, p, h);
     auto& states = table_.states[group];
     for (size_t a = 0; a < spec_.aggs.size(); ++a) {
       const AggSpec& agg = spec_.aggs[a];
@@ -276,11 +248,6 @@ Status HashGroupByOperator::ConsumeRleKey(RowBlock* blockp) {
     row += run;
   }
   if (ctx_->stats) ctx_->stats->rows_processed_encoded.fetch_add(n);
-  if (ctx_->budget && table_.bytes > 0 &&
-      static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
-    STRATICA_RETURN_NOT_OK(SpillTable());
-  }
-  return Status::OK();
 }
 
 Status HashGroupByOperator::SpillTable() {
@@ -391,7 +358,13 @@ Status HashGroupByOperator::Open(ExecContext* ctx) {
     RowBlock block;
     STRATICA_RETURN_NOT_OK(child_->GetNext(&block));
     if (block.NumRows() == 0) break;
-    STRATICA_RETURN_NOT_OK(Consume(&block));
+    Consume(&block);
+    // Externalize when over budget: flush groups (key + serialized states)
+    // to grace partitions by key hash.
+    if (ctx_->budget && table_.bytes > 0 &&
+        static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
+      STRATICA_RETURN_NOT_OK(SpillTable());
+    }
   }
 
   if (partitions_.empty()) {
@@ -431,17 +404,9 @@ Status HashGroupByOperator::Open(ExecContext* ctx) {
   // empty input (COUNT(*) = 0, SUM = NULL, ...).
   if (spec_.group_columns.empty() && output_.empty() &&
       spec_.phase != AggPhase::kPartial) {
-    Table empty_group;
-    empty_group.keys = RowBlock(GroupTypes());
-    empty_group.states.emplace_back(spec_.aggs.size());
-    // A single group with no key columns: EmitTable iterates keys rows, so
-    // emit manually.
     RowBlock out(OutputTypes());
-    size_t col = 0;
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      out.columns[col].Append(empty_group.states[0][a].Final(spec_.aggs[a]));
-      ++col;
-    }
+    for (size_t a = 0; a < spec_.aggs.size(); ++a)
+      out.columns[a].Append(AggState().Final(spec_.aggs[a]));
     output_.push_back(std::move(out));
   }
   table_ = Table();
@@ -466,257 +431,6 @@ std::string HashGroupByOperator::DebugString() const {
     case AggPhase::kCombine: s += ", combine"; break;
   }
   return s + ")";
-}
-
-// ---------------------------------------------------------------------------
-// PipelinedGroupByOperator
-
-std::vector<TypeId> PipelinedGroupByOperator::OutputTypes() const {
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  return GroupByOutputTypes(group_types, spec_.aggs, spec_.phase);
-}
-
-Status PipelinedGroupByOperator::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  identity_cols_.resize(spec_.group_columns.size());
-  for (size_t i = 0; i < identity_cols_.size(); ++i)
-    identity_cols_[i] = static_cast<uint32_t>(i);
-  has_current_ = false;
-  input_done_ = false;
-  runs_consumed_ = 0;
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  current_key_ = RowBlock(group_types);
-  return child_->Open(ctx);
-}
-
-void PipelinedGroupByOperator::EmitCurrent(RowBlock* out) {
-  for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-    out->columns[i].AppendFrom(current_key_.columns[i], 0);
-  size_t col = spec_.group_columns.size();
-  for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-    if (spec_.phase == AggPhase::kPartial) {
-      current_states_[a].EmitPartial(spec_.aggs[a], &out->columns, col);
-      col += spec_.aggs[a].PartialTypes().size();
-    } else {
-      out->columns[col].Append(current_states_[a].Final(spec_.aggs[a]));
-      ++col;
-    }
-  }
-}
-
-Status PipelinedGroupByOperator::GetNext(RowBlock* out) {
-  *out = RowBlock(OutputTypes());
-  while (!input_done_ && out->NumRows() < ctx_->vector_size) {
-    RowBlock block;
-    STRATICA_RETURN_NOT_OK(child_->GetNext(&block));
-    if (block.NumRows() == 0) {
-      input_done_ = true;
-      break;
-    }
-    // RLE fast path: single RLE group column whose runs define the group
-    // boundaries, aggregates restricted to COUNT(*) or functions of the
-    // same column (the classic sorted low-cardinality GROUP BY).
-    bool rle_ok = spec_.group_columns.size() == 1 &&
-                  block.columns[spec_.group_columns[0]].IsRle();
-    if (rle_ok) {
-      for (const auto& agg : spec_.aggs) {
-        rle_ok &= agg.kind == AggKind::kCountStar ||
-                  agg.input_column == static_cast<int>(spec_.group_columns[0]);
-      }
-    }
-    if (rle_ok) {
-      const ColumnVector& gc = block.columns[spec_.group_columns[0]];
-      for (size_t p = 0; p < gc.PhysicalSize(); ++p) {
-        uint32_t run = gc.runs[p];
-        ++runs_consumed_;
-        bool same = has_current_ &&
-                    ColumnVector::CompareEntries(gc, p, current_key_.columns[0], 0) == 0 &&
-                    gc.IsNull(p) == current_key_.columns[0].IsNull(0);
-        if (!same) {
-          if (has_current_) EmitCurrent(out);
-          current_key_ = RowBlock({gc.type});
-          current_key_.columns[0].AppendFrom(gc, p);
-          current_states_.assign(spec_.aggs.size(), AggState());
-          has_current_ = true;
-        }
-        for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-          if (spec_.aggs[a].kind == AggKind::kCountStar) {
-            current_states_[a].UpdateCountStar(run);
-          } else {
-            current_states_[a].Update(spec_.aggs[a], gc, p, run);
-          }
-        }
-      }
-      continue;
-    }
-    block.DecodeAll();
-    for (size_t r = 0; r < block.NumRows(); ++r) {
-      bool same = has_current_ && GroupKeyEquals(current_key_, identity_cols_, 0,
-                                                 block, spec_.group_columns, r);
-      if (!same) {
-        if (has_current_) EmitCurrent(out);
-        current_key_.Clear();
-        for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-          current_key_.columns[i].AppendFrom(block.columns[spec_.group_columns[i]], r);
-        current_states_.assign(spec_.aggs.size(), AggState());
-        has_current_ = true;
-      }
-      for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-        const AggSpec& agg = spec_.aggs[a];
-        if (spec_.phase == AggPhase::kCombine) {
-          size_t first = spec_.group_columns.size();
-          for (size_t p = 0; p < a; ++p) first += spec_.aggs[p].PartialTypes().size();
-          current_states_[a].UpdatePartial(agg, block, first, r);
-        } else if (agg.kind == AggKind::kCountStar) {
-          current_states_[a].UpdateCountStar(1);
-        } else {
-          current_states_[a].Update(agg, block.columns[agg.input_column], r, 1);
-        }
-      }
-    }
-  }
-  if (input_done_ && has_current_) {
-    EmitCurrent(out);
-    has_current_ = false;
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// PrepassGroupByOperator
-
-std::vector<TypeId> PrepassGroupByOperator::OutputTypes() const {
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  return GroupByOutputTypes(group_types, spec_.aggs, AggPhase::kPartial);
-}
-
-Status PrepassGroupByOperator::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  identity_cols_.resize(spec_.group_columns.size());
-  for (size_t i = 0; i < identity_cols_.size(); ++i)
-    identity_cols_[i] = static_cast<uint32_t>(i);
-  std::vector<TypeId> group_types;
-  auto child_types = child_->OutputTypes();
-  for (uint32_t c : spec_.group_columns) group_types.push_back(child_types[c]);
-  keys_ = RowBlock(group_types);
-  states_.clear();
-  index_.Clear();
-  index_.Reserve(capacity_);
-  output_.clear();
-  input_done_ = false;
-  rows_in_ = rows_out_ = flushes_ = 0;
-  disabled_ = false;
-  return child_->Open(ctx);
-}
-
-Status PrepassGroupByOperator::Flush() {
-  if (keys_.NumRows() == 0) return Status::OK();
-  RowBlock out(OutputTypes());
-  for (size_t g = 0; g < keys_.NumRows(); ++g) {
-    for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-      out.columns[i].AppendFrom(keys_.columns[i], g);
-    size_t col = spec_.group_columns.size();
-    for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-      states_[g][a].EmitPartial(spec_.aggs[a], &out.columns, col);
-      col += spec_.aggs[a].PartialTypes().size();
-    }
-  }
-  rows_out_ += out.NumRows();
-  output_.push_back(std::move(out));
-  keys_.Clear();
-  states_.clear();
-  index_.Clear();
-  ++flushes_;
-  // Runtime shutoff check: a prepass that emits nearly as many rows as it
-  // consumes is pure overhead.
-  if (!disabled_ && flushes_ >= 3 && rows_out_ * 10 > rows_in_ * 9) {
-    disabled_ = true;
-    if (ctx_->stats) ctx_->stats->prepass_disabled.fetch_add(1);
-  }
-  return Status::OK();
-}
-
-Status PrepassGroupByOperator::GetNext(RowBlock* out) {
-  *out = RowBlock(OutputTypes());
-  while (output_.empty() && !input_done_) {
-    RowBlock block;
-    STRATICA_RETURN_NOT_OK(child_->GetNext(&block));
-    if (block.NumRows() == 0) {
-      input_done_ = true;
-      STRATICA_RETURN_NOT_OK(Flush());
-      break;
-    }
-    block.DecodeAll();
-    rows_in_ += block.NumRows();
-    if (disabled_) {
-      // Passthrough: convert rows 1:1 into partial form.
-      RowBlock pass(OutputTypes());
-      for (size_t r = 0; r < block.NumRows(); ++r) {
-        for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-          pass.columns[i].AppendFrom(block.columns[spec_.group_columns[i]], r);
-        size_t col = spec_.group_columns.size();
-        for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-          AggState st;
-          if (spec_.aggs[a].kind == AggKind::kCountStar) {
-            st.UpdateCountStar(1);
-          } else {
-            st.Update(spec_.aggs[a], block.columns[spec_.aggs[a].input_column], r, 1);
-          }
-          st.EmitPartial(spec_.aggs[a], &pass.columns, col);
-          col += spec_.aggs[a].PartialTypes().size();
-        }
-      }
-      rows_out_ += pass.NumRows();
-      output_.push_back(std::move(pass));
-      break;
-    }
-    // Hash the whole block once; per-row work is probe + verify only.
-    HashRows(block, spec_.group_columns, kGroupKeySeed, &hash_buf_);
-    for (size_t r = 0; r < block.NumRows(); ++r) {
-      uint64_t h = hash_buf_[r];
-      uint32_t group = FlatHashTable::kNone;
-      for (uint32_t e = index_.Probe(h); e != FlatHashTable::kNone; e = index_.Next(e)) {
-        if (GroupKeyEquals(keys_, identity_cols_, e, block, spec_.group_columns, r)) {
-          group = e;
-          break;
-        }
-      }
-      if (group == FlatHashTable::kNone) {
-        if (keys_.NumRows() >= capacity_) {
-          // Table full: emit current contents and start afresh (§6.1).
-          STRATICA_RETURN_NOT_OK(Flush());
-        }
-        group = index_.Insert(h);
-        for (size_t i = 0; i < spec_.group_columns.size(); ++i)
-          keys_.columns[i].AppendFrom(block.columns[spec_.group_columns[i]], r);
-        states_.emplace_back(spec_.aggs.size());
-      }
-      for (size_t a = 0; a < spec_.aggs.size(); ++a) {
-        if (spec_.aggs[a].kind == AggKind::kCountStar) {
-          states_[group][a].UpdateCountStar(1);
-        } else {
-          states_[group][a].Update(spec_.aggs[a],
-                                   block.columns[spec_.aggs[a].input_column], r, 1);
-        }
-      }
-    }
-  }
-  if (!output_.empty()) {
-    *out = std::move(output_.front());
-    output_.pop_front();
-  }
-  return Status::OK();
-}
-
-std::string PrepassGroupByOperator::DebugString() const {
-  return "GroupByPrepass(capacity: " + std::to_string(capacity_) +
-         (disabled_ ? ", disabled at runtime)" : ")");
 }
 
 }  // namespace stratica

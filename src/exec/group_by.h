@@ -1,13 +1,14 @@
-// GroupBy operators (Section 6.1 #2): several algorithms chosen by the
-// optimizer for maximal performance —
-//   HashGroupBy      general case; externalizes to grace partitions when
-//                    over its memory budget.
-//   PipelinedGroupBy one-pass aggregation over input sorted on the group
-//                    keys, able to consume RLE runs without expansion
-//                    ("keep the incoming data encoded").
-//   PrepassGroupBy   L1-cache-sized hash table placed right above scans to
-//                    cheaply reduce data early; emits partials when full
-//                    and disables itself at runtime when it stops reducing.
+// GroupBy (Section 6.1 #2). One operator, HashGroupByOperator, fills the
+// paper's three GroupBy roles:
+//   hash       the general case; externalizes to grace partitions when over
+//              its memory budget.
+//   pipelined  over key-sorted RLE input ConsumeRleKey resolves one group
+//              per run and aggregates by run length, keeping the incoming
+//              data encoded (DESIGN.md §13).
+//   prepass    each morsel fragment runs a partial (AggPhase::kPartial)
+//              HashGroupBy right above its scan; the fragments' partials
+//              cross the ParallelUnion/Recv gather into one combine
+//              HashGroupBy (DESIGN.md §12).
 #ifndef STRATICA_EXEC_GROUP_BY_H_
 #define STRATICA_EXEC_GROUP_BY_H_
 
@@ -62,17 +63,17 @@ class HashGroupByOperator : public Operator {
   /// fast path; the universal fallback flattens RLE columns in place (dict
   /// columns stay coded — hashing, comparison and aggregation all resolve
   /// codes through the dictionary).
-  Status Consume(RowBlock* block);
+  void Consume(RowBlock* block);
   /// No GROUP BY: one global state per agg, updated by run length over RLE
   /// columns and by per-code occurrence counts over dict columns.
-  Status ConsumeGlobal(const RowBlock& block);
+  void ConsumeGlobal(const RowBlock& block);
   /// Single dict-coded group column: a dense code→group-id map (rebuilt
   /// when the block's dictionary changes) short-circuits the hash table;
   /// only first-seen codes pay FindOrInsertGroup.
-  Status ConsumeDictKey(RowBlock* block);
+  void ConsumeDictKey(RowBlock* block);
   /// Single RLE group column: resolve the group once per run, aggregate
   /// same-column aggs by run length.
-  Status ConsumeRleKey(RowBlock* block);
+  void ConsumeRleKey(RowBlock* block);
   /// Find or create the group for `row` (key hash `h` precomputed by the
   /// batched hasher); returns the group id.
   uint32_t FindOrInsertGroup(Table* table, const RowBlock& block,
@@ -104,77 +105,6 @@ class HashGroupByOperator : public Operator {
   std::vector<std::unique_ptr<SpillWriter>> partitions_;
   std::deque<RowBlock> output_;
   bool emitted_ = false;
-};
-
-/// \brief One-pass aggregation over key-sorted input; consumes RLE runs on
-/// the group column directly when possible.
-class PipelinedGroupByOperator : public Operator {
- public:
-  PipelinedGroupByOperator(OperatorPtr child, GroupBySpec spec)
-      : child_(std::move(child)), spec_(std::move(spec)) {}
-
-  Status Open(ExecContext* ctx) override;
-  Status GetNext(RowBlock* out) override;
-  Status Close() override { return child_->Close(); }
-  std::vector<TypeId> OutputTypes() const override;
-  std::vector<std::string> OutputNames() const override { return spec_.output_names; }
-  std::string DebugString() const override { return "GroupByPipelined"; }
-  std::vector<Operator*> Children() const override { return {child_.get()}; }
-
-  uint64_t runs_consumed() const { return runs_consumed_; }
-
- private:
-  void EmitCurrent(RowBlock* out);
-
-  OperatorPtr child_;
-  GroupBySpec spec_;
-  ExecContext* ctx_ = nullptr;
-  bool has_current_ = false;
-  RowBlock current_key_;  // single row
-  std::vector<AggState> current_states_;
-  bool input_done_ = false;
-  uint64_t runs_consumed_ = 0;
-  std::vector<uint32_t> identity_cols_;
-};
-
-/// \brief Prepass partial aggregation (always AggPhase::kPartial output).
-class PrepassGroupByOperator : public Operator {
- public:
-  PrepassGroupByOperator(OperatorPtr child, GroupBySpec spec,
-                         size_t capacity = 4096)
-      : child_(std::move(child)), spec_(std::move(spec)), capacity_(capacity) {
-    spec_.phase = AggPhase::kPartial;
-  }
-
-  Status Open(ExecContext* ctx) override;
-  Status GetNext(RowBlock* out) override;
-  Status Close() override { return child_->Close(); }
-  std::vector<TypeId> OutputTypes() const override;
-  std::vector<std::string> OutputNames() const override { return spec_.output_names; }
-  std::string DebugString() const override;
-  std::vector<Operator*> Children() const override { return {child_.get()}; }
-
-  bool disabled() const { return disabled_; }
-
- private:
-  Status Flush();  // move table contents into output_
-
-  OperatorPtr child_;
-  GroupBySpec spec_;
-  size_t capacity_;
-  ExecContext* ctx_ = nullptr;
-
-  RowBlock keys_;
-  std::vector<std::vector<AggState>> states_;
-  FlatHashTable index_;
-  std::vector<uint64_t> hash_buf_;
-  std::vector<uint32_t> identity_cols_;
-  std::deque<RowBlock> output_;
-  bool input_done_ = false;
-
-  // Runtime shutoff: stop prepassing when not reducing (Section 6.1).
-  uint64_t rows_in_ = 0, rows_out_ = 0, flushes_ = 0;
-  bool disabled_ = false;
 };
 
 /// Scalar reference for the batched HashRows(block, cols, kGroupKeySeed)

@@ -44,7 +44,6 @@ struct ExecStats {
   /// Rows a top-k Sort discarded without buffering (they could not beat the
   /// current k-th key) — the savings of the fused Limit+Sort path.
   std::atomic<uint64_t> topk_rows_pruned{0};
-  std::atomic<uint64_t> prepass_disabled{0};   ///< runtime prepass shutoffs
   std::atomic<uint64_t> hash_to_merge_switches{0};
   std::atomic<uint64_t> exchange_bytes{0};     ///< simulated interconnect traffic
   /// Transient I/O errors absorbed by reader-level retry (DESIGN.md §10).
@@ -89,7 +88,6 @@ struct ExecStats {
     sort_runs += other.sort_runs.load(std::memory_order_relaxed);
     sort_spilled_bytes += other.sort_spilled_bytes.load(std::memory_order_relaxed);
     topk_rows_pruned += other.topk_rows_pruned.load(std::memory_order_relaxed);
-    prepass_disabled += other.prepass_disabled.load(std::memory_order_relaxed);
     hash_to_merge_switches += other.hash_to_merge_switches.load(std::memory_order_relaxed);
     exchange_bytes += other.exchange_bytes.load(std::memory_order_relaxed);
     io_retries += other.io_retries.load(std::memory_order_relaxed);

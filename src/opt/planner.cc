@@ -930,8 +930,7 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     for (const auto& call : stmt.having_aggs) STRATICA_RETURN_NOT_OK(add_agg(call));
 
     // Pipeline per unit: ExprEval computing (group keys..., agg args...),
-    // then partial aggregation; prepass under intra-node parallel regions is
-    // exercised by the bench harness via this same operator stack.
+    // then partial aggregation.
     bool partialable = true;
     for (const auto& a : aggs) partialable &= a.Partialable();
 
@@ -961,7 +960,8 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     // partial aggregation from the replacement scan. The finisher runs per
     // fragment, so under fan-out each morsel fragment carries its own eval
     // + partial table and the aggregation parallelizes with the scan
-    // (Figure 3's parallel GroupBys above a StorageUnion).
+    // (Figure 3's parallel prepass GroupBys; the morsel dispenser plays the
+    // StorageUnion).
     auto build_local = [build_unit_pipeline, eval_exprs, eval_names, local,
                         partialable](ProjectionStorage* ps, bool primary,
                                      size_t u) -> Result<OperatorPtr> {

@@ -7,8 +7,8 @@
 // projection sort order, data segmentation) and plans distribution:
 // co-located joins and aggregations run fully local per node, otherwise the
 // smaller side is broadcast; aggregation is two-stage (local partial +
-// final combine) with prepass operators under intra-node parallel scan
-// pipelines (Figure 3). When nodes are down, plans transparently replace a
+// final combine), with a partial HashGroupBy in every intra-node morsel
+// fragment (Figure 3's prepass GroupBys). When nodes are down, plans transparently replace a
 // projection's storage with its buddy's on a surviving node and re-cost.
 //
 // Techniques implemented from the paper's list: projection selection with
@@ -16,7 +16,7 @@
 // bounds, transitive predicates across join keys, outer-to-inner join
 // conversion under null-rejecting WHERE clauses, SIP filter placement,
 // pipelined (sort-exploiting) aggregation, sort elimination, late
-// materialization at the scan, and runtime-adaptive prepass aggregation.
+// materialization at the scan, and prepass (partial) aggregation.
 #ifndef STRATICA_OPT_PLANNER_H_
 #define STRATICA_OPT_PLANNER_H_
 

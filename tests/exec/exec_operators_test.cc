@@ -1,6 +1,6 @@
-// Execution-engine operator tests: scan pruning/SIP/deletes, group-by
-// flavors (incl. spill and runtime prepass disable), joins (incl. runtime
-// hash->merge switch), sort spill, analytic windows, exchanges.
+// Execution-engine operator tests: scan pruning/SIP/deletes, hash group-by
+// (incl. spill, RLE runs and partial/combine through a gather), joins (incl.
+// runtime hash->merge switch), sort spill, analytic windows, exchanges.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,7 +34,7 @@ class ExecFixture : public ::testing::Test {
     t.columns = {{"id", TypeId::kInt64, false},
                  {"cust", TypeId::kInt64, true},
                  {"price", TypeId::kFloat64, true}};
-    // Sort by cust so RLE and pipelined group-by paths engage.
+    // Sort by cust so the RLE group-key path engages.
     ProjectionDef p;
     p.name = "sales_super";
     p.anchor_table = "sales";
@@ -193,7 +193,10 @@ TEST_F(ExecFixture, HashGroupBySpillsUnderTinyBudgetSameAnswer) {
   EXPECT_GT(stats_.rows_spilled.load(), 0u);
 }
 
-TEST_F(ExecFixture, PipelinedGroupByConsumesRleRuns) {
+// Over the sorted projection the scan emits cust as RLE runs; the group-by
+// resolves one group per run and counts by run length (the paper's pipelined
+// GroupBy role), so every input row is consumed encoded.
+TEST_F(ExecFixture, HashGroupByConsumesRleRuns) {
   ScanSpec sspec = BaseScan();
   sspec.encoded_output = true;
   sspec.sorted_output = true;
@@ -202,54 +205,13 @@ TEST_F(ExecFixture, PipelinedGroupByConsumesRleRuns) {
   spec.group_columns = {0};
   spec.aggs = {{AggKind::kCountStar, -1, TypeId::kInt64}};
   spec.output_names = {"cust", "n"};
-  auto gb = std::make_unique<PipelinedGroupByOperator>(
+  auto gb = std::make_unique<HashGroupByOperator>(
       std::make_unique<ScanOperator>(sspec), spec);
   auto rows = DrainOperator(gb.get(), &ctx_);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().NumRows(), 10u);
   for (size_t r = 0; r < 10; ++r) EXPECT_EQ(rows.value().columns[1].ints[r], 100);
-  EXPECT_GT(gb->runs_consumed(), 0u);
-  // Far fewer runs than rows: aggregation happened on encoded data.
-  EXPECT_LT(gb->runs_consumed(), 200u);
-}
-
-TEST_F(ExecFixture, PrepassReducesAndCombines) {
-  GroupBySpec partial;
-  partial.group_columns = {0};
-  partial.aggs = {{AggKind::kCountStar, -1, TypeId::kInt64},
-                  {AggKind::kAvg, 2, TypeId::kFloat64}};
-  partial.output_names = {"cust", "n", "avg_sum", "avg_n"};
-  auto prepass = std::make_unique<PrepassGroupByOperator>(
-      std::make_unique<ScanOperator>(BaseScan()), partial, /*capacity=*/64);
-
-  GroupBySpec combine = partial;
-  combine.phase = AggPhase::kCombine;
-  combine.output_names = {"cust", "n", "avg"};
-  auto final_gb =
-      std::make_unique<HashGroupByOperator>(std::move(prepass), combine);
-  auto rows = DrainOperator(final_gb.get(), &ctx_);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows.value().NumRows(), 10u);
-  for (size_t r = 0; r < 10; ++r) {
-    EXPECT_EQ(rows.value().columns[1].ints[r], 100);
-    int64_t cust = rows.value().columns[0].ints[r];
-    // avg over {cust, cust+10, ..., cust+990} * 0.5
-    EXPECT_DOUBLE_EQ(rows.value().columns[2].doubles[r], (cust + 495.0) * 0.5);
-  }
-}
-
-TEST_F(ExecFixture, PrepassDisablesOnHighCardinality) {
-  GroupBySpec partial;
-  partial.group_columns = {1};  // id: all distinct, no reduction
-  partial.aggs = {{AggKind::kCountStar, -1, TypeId::kInt64}};
-  partial.output_names = {"id", "n"};
-  auto prepass = std::make_unique<PrepassGroupByOperator>(
-      std::make_unique<ScanOperator>(BaseScan()), partial, /*capacity=*/16);
-  auto rows = DrainOperator(prepass.get(), &ctx_);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows.value().NumRows(), 1000u);  // partials, 1:1
-  EXPECT_TRUE(prepass->disabled());
-  EXPECT_GT(stats_.prepass_disabled.load(), 0u);
+  EXPECT_EQ(stats_.rows_processed_encoded.load(), 1000u);
 }
 
 RowBlock SmallBlock(std::vector<int64_t> keys, std::vector<int64_t> vals) {
@@ -434,36 +396,42 @@ TEST_F(ExecFixture, RankAndDenseRankOverFloatOrderWithNan) {
   EXPECT_EQ(rows.value().columns[2].ints, (std::vector<int64_t>{1, 2, 3, 3}));
 }
 
-TEST_F(ExecFixture, RepartitionExchangeParallelGroupBy) {
-  // Figure 3 shape: StorageUnion resegments to parallel GroupBys whose
-  // results merge through a ParallelUnion.
+// The SQL shape of Figure 3: two morsel scans share one dispenser (the
+// StorageUnion role), each fragment runs a partial HashGroupBy (the prepass
+// GroupBys), the partials cross the ParallelUnion gather, and one combine
+// HashGroupBy finishes COUNT(*) and AVG.
+TEST_F(ExecFixture, PartialGroupByPerFragmentCombinesThroughGather) {
+  GroupBySpec partial;
+  partial.group_columns = {0};
+  partial.aggs = {{AggKind::kCountStar, -1, TypeId::kInt64},
+                  {AggKind::kAvg, 2, TypeId::kFloat64}};
+  partial.phase = AggPhase::kPartial;
+  partial.output_names = {"cust", "n", "avg_sum", "avg_n"};
   auto morsels = std::make_shared<MorselDispenser>(2);
-  std::vector<OperatorPtr> producers;
+  std::vector<OperatorPtr> fragments;
   for (int p = 0; p < 2; ++p) {
     ScanSpec s = BaseScan();
     s.morsels = morsels;
-    producers.push_back(std::make_unique<ScanOperator>(s));
+    fragments.push_back(std::make_unique<HashGroupByOperator>(
+        std::make_unique<ScanOperator>(s), partial));
   }
-  auto consumers = MakeRepartitionExchange(std::move(producers), 3, {0},
-                                           "StorageUnion", false);
-  std::vector<OperatorPtr> groupbys;
-  for (auto& consumer : consumers) {
-    GroupBySpec g;
-    g.group_columns = {0};
-    g.aggs = {{AggKind::kSum, 2, TypeId::kFloat64}};
-    g.output_names = {"cust", "total"};
-    groupbys.push_back(
-        std::make_unique<HashGroupByOperator>(std::move(consumer), g));
-  }
-  auto root = MakeUnionExchange(std::move(groupbys), "ParallelUnion", false);
-  auto rows = DrainOperator(root.get(), &ctx_);
+  GroupBySpec combine = partial;
+  combine.phase = AggPhase::kCombine;
+  combine.output_names = {"cust", "n", "avg"};
+  HashGroupByOperator root(
+      MakeUnionExchange(std::move(fragments), "ParallelUnion", false), combine);
+  auto rows = DrainOperator(&root, &ctx_);
   ASSERT_TRUE(rows.ok());
-  // Resegmentation by cust means each group computed exactly once.
-  EXPECT_EQ(rows.value().NumRows(), 10u);
-  double total = 0;
-  for (size_t r = 0; r < rows.value().NumRows(); ++r)
-    total += rows.value().columns[1].doubles[r];
-  EXPECT_DOUBLE_EQ(total, 999 * 1000 / 2 * 0.5);
+  ASSERT_EQ(rows.value().NumRows(), 10u);
+  std::set<int64_t> custs;
+  for (size_t r = 0; r < 10; ++r) {
+    EXPECT_EQ(rows.value().columns[1].ints[r], 100);
+    int64_t cust = rows.value().columns[0].ints[r];
+    custs.insert(cust);
+    // avg over {cust, cust+10, ..., cust+990} * 0.5
+    EXPECT_DOUBLE_EQ(rows.value().columns[2].doubles[r], (cust + 495.0) * 0.5);
+  }
+  EXPECT_EQ(custs.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -218,6 +218,11 @@ TEST(ParallelPlanTest, MatchesSerialResults) {
       "SELECT id, v FROM fact WHERE k = 123 ORDER BY id",
       // DISTINCT on top of the parallel union.
       "SELECT DISTINCT grp FROM fact ORDER BY grp",
+      // Partial AVG/MIN per fragment, combined after the gather; v is a
+      // multiple of 0.25, so every partial sum is exact in any order.
+      "SELECT grp, AVG(v), MIN(k) FROM fact GROUP BY grp ORDER BY grp",
+      // Not partialable: raw rows cross the gather into one aggregation.
+      "SELECT grp, COUNT(DISTINCT k) FROM fact GROUP BY grp ORDER BY grp",
   };
   for (const char* q : queries) {
     EXPECT_EQ(RunSorted(serial.get(), q), RunSorted(parallel.get(), q)) << q;
