@@ -114,65 +114,33 @@ inline size_t PackedBytes(size_t count, int width) {
 }
 
 /// Random-access read of the value at bit offset `bit_off` in a BitPacker
-/// stream (LSB-first within bytes). `base` points at the first packed byte;
-/// the caller guarantees the stream holds at least bit_off + width bits.
-/// Values wider than 32 bits are stored by BitPacker as (low 32, high rest)
-/// which is bit-identical to one contiguous LSB-first field, so a single
-/// read suffices for any width up to 64.
-inline uint64_t ReadPackedBits(const char* base, size_t bit_off, int width) {
-  uint64_t result = 0;
-  int got = 0;
+/// stream (LSB-first within bytes) — the one reader of BitPacker output.
+/// `base` points at the first packed byte and `size` bytes from it are
+/// readable; the caller guarantees bit_off + width <= 8 * size. Values wider
+/// than 32 bits are stored by BitPacker as (low 32, high rest), which is
+/// bit-identical to one contiguous LSB-first field, so a single read
+/// suffices for any width up to 64. LSB-first bytes are a little-endian
+/// word, so a value that fits one 8-byte load is read with one.
+inline uint64_t ReadPackedBits(const char* base, size_t size, size_t bit_off, int width) {
   size_t byte = bit_off >> 3;
   int skip = static_cast<int>(bit_off & 7);
-  while (got < width) {
-    uint64_t b = static_cast<uint8_t>(base[byte]) >> skip;
-    result |= b << got;
-    got += 8 - skip;
-    ++byte;
-    skip = 0;
+  uint64_t result = 0;
+  if (width <= 56 && byte + 8 <= size) {
+    std::memcpy(&result, base + byte, sizeof(result));
+    result >>= skip;
+  } else {
+    int got = 0;
+    while (got < width) {
+      uint64_t b = static_cast<uint8_t>(base[byte]) >> skip;
+      result |= b << got;
+      got += 8 - skip;
+      ++byte;
+      skip = 0;
+    }
   }
   if (width < 64) result &= (1ULL << width) - 1;
   return result;
 }
-
-/// \brief Reads values written by BitPacker.
-class BitUnpacker {
- public:
-  BitUnpacker(const std::string& data, size_t offset, int bit_width)
-      : data_(data), pos_(offset), bit_width_(bit_width) {}
-
-  uint64_t Next() {
-    if (bit_width_ > 32) {
-      uint64_t lo = NextBits(32);
-      uint64_t hi = NextBits(bit_width_ - 32);
-      return lo | (hi << 32);
-    }
-    return NextBits(bit_width_);
-  }
-
-  /// Byte position one past the last consumed byte.
-  size_t position() const { return pos_; }
-
- private:
-  uint64_t NextBits(int width) {
-    while (bits_in_buffer_ < width && pos_ < data_.size()) {
-      buffer_ |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_++]))
-                 << bits_in_buffer_;
-      bits_in_buffer_ += 8;
-    }
-    uint64_t mask = width >= 64 ? ~0ULL : ((1ULL << width) - 1);
-    uint64_t v = buffer_ & mask;
-    buffer_ >>= width;
-    bits_in_buffer_ -= width;
-    return v;
-  }
-
-  const std::string& data_;
-  size_t pos_;
-  int bit_width_;
-  uint64_t buffer_ = 0;
-  int bits_in_buffer_ = 0;
-};
 
 }  // namespace stratica
 

@@ -571,12 +571,11 @@ Status ScanOperator::AdvanceRos(Source* src) {
         col = std::move(view.column);
         if (col.IsFlat() && ctx_->stats) ctx_->stats->rows_decoded.fetch_add(selected);
       } else {
-        // Flat payload: the plain decoder is the fastest gather for a
-        // fully-selected block, the selective decoder for everything else.
+        // Flat payload: a fully-selected block decodes every row (no
+        // per-row selection test), any other block only its survivors.
         STRATICA_RETURN_NOT_OK(NoteRosFailure(
-            src, selected == n
-                     ? src->readers[c].ReadBlock(b, &col)
-                     : src->readers[c].ReadBlockSelected(b, sel_scratch_, &col)));
+            src, src->readers[c].ReadBlock(b, &col,
+                                           selected == n ? nullptr : &sel_scratch_)));
         if (ctx_->stats) ctx_->stats->rows_decoded.fetch_add(selected);
         continue;
       }

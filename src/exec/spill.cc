@@ -9,7 +9,7 @@ std::string SerializeBlock(const RowBlock& block) {
   std::string out;
   PutVarint64(&out, block.NumColumns());
   for (const auto& col : block.columns) {
-    ColumnVector flat = col.IsRle() ? col.Decoded() : col;
+    ColumnVector flat = col.IsFlat() ? col : col.Decoded();
     out.push_back(static_cast<char>(flat.type));
     std::string payload;
     (void)EncodeBlock(EncodingId::kPlain, flat, 0, flat.PhysicalSize(), &payload);

@@ -190,11 +190,12 @@ Status ColumnReader::FetchBlock(size_t idx) const {
   return Status::OK();
 }
 
-Status ColumnReader::ReadBlock(size_t idx, ColumnVector* out) const {
+Status ColumnReader::ReadBlock(size_t idx, ColumnVector* out,
+                               const std::vector<uint8_t>* sel) const {
   if (idx >= meta_.blocks.size()) return Status::InvalidArgument("block out of range");
   STRATICA_RETURN_NOT_OK(FetchBlock(idx));
   size_t offset = 0;
-  return DecodeBlock(scratch_, &offset, meta_.type, out);
+  return DecodeBlock(scratch_, &offset, meta_.type, out, sel);
 }
 
 Status ColumnReader::ReadBlockView(size_t idx, EncodedBlockView* out) const {
@@ -202,14 +203,6 @@ Status ColumnReader::ReadBlockView(size_t idx, EncodedBlockView* out) const {
   STRATICA_RETURN_NOT_OK(FetchBlock(idx));
   size_t offset = 0;
   return DecodeBlockView(scratch_, &offset, meta_.type, out);
-}
-
-Status ColumnReader::ReadBlockSelected(size_t idx, const std::vector<uint8_t>& sel,
-                                       ColumnVector* out) const {
-  if (idx >= meta_.blocks.size()) return Status::InvalidArgument("block out of range");
-  STRATICA_RETURN_NOT_OK(FetchBlock(idx));
-  size_t offset = 0;
-  return DecodeBlockSelected(scratch_, &offset, meta_.type, sel, out);
 }
 
 Status ColumnReader::ReadAll(ColumnVector* out) const {

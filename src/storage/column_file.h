@@ -92,14 +92,11 @@ class ColumnReader {
   const ColumnFileMeta& meta() const { return meta_; }
   size_t num_blocks() const { return meta_.blocks.size(); }
 
-  /// Decode block `idx` flat, appending to `out`.
-  Status ReadBlock(size_t idx, ColumnVector* out) const;
-
-  /// Late-materialization read (DESIGN.md §7): decode only the entries of
-  /// block `idx` with sel[i] != 0. `sel` must have one entry per block row.
-  /// Output is bit-identical to ReadBlock + Filter(sel).
-  Status ReadBlockSelected(size_t idx, const std::vector<uint8_t>& sel,
-                           ColumnVector* out) const;
+  /// Decode block `idx` flat, appending to `out`. A non-null `sel` (one
+  /// entry per block row) is the late-materialization read (DESIGN.md §7):
+  /// only the rows with sel[i] != 0 are decoded. Null decodes every row.
+  Status ReadBlock(size_t idx, ColumnVector* out,
+                   const std::vector<uint8_t>* sel = nullptr) const;
 
   /// Compressed-execution read (DESIGN.md §13): decode block `idx` to its
   /// cheapest loss-free view — RLE keeps runs, BlockDict keeps codes plus a

@@ -382,191 +382,15 @@ Status EncodeCommonDelta(const ColumnVector& col, size_t start, size_t count,
   return HuffmanEncode(symbols, static_cast<uint32_t>(dict.size()), out);
 }
 
-// --- decoders ---------------------------------------------------------------
-
-Status DecodePlain(const std::string& data, size_t* offset, size_t count,
-                   ColumnVector* out) {
-  if (count == 0) return Status::OK();  // memcpy from an empty vector is UB
-  switch (StorageClassOf(out->type)) {
-    case StorageClass::kInt64: {
-      size_t bytes = count * sizeof(int64_t);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      size_t old = out->ints.size();
-      out->ints.resize(old + count);
-      std::memcpy(out->ints.data() + old, data.data() + *offset, bytes);
-      *offset += bytes;
-      return Status::OK();
-    }
-    case StorageClass::kFloat64: {
-      size_t bytes = count * sizeof(double);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      size_t old = out->doubles.size();
-      out->doubles.resize(old + count);
-      std::memcpy(out->doubles.data() + old, data.data() + *offset, bytes);
-      *offset += bytes;
-      return Status::OK();
-    }
-    case StorageClass::kString:
-      for (size_t i = 0; i < count; ++i) {
-        uint64_t len;
-        if (!GetVarint64(data, offset, &len) || *offset + len > data.size())
-          return Status::Corruption("plain: bad string");
-        out->strings.emplace_back(data, *offset, len);
-        *offset += len;
-      }
-      return Status::OK();
-  }
-  return Status::Internal("bad storage class");
-}
-
-// `expand` = false keeps one physical entry per run (`out` must be fresh).
-Status DecodeRle(const std::string& data, size_t* offset, ColumnVector* out,
-                 bool expand) {
-  uint64_t num_runs;
-  if (!GetVarint64(data, offset, &num_runs)) return Status::Corruption("rle: bad header");
-  for (uint64_t r = 0; r < num_runs; ++r) {
-    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, out));
-    uint64_t run_len;
-    if (!GetVarint64(data, offset, &run_len)) return Status::Corruption("rle: bad run");
-    if (!expand) {
-      out->runs.push_back(static_cast<uint32_t>(run_len));
-    } else {
-      // Expand: the scalar was appended once; append run_len-1 more copies.
-      for (uint64_t k = 1; k < run_len; ++k) {
-        switch (StorageClassOf(out->type)) {
-          case StorageClass::kInt64: out->ints.push_back(out->ints.back()); break;
-          case StorageClass::kFloat64: out->doubles.push_back(out->doubles.back()); break;
-          case StorageClass::kString: out->strings.push_back(out->strings.back()); break;
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status DecodeDeltaValue(const std::string& data, size_t* offset, size_t count,
-                        ColumnVector* out) {
-  uint64_t zz;
-  if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltaval: bad min");
-  int64_t min = ZigZagDecode(zz);
-  if (*offset >= data.size()) return Status::Corruption("deltaval: bad width");
-  int width = static_cast<uint8_t>(data[(*offset)++]);
-  if (width == 0) {
-    out->ints.insert(out->ints.end(), count, min);
-    return Status::OK();
-  }
-  BitUnpacker unpacker(data, *offset, width);
-  for (size_t i = 0; i < count; ++i)
-    out->ints.push_back(
-        static_cast<int64_t>(static_cast<uint64_t>(min) + unpacker.Next()));
-  *offset = unpacker.position();
-  return Status::OK();
-}
-
-// Shared BlockDict header parse (dictionary + index bit width) and entry
-// emission, used by the full and the selective decoder so the layout and
-// the bounds-checked dispatch each live in one place.
-Status ParseDictHeader(const std::string& data, size_t* offset, ColumnVector* dict,
-                       uint64_t* dict_size, int* width) {
-  if (!GetVarint64(data, offset, dict_size)) return Status::Corruption("dict: bad size");
-  for (uint64_t i = 0; i < *dict_size; ++i)
-    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, dict));
-  if (*offset >= data.size()) return Status::Corruption("dict: bad width");
-  *width = static_cast<uint8_t>(data[(*offset)++]);
-  return Status::OK();
-}
-
-Status EmitDictEntry(const ColumnVector& dict, uint64_t idx, ColumnVector* out) {
-  if (idx >= dict.PhysicalSize()) return Status::Corruption("dict: index out of range");
-  switch (StorageClassOf(out->type)) {
-    case StorageClass::kInt64: out->ints.push_back(dict.ints[idx]); break;
-    case StorageClass::kFloat64: out->doubles.push_back(dict.doubles[idx]); break;
-    case StorageClass::kString: out->strings.push_back(dict.strings[idx]); break;
-  }
-  return Status::OK();
-}
-
-Status DecodeBlockDict(const std::string& data, size_t* offset, size_t count,
-                       ColumnVector* out) {
-  uint64_t dict_size;
-  ColumnVector dict(out->type);
-  int width;
-  STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &dict, &dict_size, &width));
-  if (width == 0) {
-    for (size_t i = 0; i < count; ++i) STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, 0, out));
-    return Status::OK();
-  }
-  BitUnpacker unpacker(data, *offset, width);
-  for (size_t i = 0; i < count; ++i)
-    STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, unpacker.Next(), out));
-  *offset = unpacker.position();
-  return Status::OK();
-}
-
-Status DecodeDeltaRange(const std::string& data, size_t* offset, size_t count,
-                        ColumnVector* out) {
-  if (StorageClassOf(out->type) == StorageClass::kInt64) {
-    uint64_t zz;
-    if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltarange: bad first");
-    int64_t prev = ZigZagDecode(zz);
-    out->ints.push_back(prev);
-    for (size_t i = 1; i < count; ++i) {
-      if (!GetVarint64(data, offset, &zz))
-        return Status::Corruption("deltarange: bad delta");
-      prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
-                                  static_cast<uint64_t>(ZigZagDecode(zz)));
-      out->ints.push_back(prev);
-    }
-  } else {
-    uint64_t prev;
-    if (!GetFixed(data, offset, &prev)) return Status::Corruption("deltarange: bad first");
-    out->doubles.push_back(OrderedKeyToDouble(prev));
-    for (size_t i = 1; i < count; ++i) {
-      uint64_t zz;
-      if (!GetVarint64(data, offset, &zz))
-        return Status::Corruption("deltarange: bad delta");
-      prev += static_cast<uint64_t>(ZigZagDecode(zz));
-      out->doubles.push_back(OrderedKeyToDouble(prev));
-    }
-  }
-  return Status::OK();
-}
-
-Status DecodeCommonDelta(const std::string& data, size_t* offset, size_t count,
-                         ColumnVector* out) {
-  uint64_t zz;
-  if (!GetVarint64(data, offset, &zz)) return Status::Corruption("commondelta: bad first");
-  int64_t value = ZigZagDecode(zz);
-  out->ints.push_back(value);
-  uint64_t dict_size;
-  if (!GetVarint64(data, offset, &dict_size))
-    return Status::Corruption("commondelta: bad dict");
-  if (count <= 1) return Status::OK();
-  std::vector<int64_t> dict(dict_size);
-  for (auto& d : dict) {
-    if (!GetVarint64(data, offset, &zz))
-      return Status::Corruption("commondelta: bad dict entry");
-    d = ZigZagDecode(zz);
-  }
-  std::vector<uint32_t> symbols;
-  STRATICA_RETURN_NOT_OK(HuffmanDecode(data, offset, &symbols));
-  if (symbols.size() != count - 1) return Status::Corruption("commondelta: count mismatch");
-  for (uint32_t s : symbols) {
-    if (s >= dict.size()) return Status::Corruption("commondelta: bad symbol");
-    value = static_cast<int64_t>(static_cast<uint64_t>(value) +
-                                 static_cast<uint64_t>(dict[s]));
-    out->ints.push_back(value);
-  }
-  return Status::OK();
-}
-
-// --- selective decoders (late materialization, DESIGN.md §7) ----------------
+// --- decoders (one per encoding, DESIGN.md §7) ------------------------------
 //
-// Each mirrors its full decoder but materializes only entries with
-// sel[i] != 0. Sequentially-dependent encodings (delta chains) still walk
-// the stream, but stop doing arithmetic after the last selected position and
-// never append dead values; positionally-addressable encodings (plain
-// scalars, bit-packed slots) touch only the selected slots.
+// Each decoder appends the rows of one block payload to `out`. A non-null
+// `sel` (one entry per row) keeps only the rows with sel[i] != 0; a null
+// `sel` keeps every row. Sequentially-dependent encodings (delta chains)
+// still walk the stream, but stop doing arithmetic after the last selected
+// position and never append dead values; positionally-addressable encodings
+// (plain scalars, bit-packed slots) touch only the selected slots. Every
+// decoder checks its reads against the block's bytes and row count.
 
 /// Advance past one LEB128 varint without decoding it.
 bool SkipVarint(const std::string& data, size_t* offset) {
@@ -578,51 +402,62 @@ bool SkipVarint(const std::string& data, size_t* offset) {
   return false;
 }
 
-/// Index of the last set entry, or SIZE_MAX when none are.
-size_t LastSelected(const std::vector<uint8_t>& sel) {
-  for (size_t i = sel.size(); i > 0; --i) {
-    if (sel[i - 1]) return i - 1;
+/// Rows among the first `n` that `sel` keeps (all `n` for a null selection).
+size_t CountSelected(const uint8_t* sel, size_t n) {
+  if (sel == nullptr) return n;
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) k += sel[i] != 0;
+  return k;
+}
+
+/// One past the last row of `count` that `sel` keeps (0 when none is kept).
+size_t SelectedEnd(const uint8_t* sel, size_t count) {
+  if (sel == nullptr) return count;
+  while (count > 0 && !sel[count - 1]) --count;
+  return count;
+}
+
+/// True if `count` values of `width` bits fit in the bytes after `offset`.
+bool PackedFits(const std::string& data, size_t offset, size_t count, int width) {
+  return count <= (data.size() - offset) * 8 / static_cast<size_t>(width);
+}
+
+template <typename T>
+Status DecodeFixed(const std::string& data, size_t* offset, size_t count,
+                   const uint8_t* sel, std::vector<T>* out) {
+  if (count > (data.size() - *offset) / sizeof(T))
+    return Status::Corruption("plain: truncated");
+  const char* base = data.data() + *offset;
+  if (sel == nullptr) {  // every row: one bulk copy
+    size_t old = out->size();
+    out->resize(old + count);
+    if (count > 0) std::memcpy(out->data() + old, base, count * sizeof(T));
+  } else {
+    for (size_t i = 0; i < count; ++i) {
+      if (!sel[i]) continue;
+      T v;
+      std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+      out->push_back(v);
+    }
   }
-  return SIZE_MAX;
+  *offset += count * sizeof(T);
+  return Status::OK();
 }
 
 Status DecodePlainSelected(const std::string& data, size_t* offset, size_t count,
-                           const std::vector<uint8_t>& sel, ColumnVector* out) {
+                           const uint8_t* sel, ColumnVector* out) {
   switch (StorageClassOf(out->type)) {
-    case StorageClass::kInt64: {
-      size_t bytes = count * sizeof(int64_t);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      const char* base = data.data() + *offset;
-      for (size_t i = 0; i < count; ++i) {
-        if (!sel[i]) continue;
-        int64_t v;
-        std::memcpy(&v, base + i * sizeof(int64_t), sizeof(v));
-        out->ints.push_back(v);
-      }
-      *offset += bytes;
-      return Status::OK();
-    }
-    case StorageClass::kFloat64: {
-      size_t bytes = count * sizeof(double);
-      if (*offset + bytes > data.size()) return Status::Corruption("plain: truncated");
-      const char* base = data.data() + *offset;
-      for (size_t i = 0; i < count; ++i) {
-        if (!sel[i]) continue;
-        double v;
-        std::memcpy(&v, base + i * sizeof(double), sizeof(v));
-        out->doubles.push_back(v);
-      }
-      *offset += bytes;
-      return Status::OK();
-    }
+    case StorageClass::kInt64: return DecodeFixed(data, offset, count, sel, &out->ints);
+    case StorageClass::kFloat64:
+      return DecodeFixed(data, offset, count, sel, &out->doubles);
     case StorageClass::kString:
       // Unselected strings are skipped by length — their bytes are never
       // copied out of the block buffer.
       for (size_t i = 0; i < count; ++i) {
         uint64_t len;
-        if (!GetVarint64(data, offset, &len) || *offset + len > data.size())
+        if (!GetVarint64(data, offset, &len) || len > data.size() - *offset)
           return Status::Corruption("plain: bad string");
-        if (sel[i]) out->strings.emplace_back(data, *offset, len);
+        if (!sel || sel[i]) out->strings.emplace_back(data, *offset, len);
         *offset += len;
       }
       return Status::OK();
@@ -630,8 +465,16 @@ Status DecodePlainSelected(const std::string& data, size_t* offset, size_t count
   return Status::Internal("bad storage class");
 }
 
+/// One RLE run length; the runs of a block must not overrun its row count.
+Status GetRunLength(const std::string& data, size_t* offset, size_t rows_left,
+                    uint64_t* run_len) {
+  if (!GetVarint64(data, offset, run_len)) return Status::Corruption("rle: bad run");
+  if (*run_len > rows_left) return Status::Corruption("rle: run overflows block");
+  return Status::OK();
+}
+
 Status DecodeRleSelected(const std::string& data, size_t* offset, size_t count,
-                         const std::vector<uint8_t>& sel, ColumnVector* out) {
+                         const uint8_t* sel, ColumnVector* out) {
   uint64_t num_runs;
   if (!GetVarint64(data, offset, &num_runs)) return Status::Corruption("rle: bad header");
   StorageClass sc = StorageClassOf(out->type);
@@ -654,17 +497,15 @@ Status DecodeRleSelected(const std::string& data, size_t* offset, size_t count,
         if (!GetFixed(data, offset, &dv)) return Status::Corruption("rle: bad value");
         break;
       case StorageClass::kString:
-        if (!GetVarint64(data, offset, &str_len) || *offset + str_len > data.size())
+        if (!GetVarint64(data, offset, &str_len) || str_len > data.size() - *offset)
           return Status::Corruption("rle: bad value");
         str_at = *offset;
         *offset += str_len;
         break;
     }
-    uint64_t run_len;
-    if (!GetVarint64(data, offset, &run_len)) return Status::Corruption("rle: bad run");
-    if (pos + run_len > count) return Status::Corruption("rle: run overflows block");
-    size_t take = 0;
-    for (size_t i = 0; i < run_len; ++i) take += sel[pos + i] != 0;
+    uint64_t run_len = 0;
+    STRATICA_RETURN_NOT_OK(GetRunLength(data, offset, count - pos, &run_len));
+    size_t take = CountSelected(sel ? sel + pos : nullptr, run_len);
     if (take > 0) {  // dead runs are skipped wholesale
       switch (sc) {
         case StorageClass::kInt64: out->ints.insert(out->ints.end(), take, iv); break;
@@ -672,8 +513,7 @@ Status DecodeRleSelected(const std::string& data, size_t* offset, size_t count,
           out->doubles.insert(out->doubles.end(), take, dv);
           break;
         case StorageClass::kString:
-          out->strings.insert(out->strings.end(), take,
-                              std::string(data, str_at, str_len));
+          for (size_t k = 0; k < take; ++k) out->strings.emplace_back(data, str_at, str_len);
           break;
       }
     }
@@ -683,82 +523,121 @@ Status DecodeRleSelected(const std::string& data, size_t* offset, size_t count,
   return Status::OK();
 }
 
+// The view's RLE form: one physical entry per run (`out` must be fresh).
+Status DecodeRle(const std::string& data, size_t* offset, size_t count,
+                 ColumnVector* out) {
+  uint64_t num_runs;
+  if (!GetVarint64(data, offset, &num_runs)) return Status::Corruption("rle: bad header");
+  size_t pos = 0;
+  for (uint64_t r = 0; r < num_runs; ++r) {
+    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, out));
+    uint64_t run_len = 0;
+    STRATICA_RETURN_NOT_OK(GetRunLength(data, offset, count - pos, &run_len));
+    out->runs.push_back(static_cast<uint32_t>(run_len));
+    pos += run_len;
+  }
+  if (pos != count) return Status::Corruption("rle: row count mismatch");
+  return Status::OK();
+}
+
 Status DecodeDeltaValueSelected(const std::string& data, size_t* offset, size_t count,
-                                const std::vector<uint8_t>& sel, ColumnVector* out) {
+                                const uint8_t* sel, ColumnVector* out) {
   uint64_t zz;
   if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltaval: bad min");
   int64_t min = ZigZagDecode(zz);
   if (*offset >= data.size()) return Status::Corruption("deltaval: bad width");
   int width = static_cast<uint8_t>(data[(*offset)++]);
+  if (width > 64) return Status::Corruption("deltaval: bad width");
   if (width == 0) {
-    size_t take = 0;
-    for (uint8_t s : sel) take += s != 0;
-    out->ints.insert(out->ints.end(), take, min);
+    out->ints.insert(out->ints.end(), CountSelected(sel, count), min);
     return Status::OK();
   }
-  size_t payload = PackedBytes(count, width);
-  if (*offset + payload > data.size()) return Status::Corruption("deltaval: truncated");
+  if (!PackedFits(data, *offset, count, width))
+    return Status::Corruption("deltaval: truncated");
   const char* base = data.data() + *offset;
+  size_t avail = data.size() - *offset;
   for (size_t i = 0; i < count; ++i) {  // bit-unpacks only the selected slots
-    if (!sel[i]) continue;
+    if (sel && !sel[i]) continue;
     out->ints.push_back(static_cast<int64_t>(
         static_cast<uint64_t>(min) +
-        ReadPackedBits(base, i * static_cast<size_t>(width), width)));
+        ReadPackedBits(base, avail, i * static_cast<size_t>(width), width)));
   }
-  *offset += payload;
+  *offset += PackedBytes(count, width);
+  return Status::OK();
+}
+
+// BlockDict header parse (dictionary + index bit width), shared by the row
+// decoder and the view's code form.
+Status ParseDictHeader(const std::string& data, size_t* offset, ColumnVector* dict,
+                       uint64_t* dict_size, int* width) {
+  if (!GetVarint64(data, offset, dict_size)) return Status::Corruption("dict: bad size");
+  for (uint64_t i = 0; i < *dict_size; ++i)
+    STRATICA_RETURN_NOT_OK(GetScalar(data, offset, dict));
+  if (*offset >= data.size()) return Status::Corruption("dict: bad width");
+  *width = static_cast<uint8_t>(data[(*offset)++]);
+  if (*width > 64) return Status::Corruption("dict: bad width");
+  return Status::OK();
+}
+
+Status EmitDictEntry(const ColumnVector& dict, uint64_t idx, ColumnVector* out) {
+  if (idx >= dict.PhysicalSize()) return Status::Corruption("dict: index out of range");
+  switch (StorageClassOf(out->type)) {
+    case StorageClass::kInt64: out->ints.push_back(dict.ints[idx]); break;
+    case StorageClass::kFloat64: out->doubles.push_back(dict.doubles[idx]); break;
+    case StorageClass::kString: out->strings.push_back(dict.strings[idx]); break;
+  }
   return Status::OK();
 }
 
 Status DecodeBlockDictSelected(const std::string& data, size_t* offset, size_t count,
-                               const std::vector<uint8_t>& sel, ColumnVector* out) {
+                               const uint8_t* sel, ColumnVector* out) {
   uint64_t dict_size;
   ColumnVector dict(out->type);
   int width;
   STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &dict, &dict_size, &width));
   if (width == 0) {
-    for (size_t i = 0; i < count; ++i) {
-      if (sel[i]) STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, 0, out));
-    }
+    for (size_t k = CountSelected(sel, count); k > 0; --k)
+      STRATICA_RETURN_NOT_OK(EmitDictEntry(dict, 0, out));
     return Status::OK();
   }
-  size_t payload = PackedBytes(count, width);
-  if (*offset + payload > data.size()) return Status::Corruption("dict: truncated");
+  if (!PackedFits(data, *offset, count, width)) return Status::Corruption("dict: truncated");
   const char* base = data.data() + *offset;
+  size_t avail = data.size() - *offset;
   for (size_t i = 0; i < count; ++i) {  // materializes only selected codes
-    if (!sel[i]) continue;
+    if (sel && !sel[i]) continue;
     STRATICA_RETURN_NOT_OK(EmitDictEntry(
-        dict, ReadPackedBits(base, i * static_cast<size_t>(width), width), out));
+        dict, ReadPackedBits(base, avail, i * static_cast<size_t>(width), width), out));
   }
-  *offset += payload;
+  *offset += PackedBytes(count, width);
   return Status::OK();
 }
 
 Status DecodeDeltaRangeSelected(const std::string& data, size_t* offset, size_t count,
-                                const std::vector<uint8_t>& sel, ColumnVector* out) {
-  size_t last = LastSelected(sel);
+                                const uint8_t* sel, ColumnVector* out) {
+  size_t end = SelectedEnd(sel, count);
   size_t i = 1;
   if (StorageClassOf(out->type) == StorageClass::kInt64) {
     uint64_t zz;
     if (!GetVarint64(data, offset, &zz)) return Status::Corruption("deltarange: bad first");
     int64_t prev = ZigZagDecode(zz);
-    if (count > 0 && sel[0]) out->ints.push_back(prev);
-    for (; last != SIZE_MAX && i <= last; ++i) {
+    if (count > 0 && (!sel || sel[0])) out->ints.push_back(prev);
+    for (; i < end; ++i) {
       if (!GetVarint64(data, offset, &zz))
         return Status::Corruption("deltarange: bad delta");
       prev = static_cast<int64_t>(static_cast<uint64_t>(prev) +
                                   static_cast<uint64_t>(ZigZagDecode(zz)));
-      if (sel[i]) out->ints.push_back(prev);
+      if (!sel || sel[i]) out->ints.push_back(prev);
     }
   } else {
     uint64_t prev;
     if (!GetFixed(data, offset, &prev)) return Status::Corruption("deltarange: bad first");
-    if (count > 0 && sel[0]) out->doubles.push_back(OrderedKeyToDouble(prev));
-    for (; last != SIZE_MAX && i <= last; ++i) {
+    if (count > 0 && (!sel || sel[0])) out->doubles.push_back(OrderedKeyToDouble(prev));
+    for (; i < end; ++i) {
       uint64_t zz;
       if (!GetVarint64(data, offset, &zz))
         return Status::Corruption("deltarange: bad delta");
       prev += static_cast<uint64_t>(ZigZagDecode(zz));
-      if (sel[i]) out->doubles.push_back(OrderedKeyToDouble(prev));
+      if (!sel || sel[i]) out->doubles.push_back(OrderedKeyToDouble(prev));
     }
   }
   // Past the last selected position the deltas are dead weight: skip their
@@ -770,15 +649,17 @@ Status DecodeDeltaRangeSelected(const std::string& data, size_t* offset, size_t 
 }
 
 Status DecodeCommonDeltaSelected(const std::string& data, size_t* offset, size_t count,
-                                 const std::vector<uint8_t>& sel, ColumnVector* out) {
+                                 const uint8_t* sel, ColumnVector* out) {
   uint64_t zz;
   if (!GetVarint64(data, offset, &zz)) return Status::Corruption("commondelta: bad first");
   int64_t value = ZigZagDecode(zz);
-  if (count > 0 && sel[0]) out->ints.push_back(value);
+  if (count > 0 && (!sel || sel[0])) out->ints.push_back(value);
   uint64_t dict_size;
   if (!GetVarint64(data, offset, &dict_size))
     return Status::Corruption("commondelta: bad dict");
   if (count <= 1) return Status::OK();
+  if (dict_size > data.size() - *offset)  // each entry takes at least one byte
+    return Status::Corruption("commondelta: bad dict");
   std::vector<int64_t> dict(dict_size);
   for (auto& d : dict) {
     if (!GetVarint64(data, offset, &zz))
@@ -790,13 +671,13 @@ Status DecodeCommonDeltaSelected(const std::string& data, size_t* offset, size_t
   std::vector<uint32_t> symbols;
   STRATICA_RETURN_NOT_OK(HuffmanDecode(data, offset, &symbols));
   if (symbols.size() != count - 1) return Status::Corruption("commondelta: count mismatch");
-  size_t last = LastSelected(sel);
-  for (size_t r = 1; last != SIZE_MAX && r <= last; ++r) {
+  size_t end = SelectedEnd(sel, count);
+  for (size_t r = 1; r < end; ++r) {
     uint32_t s = symbols[r - 1];
     if (s >= dict.size()) return Status::Corruption("commondelta: bad symbol");
     value = static_cast<int64_t>(static_cast<uint64_t>(value) +
                                  static_cast<uint64_t>(dict[s]));
-    if (sel[r]) out->ints.push_back(value);
+    if (!sel || sel[r]) out->ints.push_back(value);
   }
   return Status::OK();
 }
@@ -822,7 +703,7 @@ Status EncodeWith(EncodingId enc, const ColumnVector& col, size_t start, size_t 
 
 Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t count,
                    std::string* out) {
-  if (col.IsRle()) return Status::Internal("EncodeBlock requires a flat column");
+  if (!col.IsFlat()) return Status::Internal("EncodeBlock requires a flat column");
   std::string header;
   PutVarint64(&header, count);
   AppendNullSection(&header, col, start, count);
@@ -879,68 +760,50 @@ Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t
 }
 
 namespace {
-// Shared block framing for full and selective decode: `sel` (nullable)
-// engages the selective decoders; an all-ones selection falls through to
-// the full decoders.
-Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
-                       ColumnVector* out, const std::vector<uint8_t>* sel) {
+// The frame every block shares: [EncodingId u8][count varint][null section].
+struct BlockFrame {
+  EncodingId encoding = EncodingId::kPlain;
+  uint64_t count = 0;
+  std::vector<uint8_t> nulls;  ///< one flag per row; empty when no row is NULL
+};
+
+Status ReadBlockFrame(const std::string& data, size_t* offset, BlockFrame* frame) {
   if (*offset >= data.size()) return Status::Corruption("block: empty");
-  auto enc = static_cast<EncodingId>(data[(*offset)++]);
-  uint64_t count;
-  if (!GetVarint64(data, offset, &count)) return Status::Corruption("block: bad count");
-  if (sel != nullptr && sel->size() != count)
-    return Status::InvalidArgument("selection size != block row count");
-  std::vector<uint8_t> nulls;
-  STRATICA_RETURN_NOT_OK(ReadNullSection(data, offset, count, &nulls));
-  out->type = type;
+  frame->encoding = static_cast<EncodingId>(data[(*offset)++]);
+  if (!GetVarint64(data, offset, &frame->count))
+    return Status::Corruption("block: bad count");
+  return ReadNullSection(data, offset, frame->count, &frame->nulls);
+}
 
-  bool dense = true;
-  if (sel != nullptr) {
-    for (uint8_t s : *sel) dense = dense && s != 0;
-  }
-  size_t phys_before = out->PhysicalSize();
-  switch (enc) {
-    case EncodingId::kPlain:
-      STRATICA_RETURN_NOT_OK(dense
-                                 ? DecodePlain(data, offset, count, out)
-                                 : DecodePlainSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kRle:
-      STRATICA_RETURN_NOT_OK(dense ? DecodeRle(data, offset, out, /*expand=*/true)
-                                   : DecodeRleSelected(data, offset, count, *sel, out));
-      break;
+Status DecodePayload(const std::string& data, size_t* offset, const BlockFrame& frame,
+                     const uint8_t* sel, ColumnVector* out) {
+  size_t count = frame.count;
+  switch (frame.encoding) {
+    case EncodingId::kPlain: return DecodePlainSelected(data, offset, count, sel, out);
+    case EncodingId::kRle: return DecodeRleSelected(data, offset, count, sel, out);
     case EncodingId::kDeltaValue:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeDeltaValue(data, offset, count, out)
-                : DecodeDeltaValueSelected(data, offset, count, *sel, out));
-      break;
+      return DecodeDeltaValueSelected(data, offset, count, sel, out);
     case EncodingId::kBlockDict:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeBlockDict(data, offset, count, out)
-                : DecodeBlockDictSelected(data, offset, count, *sel, out));
-      break;
+      return DecodeBlockDictSelected(data, offset, count, sel, out);
     case EncodingId::kCompressedDeltaRange:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeDeltaRange(data, offset, count, out)
-                : DecodeDeltaRangeSelected(data, offset, count, *sel, out));
-      break;
+      return DecodeDeltaRangeSelected(data, offset, count, sel, out);
     case EncodingId::kCompressedCommonDelta:
-      STRATICA_RETURN_NOT_OK(
-          dense ? DecodeCommonDelta(data, offset, count, out)
-                : DecodeCommonDeltaSelected(data, offset, count, *sel, out));
-      break;
-    case EncodingId::kAuto:
-      return Status::Corruption("block encoded as kAuto");
+      return DecodeCommonDeltaSelected(data, offset, count, sel, out);
+    case EncodingId::kAuto: break;
   }
+  return Status::Corruption("block: bad encoding");
+}
 
-  if (!nulls.empty()) {
+// Appends the rows `sel` keeps (every row when null) and their null flags.
+Status DecodeRows(const std::string& data, size_t* offset, TypeId type,
+                  const BlockFrame& frame, const uint8_t* sel, ColumnVector* out) {
+  out->type = type;
+  size_t phys_before = out->PhysicalSize();
+  STRATICA_RETURN_NOT_OK(DecodePayload(data, offset, frame, sel, out));
+  if (!frame.nulls.empty()) {
     if (out->nulls.empty()) out->nulls.assign(phys_before, 0);
-    if (dense) {
-      out->nulls.insert(out->nulls.end(), nulls.begin(), nulls.end());
-    } else {
-      for (size_t i = 0; i < count; ++i) {
-        if ((*sel)[i]) out->nulls.push_back(nulls[i]);
-      }
+    for (size_t i = 0; i < frame.count; ++i) {
+      if (!sel || sel[i]) out->nulls.push_back(frame.nulls[i]);
     }
   } else if (!out->nulls.empty()) {
     out->nulls.resize(out->PhysicalSize(), 0);
@@ -950,61 +813,52 @@ Status DecodeBlockImpl(const std::string& data, size_t* offset, TypeId type,
 }  // namespace
 
 Status DecodeBlock(const std::string& data, size_t* offset, TypeId type,
-                   ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, nullptr);
-}
-
-Status DecodeBlockSelected(const std::string& data, size_t* offset, TypeId type,
-                           const std::vector<uint8_t>& sel, ColumnVector* out) {
-  return DecodeBlockImpl(data, offset, type, out, &sel);
+                   ColumnVector* out, const std::vector<uint8_t>* sel) {
+  BlockFrame frame;
+  STRATICA_RETURN_NOT_OK(ReadBlockFrame(data, offset, &frame));
+  if (sel != nullptr && sel->size() != frame.count)
+    return Status::InvalidArgument("selection size != block row count");
+  return DecodeRows(data, offset, type, frame, sel ? sel->data() : nullptr, out);
 }
 
 Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
                        EncodedBlockView* out) {
   out->column = ColumnVector(type);
-  auto enc = PeekBlockEncoding(data, *offset);
-  if (!enc.ok()) return enc.status();
-  out->encoding = enc.value();
-  if (enc.value() != EncodingId::kRle && enc.value() != EncodingId::kBlockDict) {
-    return DecodeBlock(data, offset, type, &out->column);
-  }
-
-  // RLE keeps one entry per run, BlockDict keeps per-row codes plus the
-  // dictionary instead of expanding values. Framing mirrors DecodeBlockImpl;
-  // the column is fresh, so the stored null section is its null vector.
-  ++*offset;  // encoding byte
-  uint64_t count;
-  if (!GetVarint64(data, offset, &count)) return Status::Corruption("block: bad count");
-  std::vector<uint8_t> nulls;
-  STRATICA_RETURN_NOT_OK(ReadNullSection(data, offset, count, &nulls));
+  BlockFrame frame;
+  STRATICA_RETURN_NOT_OK(ReadBlockFrame(data, offset, &frame));
+  out->encoding = frame.encoding;
   ColumnVector& col = out->column;
-  if (enc.value() == EncodingId::kRle) {
-    // Runs survive only without NULLs (the common case for sort-key
-    // columns, which is where the RLE fast paths matter).
-    STRATICA_RETURN_NOT_OK(DecodeRle(data, offset, &col, /*expand=*/!nulls.empty()));
-    col.nulls = std::move(nulls);
-    return Status::OK();
-  }
+  // RLE keeps one entry per run, BlockDict keeps per-row codes plus the
+  // dictionary. Runs survive only without NULLs (the common case for
+  // sort-key columns, which is where the RLE fast paths matter): the stored
+  // null section is row-parallel, not run-parallel.
+  if (frame.encoding == EncodingId::kRle && frame.nulls.empty())
+    return DecodeRle(data, offset, frame.count, &col);
+  if (frame.encoding != EncodingId::kBlockDict)
+    return DecodeRows(data, offset, type, frame, nullptr, &col);
+
+  size_t count = frame.count;
   ColumnVector raw_dict(type);
   uint64_t dict_size;
   int width;
   STRATICA_RETURN_NOT_OK(ParseDictHeader(data, offset, &raw_dict, &dict_size, &width));
-  col.ints.reserve(count);
   if (width == 0) {
     if (count > 0 && dict_size == 0) return Status::Corruption("dict: empty");
     col.ints.assign(count, 0);
   } else {
-    size_t payload = PackedBytes(count, width);
-    if (*offset + payload > data.size()) return Status::Corruption("dict: truncated");
+    if (!PackedFits(data, *offset, count, width))
+      return Status::Corruption("dict: truncated");
+    col.ints.reserve(count);
     const char* base = data.data() + *offset;
+    size_t avail = data.size() - *offset;
     for (size_t i = 0; i < count; ++i) {
-      uint64_t code = ReadPackedBits(base, i * static_cast<size_t>(width), width);
+      uint64_t code = ReadPackedBits(base, avail, i * static_cast<size_t>(width), width);
       if (code >= dict_size) return Status::Corruption("dict: index out of range");
       col.ints.push_back(static_cast<int64_t>(code));
     }
-    *offset += payload;
+    *offset += PackedBytes(count, width);
   }
-  col.nulls = std::move(nulls);
+  col.nulls = std::move(frame.nulls);
 
   // Code order must equal value order. Blocks written since the encoder
   // started sorting dictionaries (and remapping codes) at encode time pass

@@ -49,26 +49,24 @@ Result<EncodingId> EncodingFromName(const std::string& name);
 bool EncodingSupports(EncodingId enc, StorageClass sc);
 
 /// Encode `count` physical entries of `col` starting at `start` into `out`.
+/// `col` must be flat (no RLE runs, no dictionary codes): Internal otherwise.
 /// `enc == kAuto` tries all supported encodings and keeps the smallest.
 /// Layout: [actual EncodingId u8][count varint][null section][payload].
 Status EncodeBlock(EncodingId enc, const ColumnVector& col, size_t start, size_t count,
                    std::string* out);
 
-/// Decode one block (produced by EncodeBlock) into a flat column; `*offset`
-/// advances past the block.
+/// Decode one block (produced by EncodeBlock) into a flat column, appending
+/// to `out`; `*offset` advances past the whole block. Each encoding has one
+/// decoder. A null `sel` appends every row. A non-null `sel` must have
+/// exactly one entry per row of the block, and only the rows with
+/// sel[i] != 0 are materialized — late materialization (§6.1, DESIGN.md §7):
+/// RLE skips dead runs wholesale, DeltaValue and BlockDict bit-unpack only
+/// selected slots, the varint delta encodings stop decoding after the last
+/// selected position, and string payloads never copy unselected bytes.
+/// A block that is cut short, or whose runs or codes do not fit its row
+/// count and dictionary, is Corruption under every selection.
 Status DecodeBlock(const std::string& data, size_t* offset, TypeId type,
-                   ColumnVector* out);
-
-/// Selection-aware decode for late materialization (§6.1, DESIGN.md §7):
-/// appends only the entries with sel[i] != 0, producing output bit-identical
-/// to DecodeBlock followed by Filter(sel). `sel` must have exactly
-/// one entry per row of the block. Each encoding materializes only selected
-/// values: RLE skips dead runs wholesale, DeltaValue and BlockDict bit-unpack
-/// only selected slots, the varint delta encodings stop decoding after the
-/// last selected position, and string payloads never copy unselected bytes.
-/// `*offset` still advances past the whole block.
-Status DecodeBlockSelected(const std::string& data, size_t* offset, TypeId type,
-                           const std::vector<uint8_t>& sel, ColumnVector* out);
+                   ColumnVector* out, const std::vector<uint8_t>* sel = nullptr);
 
 /// Read the encoding id actually used by an encoded block.
 Result<EncodingId> PeekBlockEncoding(const std::string& data, size_t offset);
@@ -92,9 +90,12 @@ struct EncodedBlockView {
 };
 
 /// Decode one block (produced by EncodeBlock) into an EncodedBlockView.
-/// `out->column` is freshly assigned (unlike the appending decoders above);
-/// `*offset` advances past the block. RLE blocks carrying NULLs decode flat:
-/// their stored null section is row-parallel, not run-parallel.
+/// `out->column` is freshly assigned (unlike DecodeBlock, which appends);
+/// `*offset` advances past the block. The block frame is parsed as in
+/// DecodeBlock, and every block that keeps no encoded form — RLE blocks
+/// carrying NULLs (their null section is row-parallel, not run-parallel)
+/// and every encoding other than RLE and BlockDict — decodes flat through
+/// DecodeBlock's per-encoding decoder.
 Status DecodeBlockView(const std::string& data, size_t* offset, TypeId type,
                        EncodedBlockView* out);
 

@@ -6,7 +6,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/bitutil.h"
 #include "common/rng.h"
+#include "exec/spill.h"
 
 namespace stratica {
 namespace {
@@ -263,9 +265,17 @@ TEST(EncodingTest, AutoBeatsPlainOnEveryShapedInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Selective decode (late materialization): DecodeBlockSelected must be
-// bit-identical to DecodeBlock + Filter for every encoding, shape,
-// and selection pattern, and must consume the same number of block bytes.
+// Selective decode (late materialization): DecodeBlock with a selection must
+// return exactly the input rows the selection keeps, for every encoding,
+// shape and selection pattern, and must consume the whole block. The oracle
+// is the input column filtered by the selection, not a second decoder: the
+// encoders are lossless, and CompareEntries treats NaN and -0.0 the way the
+// decoders do.
+
+// kNullSelection passes DecodeBlock a null selection (every row), which must
+// equal the all-ones result.
+constexpr int kNullSelection = 5;
+constexpr int kSelectionKinds = 6;
 
 std::vector<uint8_t> MakeSelection(int kind, size_t n) {
   std::vector<uint8_t> sel(n, 0);
@@ -278,7 +288,8 @@ std::vector<uint8_t> MakeSelection(int kind, size_t n) {
       sel.assign(n, 1);
       for (size_t i = 5; i < n; i += 13) sel[i] = 0;
       break;
-    case 3: sel.assign(n, 1); break;                        // all-ones
+    case 3:                                                 // all-ones
+    case kNullSelection: sel.assign(n, 1); break;
     case 4:                                                 // single last row
       if (n > 0) sel[n - 1] = 1;
       break;
@@ -286,21 +297,21 @@ std::vector<uint8_t> MakeSelection(int kind, size_t n) {
   return sel;
 }
 
-void ExpectSelectedMatches(EncodingId enc, const ColumnVector& col,
-                           const std::vector<uint8_t>& sel) {
+void ExpectSelectedMatches(EncodingId enc, const ColumnVector& col, int kind) {
+  SCOPED_TRACE(testing::Message() << EncodingName(enc) << " selection kind " << kind);
+  std::vector<uint8_t> sel = MakeSelection(kind, col.PhysicalSize());
   std::string buf;
   ASSERT_TRUE(EncodeBlock(enc, col, 0, col.PhysicalSize(), &buf).ok());
 
-  ColumnVector ref(col.type);
-  size_t ref_offset = 0;
-  ASSERT_TRUE(DecodeBlock(buf, &ref_offset, col.type, &ref).ok());
+  ColumnVector ref = col;
   ref.Filter(sel);
 
   ColumnVector out(col.type);
   size_t offset = 0;
-  ASSERT_TRUE(DecodeBlockSelected(buf, &offset, col.type, sel, &out).ok())
-      << EncodingName(enc);
-  EXPECT_EQ(offset, ref_offset) << "selected decode must consume the whole block";
+  ASSERT_TRUE(DecodeBlock(buf, &offset, col.type, &out,
+                          kind == kNullSelection ? nullptr : &sel)
+                  .ok());
+  EXPECT_EQ(offset, buf.size()) << "decode must consume the whole block";
   ASSERT_EQ(out.PhysicalSize(), ref.PhysicalSize()) << EncodingName(enc);
   EXPECT_EQ(out.nulls.size(), ref.nulls.size());
   for (size_t i = 0; i < ref.PhysicalSize(); ++i) {
@@ -330,8 +341,8 @@ TEST(SelectiveDecodeTest, StringsAllEncodings) {
   ColumnVector col = MakeStrings(v);
   for (EncodingId enc : {EncodingId::kPlain, EncodingId::kRle, EncodingId::kBlockDict,
                          EncodingId::kAuto}) {
-    for (int kind = 0; kind < 5; ++kind) {
-      ExpectSelectedMatches(enc, col, MakeSelection(kind, v.size()));
+    for (int kind = 0; kind < kSelectionKinds; ++kind) {
+      ExpectSelectedMatches(enc, col, kind);
     }
   }
 }
@@ -341,8 +352,8 @@ TEST(SelectiveDecodeTest, SortedStringsRle) {
   for (int run = 0; run < 40; ++run)
     for (int i = 0; i < 100; ++i) v.push_back("key" + std::to_string(run));
   ColumnVector col = MakeStrings(v);
-  for (int kind = 0; kind < 5; ++kind) {
-    ExpectSelectedMatches(EncodingId::kRle, col, MakeSelection(kind, v.size()));
+  for (int kind = 0; kind < kSelectionKinds; ++kind) {
+    ExpectSelectedMatches(EncodingId::kRle, col, kind);
   }
 }
 
@@ -357,8 +368,8 @@ TEST(SelectiveDecodeTest, DoublesAllEncodings) {
   ColumnVector col = MakeDoubles(v);
   for (EncodingId enc : {EncodingId::kPlain, EncodingId::kRle, EncodingId::kBlockDict,
                          EncodingId::kCompressedDeltaRange, EncodingId::kAuto}) {
-    for (int kind = 0; kind < 5; ++kind) {
-      ExpectSelectedMatches(enc, col, MakeSelection(kind, v.size()));
+    for (int kind = 0; kind < kSelectionKinds; ++kind) {
+      ExpectSelectedMatches(enc, col, kind);
     }
   }
 }
@@ -373,8 +384,8 @@ TEST(SelectiveDecodeTest, NullsAllEncodings) {
     }
   }
   for (EncodingId enc : kAllEncodings) {
-    for (int kind = 0; kind < 5; ++kind) {
-      ExpectSelectedMatches(enc, col, MakeSelection(kind, col.PhysicalSize()));
+    for (int kind = 0; kind < kSelectionKinds; ++kind) {
+      ExpectSelectedMatches(enc, col, kind);
     }
   }
 }
@@ -386,7 +397,7 @@ TEST(SelectiveDecodeTest, SelectionSizeMismatchRejected) {
   ColumnVector out(TypeId::kInt64);
   size_t offset = 0;
   std::vector<uint8_t> bad_sel(3, 1);
-  EXPECT_FALSE(DecodeBlockSelected(buf, &offset, TypeId::kInt64, bad_sel, &out).ok());
+  EXPECT_FALSE(DecodeBlock(buf, &offset, TypeId::kInt64, &out, &bad_sel).ok());
 }
 
 TEST(SelectiveDecodeTest, AppendsAfterExistingContent) {
@@ -400,7 +411,7 @@ TEST(SelectiveDecodeTest, AppendsAfterExistingContent) {
   out.Append(Value::Int64(7));
   size_t offset = 0;
   std::vector<uint8_t> sel = {0, 1, 0, 1, 0};
-  ASSERT_TRUE(DecodeBlockSelected(buf, &offset, TypeId::kInt64, sel, &out).ok());
+  ASSERT_TRUE(DecodeBlock(buf, &offset, TypeId::kInt64, &out, &sel).ok());
   ASSERT_EQ(out.PhysicalSize(), 4u);
   EXPECT_TRUE(out.IsNull(0));
   EXPECT_EQ(out.ints[1], 7);
@@ -413,7 +424,7 @@ TEST(SelectiveDecodeTest, AppendsAfterExistingContent) {
 class SelectiveDecodePropertyTest
     : public ::testing::TestWithParam<std::tuple<EncodingId, int, int, size_t>> {};
 
-TEST_P(SelectiveDecodePropertyTest, MatchesEagerDecodePlusFilter) {
+TEST_P(SelectiveDecodePropertyTest, MatchesFilteredInput) {
   auto [enc, shape_idx, sel_kind, n] = GetParam();
   Rng rng(static_cast<uint64_t>(shape_idx) * 7919 + n);
   std::vector<int64_t> v;
@@ -439,15 +450,138 @@ TEST_P(SelectiveDecodePropertyTest, MatchesEagerDecodePlusFilter) {
       break;
   }
   ColumnVector col = MakeInts(v);
-  ExpectSelectedMatches(enc, col, MakeSelection(sel_kind, n));
+  ExpectSelectedMatches(enc, col, sel_kind);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombos, SelectiveDecodePropertyTest,
     ::testing::Combine(::testing::ValuesIn(kAllEncodings),
                        ::testing::Values(0, 1, 2, 3, 4),
-                       ::testing::Values(0, 1, 2, 3, 4),
+                       ::testing::Range(0, kSelectionKinds),
                        ::testing::Values<size_t>(1, 2, 100, 4096)));
+
+// ---------------------------------------------------------------------------
+// Invalid blocks are Corruption through every route: a null selection, a
+// partial one, and the encoded view.
+
+void ExpectCorruptEverywhere(const std::string& buf, TypeId type) {
+  size_t count_at = 1;  // the row count follows the encoding byte
+  uint64_t rows = 0;
+  ASSERT_TRUE(GetVarint64(buf, &count_at, &rows));
+  const std::vector<uint8_t> partial = MakeSelection(/*sparse*/ 1, rows);
+  const std::vector<uint8_t>* sels[] = {nullptr, &partial};
+  for (const std::vector<uint8_t>* sel : sels) {
+    ColumnVector out(type);
+    size_t offset = 0;
+    EXPECT_EQ(DecodeBlock(buf, &offset, type, &out, sel).code(), StatusCode::kCorruption)
+        << (sel ? "partial selection" : "null selection");
+  }
+  EncodedBlockView view;
+  size_t offset = 0;
+  EXPECT_EQ(DecodeBlockView(buf, &offset, type, &view).code(), StatusCode::kCorruption)
+      << "view";
+}
+
+TEST(CorruptBlockTest, TruncatedBitPackedPayload) {
+  Rng rng(17);
+  std::vector<int64_t> wide, few;
+  for (int i = 0; i < 1000; ++i) {
+    wide.push_back(rng.Range(0, 1 << 20));
+    few.push_back(rng.Range(0, 99));
+  }
+  for (auto [enc, values] : {std::make_pair(EncodingId::kDeltaValue, wide),
+                             std::make_pair(EncodingId::kBlockDict, few)}) {
+    SCOPED_TRACE(EncodingName(enc));
+    std::string buf;
+    ASSERT_TRUE(EncodeBlock(enc, MakeInts(values), 0, values.size(), &buf).ok());
+    ASSERT_EQ(PeekBlockEncoding(buf, 0).value(), enc);
+    buf.resize(buf.size() - 40);
+    ExpectCorruptEverywhere(buf, TypeId::kInt64);
+  }
+}
+
+TEST(CorruptBlockTest, RleRunsMustSumToBlockRows) {
+  std::string encoded;
+  ASSERT_TRUE(EncodeBlock(EncodingId::kRle, MakeInts(std::vector<int64_t>(10, 5)), 0, 10,
+                          &encoded)
+                  .ok());
+  // One run: its length is the block's last byte. 100 overflows the 10-row
+  // block; 4 leaves it short.
+  ASSERT_EQ(static_cast<uint8_t>(encoded.back()), 10);
+  for (char run_len : {100, 4}) {
+    SCOPED_TRACE(static_cast<int>(run_len));
+    std::string buf = encoded;
+    buf.back() = run_len;
+    ExpectCorruptEverywhere(buf, TypeId::kInt64);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Bit packing: ReadPackedBits is the one reader of BitPacker output.
+
+TEST(BitUtilTest, ReadPackedBitsReadsEveryBitPackerWidth) {
+  Rng rng(64);
+  for (int width = 1; width <= 64; ++width) {
+    SCOPED_TRACE(width);
+    uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    std::vector<uint64_t> values;
+    BitPacker packer(width);
+    for (int i = 0; i < 257; ++i) {
+      values.push_back(i == 0 ? mask : rng.Next() & mask);
+      packer.Append(values.back());
+    }
+    std::string bytes = packer.Finish();
+    ASSERT_EQ(bytes.size(), PackedBytes(values.size(), width));
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(ReadPackedBits(bytes.data(), bytes.size(), i * width, width), values[i])
+          << "slot " << i;
+    }
+  }
+}
+
+TEST(EncodingTest, DeltaValueFullRangeUsesWidth64) {
+  ColumnVector col = MakeInts({INT64_MIN, INT64_MAX, 0});
+  std::string buf;
+  ASSERT_TRUE(EncodeBlock(EncodingId::kDeltaValue, col, 0, 3, &buf).ok());
+  // [encoding][count][null flag][zigzag(INT64_MIN): 10-byte varint][width]
+  ASSERT_EQ(buf.size(), 14u + 3 * 8);
+  EXPECT_EQ(static_cast<uint8_t>(buf[13]), 64);
+  ExpectRoundTrip(EncodingId::kDeltaValue, col);
+  for (int kind = 0; kind < kSelectionKinds; ++kind) {
+    ExpectSelectedMatches(EncodingId::kDeltaValue, col, kind);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Encoders take flat columns only; the spill format flattens RLE and
+// dict-coded columns before encoding them.
+
+TEST(EncodingTest, EncodeRejectsNonFlatAndSpillFlattens) {
+  ColumnVector rle(TypeId::kInt64);
+  rle.ints = {7, 9};
+  rle.runs = {3, 2};
+  ColumnVector coded(TypeId::kString);
+  coded.dict = std::make_shared<const ColumnVector>(MakeStrings({"ant", "bee"}));
+  coded.dict_sorted = true;
+  coded.ints = {1, 0, 0, 1, 1};
+
+  for (const ColumnVector* col : {&rle, &coded}) {
+    std::string buf;
+    EXPECT_EQ(EncodeBlock(EncodingId::kPlain, *col, 0, col->PhysicalSize(), &buf).code(),
+              StatusCode::kInternal);
+  }
+
+  RowBlock block({TypeId::kInt64, TypeId::kString});
+  block.columns[0] = rle;
+  block.columns[1] = coded;
+  auto parsed = ParseBlock(SerializeBlock(block), {TypeId::kInt64, TypeId::kString});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const RowBlock& back = parsed.value();
+  ASSERT_EQ(back.NumRows(), 5u);
+  EXPECT_EQ(back.columns[0].ints, (std::vector<int64_t>{7, 7, 7, 9, 9}));
+  EXPECT_EQ(back.columns[1].strings,
+            (std::vector<std::string>{"bee", "ant", "ant", "bee", "bee"}));
+}
 
 // ---------------------------------------------------------------------------
 // Property sweep: every (encoding, shape, size) combination round-trips.
