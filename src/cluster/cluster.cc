@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/hash.h"
+#include "storage/sort_util.h"
 
 namespace stratica {
 
@@ -400,7 +401,7 @@ Result<RowBlock> Cluster::BuildPrejoinRows(const ProjectionDef& proj,
   return out;
 }
 
-Status Cluster::RouteAndInsert(const ProjectionDef& proj, const RowBlock& rows,
+Status Cluster::RouteAndInsert(const ProjectionDef& proj, RowBlock rows,
                                Transaction* txn, bool direct_ros) {
   if (rows.NumRows() == 0) return Status::OK();
   uint64_t block_bytes = rows.MemoryBytes();
@@ -410,12 +411,17 @@ Status Cluster::RouteAndInsert(const ProjectionDef& proj, const RowBlock& rows,
   uint32_t num = num_nodes();
   SegmentationRing ring = this->ring();
   if (proj.segmentation.replicated) {
+    // Every up node gets a copy; the last one takes the block itself.
+    uint32_t last_up = num;
+    for (uint32_t i = 0; i < num; ++i) {
+      if (nodes_[i]->up()) last_up = i;
+    }
     for (uint32_t i = 0; i < num; ++i) {
       Node* node = nodes_[i].get();
       if (!node->up()) continue;
       auto* ps = node->GetStorage(proj.name);
       if (!ps) return Status::Internal("missing storage for ", proj.name);
-      RowBlock copy = rows;
+      RowBlock copy = i == last_up ? std::move(rows) : rows;
       if (node->id() != 0) AddNetworkBytes(block_bytes);
       Status st = direct_ros ? ps->InsertDirectRos(std::move(copy), txn)
                              : ps->InsertWos(std::move(copy), txn);
@@ -427,31 +433,39 @@ Status Cluster::RouteAndInsert(const ProjectionDef& proj, const RowBlock& rows,
     return Status::OK();
   }
   // Evaluate the segmentation expression over the projection-ordered rows.
-  ColumnVector hashes;
   ProjectionStorage* any_ps = nodes_[0]->GetStorage(proj.name);
   if (!any_ps) return Status::Internal("missing storage for ", proj.name);
-  STRATICA_RETURN_NOT_OK(
-      EvalExpr(*any_ps->config().segmentation_expr, rows, &hashes));
+  const size_t n_rows = rows.NumRows();
+  std::vector<size_t> counts(num, 0);
   std::vector<std::vector<uint32_t>> per_node(num);
-  for (size_t r = 0; r < rows.NumRows(); ++r) {
-    uint32_t target = ring.NodeFor(static_cast<uint64_t>(hashes.ints[r]),
-                                   proj.segmentation.node_offset);
-    per_node[target].push_back(static_cast<uint32_t>(r));
+  {
+    ColumnVector hashes;
+    STRATICA_RETURN_NOT_OK(
+        EvalExpr(*any_ps->config().segmentation_expr, rows, &hashes));
+    auto target = [&](size_t r) {
+      return ring.NodeFor(static_cast<uint64_t>(hashes.ints[r]),
+                          proj.segmentation.node_offset);
+    };
+    // Count first so each node's index list is allocated once; a node that
+    // gets every row needs none.
+    for (size_t r = 0; r < n_rows; ++r) ++counts[target(r)];
+    if (std::find(counts.begin(), counts.end(), n_rows) == counts.end()) {
+      for (uint32_t n = 0; n < num; ++n) per_node[n].reserve(counts[n]);
+      for (size_t r = 0; r < n_rows; ++r)
+        per_node[target(r)].push_back(static_cast<uint32_t>(r));
+    }
   }
   for (uint32_t n = 0; n < num; ++n) {
-    if (per_node[n].empty()) continue;
+    if (counts[n] == 0) continue;
     // Rows destined to a down node are skipped; the node recovers them from
     // this projection's buddy after it rejoins (Section 5.2).
     if (!nodes_[n]->up()) continue;
     auto* ps = nodes_[n]->GetStorage(proj.name);
     if (!ps) return Status::Internal("missing storage for ", proj.name);
-    RowBlock part(std::vector<TypeId>(
-        [&] {
-          std::vector<TypeId> t;
-          for (const auto& c : rows.columns) t.push_back(c.type);
-          return t;
-        }()));
-    for (uint32_t r : per_node[n]) part.AppendRowFrom(rows, r);
+    // Gather the node's rows column at a time; a node that gets every row
+    // takes the block itself.
+    RowBlock part = counts[n] == n_rows ? std::move(rows)
+                                        : ApplyPermutation(rows, per_node[n]);
     if (n != 0) AddNetworkBytes(part.MemoryBytes());
     Status st = direct_ros ? ps->InsertDirectRos(std::move(part), txn)
                            : ps->InsertWos(std::move(part), txn);
@@ -489,10 +503,22 @@ Result<LoadResult> Cluster::Load(const std::string& table, const RowBlock& rows,
       }
     }
   }
-  RowBlock accepted(def.ToBindSchema().types);
-  for (size_t r = 0; r < flat.NumRows(); ++r) {
-    if (keep[r]) accepted.AppendRowFrom(flat, r);
+  // The accepted rows are `flat` itself, or one gather of its kept rows.
+  RowBlock accepted;
+  if (result.rejected.empty()) {
+    accepted = std::move(flat);
+  } else {
+    std::vector<uint32_t> kept;
+    kept.reserve(keep.size() - result.rejected.size());
+    for (size_t r = 0; r < keep.size(); ++r) {
+      if (keep[r]) kept.push_back(static_cast<uint32_t>(r));
+    }
+    accepted = ApplyPermutation(flat, kept);
+    flat = RowBlock();
   }
+  // The accepted columns carry the table's declared types.
+  for (size_t c = 0; c < def.columns.size(); ++c)
+    accepted.columns[c].type = def.columns[c].type;
   result.rows_loaded = accepted.NumRows();
 
   if (!direct_ros && accepted.NumRows() >= cfg_.direct_ros_row_threshold) {
@@ -523,7 +549,7 @@ Result<LoadResult> Cluster::Load(const std::string& table, const RowBlock& rows,
         proj_rows.columns[c] = accepted.columns[proj.columns[c].table_column];
       }
     }
-    STRATICA_RETURN_NOT_OK(RouteAndInsert(proj, proj_rows, txn, direct_ros));
+    STRATICA_RETURN_NOT_OK(RouteAndInsert(proj, std::move(proj_rows), txn, direct_ros));
   }
   return result;
 }

@@ -240,8 +240,8 @@ class Cluster {
                               std::vector<std::unique_ptr<ProjectionStorage>>& staged,
                               Epoch from, Epoch to, const SegmentationRing& new_ring,
                               uint32_t old_count);
-  Status RouteAndInsert(const ProjectionDef& proj, const RowBlock& rows,
-                        Transaction* txn, bool direct_ros);
+  Status RouteAndInsert(const ProjectionDef& proj, RowBlock rows, Transaction* txn,
+                        bool direct_ros);
   /// Build prejoined rows for a prejoin projection (Section 3.3): N:1 join
   /// with dimension tables at load time; unmatched rows are rejected.
   Result<RowBlock> BuildPrejoinRows(const ProjectionDef& proj, const RowBlock& rows,

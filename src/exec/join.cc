@@ -437,8 +437,8 @@ Status MergeJoinOperator::Open(ExecContext* ctx) {
   STRATICA_RETURN_NOT_OK(right_->Open(ctx));
   left_types_ = left_->OutputTypes();
   right_types_ = right_->OutputTypes();
-  lcur_ = Cursor{left_.get()};
-  rcur_ = Cursor{right_.get()};
+  lcur_ = Cursor{left_.get(), RowBlock(), 0, false};
+  rcur_ = Cursor{right_.get(), RowBlock(), 0, false};
   STRATICA_RETURN_NOT_OK(lcur_.Refill());
   STRATICA_RETURN_NOT_OK(rcur_.Refill());
   pending_ = RowBlock(OutputTypes());

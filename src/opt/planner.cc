@@ -432,25 +432,13 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
   // ---- build scan specs ------------------------------------------------------
   // The combined stream schema after all joins, in join order.
   BindSchema stream_schema;
-  std::vector<std::pair<size_t, int>> stream_origin;  // (table, table-col)
   for (size_t oi : order) {
     const TableSlot& slot = scope.tables[oi];
     for (size_t c = 0; c < slot.def.columns.size(); ++c) {
       stream_schema.Add(slot.alias + "." + slot.def.columns[c].name,
                         slot.def.columns[c].type);
-      stream_origin.emplace_back(oi, static_cast<int>(c));
     }
   }
-  auto combined_to_stream = [&](int combined_col) -> int {
-    size_t t = table_of_column(combined_col);
-    int within = combined_col - scope.tables[t].schema_offset;
-    int pos = 0;
-    for (size_t oi : order) {
-      if (oi == t) return pos + within;
-      pos += static_cast<int>(scope.tables[oi].def.columns.size());
-    }
-    return -1;
-  };
   auto rebind_to_stream = [&](const ExprPtr& e) -> Result<ExprPtr> {
     ExprPtr copy = CloneExpr(e);
     // Reset bound indexes, rebind by name against the stream schema.

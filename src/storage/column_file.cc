@@ -1,5 +1,7 @@
 #include "storage/column_file.h"
 
+#include <algorithm>
+
 #include "common/bitutil.h"
 #include "common/checksum.h"
 #include "common/hash.h"
@@ -14,57 +16,50 @@ ColumnWriter::ColumnWriter(TypeId type, EncodingId encoding, size_t rows_per_blo
 
 Status ColumnWriter::Append(const ColumnVector& col) {
   if (col.IsRle()) return Status::Internal("ColumnWriter requires flat input");
+  if (col.IsDictCoded()) return Append(col.Decoded());
   size_t n = col.PhysicalSize();
-  for (size_t i = 0; i < n; ++i) buffer_.AppendFrom(col, i);
   total_rows_ += n;
-  while (buffer_.PhysicalSize() >= rows_per_block_) {
-    STRATICA_RETURN_NOT_OK(FlushBlock(0, rows_per_block_));
-    // Compact the buffer: drop the flushed prefix.
-    ColumnVector rest(type_);
-    for (size_t i = rows_per_block_; i < buffer_.PhysicalSize(); ++i)
-      rest.AppendFrom(buffer_, i);
-    buffer_ = std::move(rest);
+  size_t pos = 0;
+  // Top up a buffered tail to one full block first; every later full block
+  // is encoded straight from `col` by offset, and only the last partial
+  // block is buffered. Block boundaries fall every rows_per_block_ rows of
+  // the column however it was chunked, so the bytes match a one-shot write.
+  if (buffer_.PhysicalSize() > 0) {
+    pos = std::min(n, rows_per_block_ - buffer_.PhysicalSize());
+    buffer_.AppendRange(col, 0, pos);
+    if (buffer_.PhysicalSize() < rows_per_block_) return Status::OK();
+    STRATICA_RETURN_NOT_OK(FlushBlock(buffer_, 0, rows_per_block_));
+    buffer_.Clear();
   }
+  for (; n - pos >= rows_per_block_; pos += rows_per_block_)
+    STRATICA_RETURN_NOT_OK(FlushBlock(col, pos, rows_per_block_));
+  buffer_.AppendRange(col, pos, n - pos);
   return Status::OK();
 }
 
-Status ColumnWriter::AppendValue(const Value& v) {
-  buffer_.Append(v);
-  ++total_rows_;
-  if (buffer_.PhysicalSize() >= rows_per_block_) {
-    STRATICA_RETURN_NOT_OK(FlushBlock(0, rows_per_block_));
-    ColumnVector rest(type_);
-    for (size_t i = rows_per_block_; i < buffer_.PhysicalSize(); ++i)
-      rest.AppendFrom(buffer_, i);
-    buffer_ = std::move(rest);
-  }
-  return Status::OK();
-}
-
-Status ColumnWriter::FlushBlock(size_t start, size_t count) {
+Status ColumnWriter::FlushBlock(const ColumnVector& src, size_t start, size_t count) {
   BlockMeta bm;
   bm.offset = data_.size();
   bm.row_start = meta_.num_rows;
   bm.row_count = static_cast<uint32_t>(count);
-  bm.min = Value::Null(type_);
-  bm.max = Value::Null(type_);
-  for (size_t i = 0; i < count; ++i) {
-    if (buffer_.IsNull(start + i)) {
+  // Track the first minimal and maximal entry by index and box only those
+  // two as Values.
+  const bool is_string = StorageClassOf(type_) == StorageClass::kString;
+  size_t min_i = SIZE_MAX, max_i = SIZE_MAX;
+  for (size_t i = start; i < start + count; ++i) {
+    if (src.IsNull(i)) {
       ++bm.null_count;
       continue;
     }
-    Value v = buffer_.GetValue(start + i);
-    if (bm.min.is_null() || v.Compare(bm.min) < 0) bm.min = v;
-    if (bm.max.is_null() || v.Compare(bm.max) > 0) bm.max = v;
+    if (min_i == SIZE_MAX || ColumnVector::CompareEntries(src, i, src, min_i) < 0) min_i = i;
+    if (max_i == SIZE_MAX || ColumnVector::CompareEntries(src, i, src, max_i) > 0) max_i = i;
     // Raw footprint: fixed 8 bytes for scalars, bytes+separator for strings.
-    meta_.raw_bytes += StorageClassOf(type_) == StorageClass::kString
-                           ? buffer_.strings[start + i].size() + 1
-                           : 8;
+    meta_.raw_bytes += is_string ? src.strings[i].size() + 1 : 8;
   }
-  meta_.raw_bytes += bm.null_count * (StorageClassOf(type_) == StorageClass::kString
-                                          ? 1
-                                          : 8);
-  STRATICA_RETURN_NOT_OK(EncodeBlock(encoding_, buffer_, start, count, &data_));
+  bm.min = min_i == SIZE_MAX ? Value::Null(type_) : src.GetValue(min_i);
+  bm.max = max_i == SIZE_MAX ? Value::Null(type_) : src.GetValue(max_i);
+  meta_.raw_bytes += bm.null_count * (is_string ? 1 : 8);
+  STRATICA_RETURN_NOT_OK(EncodeBlock(encoding_, src, start, count, &data_));
   bm.encoded_bytes = static_cast<uint32_t>(data_.size() - bm.offset);
   bm.crc = Crc32c(data_.data() + bm.offset, bm.encoded_bytes);
   meta_.num_rows += count;
@@ -79,7 +74,7 @@ Status ColumnWriter::FlushBlock(size_t start, size_t count) {
 Result<ColumnFileMeta> ColumnWriter::Finish(FileSystem* fs, const std::string& data_path,
                                             const std::string& index_path) {
   if (buffer_.PhysicalSize() > 0) {
-    STRATICA_RETURN_NOT_OK(FlushBlock(0, buffer_.PhysicalSize()));
+    STRATICA_RETURN_NOT_OK(FlushBlock(buffer_, 0, buffer_.PhysicalSize()));
     buffer_.Clear();
   }
   meta_.min = meta_.min.is_null() ? Value::Null(type_) : meta_.min;

@@ -47,16 +47,17 @@ struct ColumnFileMeta {
 
 /// \brief Streams a column into block-encoded form and builds its index.
 ///
-/// Usage: Append() any number of flat vectors, then Finish() to write the
+/// Usage: Append() any number of vectors, then Finish() to write the
 /// (data, index) file pair through the FileSystem.
 class ColumnWriter {
  public:
   ColumnWriter(TypeId type, EncodingId encoding,
                size_t rows_per_block = kDefaultRowsPerBlock);
 
-  /// Buffer a flat (non-RLE) vector of values.
+  /// Append a non-RLE vector of values. Full blocks are encoded straight
+  /// from `col`; only the last partial block is buffered. A dict-coded
+  /// input is decoded once up front.
   Status Append(const ColumnVector& col);
-  Status AppendValue(const Value& v);
 
   uint64_t rows_buffered_total() const { return total_rows_; }
 
@@ -66,7 +67,8 @@ class ColumnWriter {
                                 const std::string& index_path);
 
  private:
-  Status FlushBlock(size_t start, size_t count);
+  /// Encode rows [start, start + count) of flat `src` as the next block.
+  Status FlushBlock(const ColumnVector& src, size_t start, size_t count);
 
   TypeId type_;
   EncodingId encoding_;

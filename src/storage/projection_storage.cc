@@ -41,23 +41,22 @@ Status ProjectionStorage::SplitForStorage(
     const RowBlock& rows,
     std::map<std::pair<int64_t, uint32_t>, std::vector<uint32_t>>* groups) const {
   size_t n = rows.NumRows();
-  std::vector<int64_t> part_keys(n, kNoPartitionKey);
-  if (cfg_.partition_expr) {
-    ColumnVector keys;
+  ColumnVector keys, hashes;
+  if (cfg_.partition_expr)
     STRATICA_RETURN_NOT_OK(EvalExpr(*cfg_.partition_expr, rows, &keys));
-    for (size_t i = 0; i < n; ++i) part_keys[i] = keys.IsNull(i) ? kNoPartitionKey
-                                                                 : keys.ints[i];
-  }
-  std::vector<uint32_t> segs(n, 0);
-  if (cfg_.segmentation_expr && cfg_.num_local_segments > 1) {
-    ColumnVector hashes;
+  if (cfg_.segmentation_expr && cfg_.num_local_segments > 1)
     STRATICA_RETURN_NOT_OK(EvalExpr(*cfg_.segmentation_expr, rows, &hashes));
-    for (size_t i = 0; i < n; ++i)
-      segs[i] = LocalSegmentOf(static_cast<uint64_t>(hashes.ints[i]));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    (*groups)[{part_keys[i], segs[i]}].push_back(static_cast<uint32_t>(i));
-  }
+  auto group_of = [&](size_t i) -> std::pair<int64_t, uint32_t> {
+    int64_t part = keys.ints.empty() || keys.IsNull(i) ? kNoPartitionKey : keys.ints[i];
+    uint32_t seg =
+        hashes.ints.empty() ? 0 : LocalSegmentOf(static_cast<uint64_t>(hashes.ints[i]));
+    return {part, seg};
+  };
+  // Count first so each group's index list is allocated once.
+  std::map<std::pair<int64_t, uint32_t>, size_t> counts;
+  for (size_t i = 0; i < n; ++i) ++counts[group_of(i)];
+  for (const auto& [key, count] : counts) (*groups)[key].reserve(count);
+  for (size_t i = 0; i < n; ++i) (*groups)[group_of(i)].push_back(static_cast<uint32_t>(i));
   return Status::OK();
 }
 
@@ -102,15 +101,12 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
     auto [id, dir] = AllocateContainer();
     RosWriter writer(fs_, dir, id, cfg_.projection, cfg_.column_names,
                      cfg_.column_types, cfg_.encodings);
-    RowBlock group;
-    group.columns.reserve(sorted.NumColumns());
-    for (const auto& col : sorted.columns) {
-      ColumnVector gc(col.type);
-      gc.Reserve(row_indexes.size());
-      for (uint32_t r : row_indexes) gc.AppendFrom(col, r);
-      group.columns.push_back(std::move(gc));
+    // A single group is every row in order: write `sorted` itself.
+    if (groups.size() == 1) {
+      STRATICA_RETURN_NOT_OK(writer.Append(sorted, {}));
+    } else {
+      STRATICA_RETURN_NOT_OK(writer.Append(ApplyPermutation(sorted, row_indexes), {}));
     }
-    STRATICA_RETURN_NOT_OK(writer.Append(group, {}));
     STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros,
                               writer.Finish(key.first, key.second, kUncommittedEpoch));
     auto mutable_ros = std::const_pointer_cast<RosContainer>(ros);
@@ -188,8 +184,16 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
 
 Status ProjectionStorage::InsertDirectRos(RowBlock rows, Transaction* txn) {
   rows.DecodeAll();
-  auto perm = ComputeSortPermutation(rows, cfg_.sort_columns);
-  RowBlock sorted = ApplyPermutation(rows, perm);
+  // Input already in sort order (say, time-ordered readings) is written as
+  // is, sparing a full copy. Otherwise the unsorted rows and the permutation
+  // are released once applied, before encoding.
+  RowBlock sorted;
+  {
+    auto perm = ComputeSortPermutation(rows, cfg_.sort_columns);
+    sorted = std::is_sorted(perm.begin(), perm.end()) ? std::move(rows)
+                                                      : ApplyPermutation(rows, perm);
+  }
+  rows = RowBlock();
   return WriteContainers(std::move(sorted), txn);
 }
 
@@ -497,19 +501,19 @@ Status ProjectionStorage::IngestRecovered(RowBlock rows, std::vector<Epoch> row_
       auto [id, dir] = AllocateContainer();
       RosWriter writer(fs_, dir, id, cfg_.projection, cfg_.column_names,
                        cfg_.column_types, cfg_.encodings);
-      RowBlock group(std::vector<TypeId>(cfg_.column_types));
       std::vector<Epoch> group_epochs;
+      group_epochs.reserve(idxs.size());
       auto dv = std::make_shared<DeleteVectorChunk>();
       dv->target_id = id;
       for (uint32_t r : idxs) {
-        group.AppendRowFrom(sorted, r);
         group_epochs.push_back(sorted_epochs[r]);
         if (sorted_dels[r] != 0) {
           dv->positions.push_back(group_epochs.size() - 1);
           dv->epochs.push_back(sorted_dels[r]);
         }
       }
-      STRATICA_RETURN_NOT_OK(writer.Append(group, group_epochs));
+      STRATICA_RETURN_NOT_OK(
+          writer.Append(ApplyPermutation(sorted, idxs), group_epochs));
       STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros, writer.Finish(key.first, key.second, 0));
       std::vector<DeleteVectorChunkPtr> dvs;
       if (!dv->positions.empty()) dvs.push_back(dv);

@@ -47,11 +47,11 @@ Status RosWriter::Append(const RowBlock& rows, const std::vector<Epoch>& epochs)
       epoch_writer_ = std::make_unique<ColumnWriter>(TypeId::kInt64, EncodingId::kRle,
                                                      rows_per_block_);
       has_per_row_epochs_ = true;
-      // Backfill for rows appended before the first epoch batch (not
-      // expected in practice; guarded for robustness).
-      for (uint64_t i = 0; i < rows_written_; ++i)
-        STRATICA_RETURN_NOT_OK(
-            epoch_writer_->AppendValue(Value::Int64(static_cast<int64_t>(0))));
+      // Backfill epoch 0 for rows appended before the first epoch batch
+      // (not expected in practice; guarded for robustness).
+      ColumnVector zeros(TypeId::kInt64);
+      zeros.ints.assign(rows_written_, 0);
+      STRATICA_RETURN_NOT_OK(epoch_writer_->Append(zeros));
     }
     ColumnVector ev(TypeId::kInt64);
     ev.ints.reserve(n);

@@ -97,7 +97,8 @@ std::vector<uint32_t> ComputeSortPermutationDirected(const RowBlock& block,
 std::vector<uint32_t> ComputeSortPermutation(const RowBlock& block,
                                              const std::vector<uint32_t>& key_columns);
 
-/// Materialize `perm` over a flat block.
+/// Gather rows `perm` of a flat block column at a time, in `perm`'s order.
+/// `perm` may be a permutation or any subset of row indexes.
 RowBlock ApplyPermutation(const RowBlock& block, const std::vector<uint32_t>& perm);
 
 /// Lexicographic comparison of row `ia` of `a` vs row `ib` of `b` over

@@ -104,14 +104,13 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
     auto [id, dir] = ps->AllocateContainer();
     RosWriter writer(ps->fs(), dir, id, cfg.projection, cfg.column_names,
                      cfg.column_types, cfg.encodings);
-    RowBlock group(std::vector<TypeId>(cfg.column_types));
     std::vector<Epoch> group_epochs;
+    group_epochs.reserve(rows.size());
     for (uint32_t r : rows) {
-      group.AppendRowFrom(sorted, r);
       group_epochs.push_back(sorted_epochs[r]);
       pos_map[sorted_pos[r]] = {id, group_epochs.size() - 1};
     }
-    STRATICA_RETURN_NOT_OK(writer.Append(group, group_epochs));
+    STRATICA_RETURN_NOT_OK(writer.Append(ApplyPermutation(sorted, rows), group_epochs));
     STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros,
                               writer.Finish(key.first, key.second, up_to));
     apply.new_containers.push_back(std::const_pointer_cast<RosContainer>(ros));

@@ -87,11 +87,16 @@ TEST(ConcurrencyTest, MixedWorkloadMatchesSerialOracle) {
   constexpr int kWriters = 3;
   constexpr int kBatchesPerWriter = 8;
   constexpr int kBatchRows = 10;
+  constexpr int kReaders = 3;
   std::atomic<bool> writers_done{false};
+  // Latch: writers start once every reader has finished one read, so the
+  // writers cannot all finish before any reader is scheduled.
+  std::atomic<int> readers_pending{kReaders};
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      while (readers_pending.load() > 0) std::this_thread::yield();
       for (int b = 0; b < kBatchesPerWriter; ++b) {
         int base = (w * kBatchesPerWriter + b) * kBatchRows;
         std::string sql = "INSERT INTO u VALUES ";
@@ -115,10 +120,14 @@ TEST(ConcurrencyTest, MixedWorkloadMatchesSerialOracle) {
 
   std::vector<std::thread> readers;
   std::atomic<uint64_t> reads{0};
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!writers_done.load()) {
         auto res = db.Execute("SELECT COUNT(*) AS n, SUM(val) AS s FROM u");
+        // Count down before any assertion can return, or writers would hang.
+        if (first) readers_pending.fetch_sub(1);
+        first = false;
         ASSERT_TRUE(res.ok()) << res.status().ToString();
         int64_t n = res.value().At(0, 0).i64();
         ASSERT_EQ(n % kBatchRows, 0)

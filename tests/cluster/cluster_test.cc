@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
+#include <tuple>
 
+#include "api/database.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace stratica {
@@ -425,6 +430,145 @@ TEST_F(ClusterFixture, PrejoinProjectionDenormalizesAndRejectsOrphans) {
     }
   }
   EXPECT_EQ(prejoin_rows, 80u);
+}
+
+// Loads with rejected rows through both the WOS and direct-to-ROS on 4 nodes
+// with K=1 and 3 local segments per node. The rejects, each node's rows per
+// local segment, and SELECT answers must match a plain-C++ oracle, before and
+// after the tuple mover.
+TEST(ClusterLoadTest, RejectsAndSegmentsMatchOracle) {
+  DatabaseOptions opts;
+  opts.num_nodes = 4;
+  opts.k_safety = 1;
+  opts.local_segments_per_node = 3;
+  Database db(opts);
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE m (id INT NOT NULL, grp VARCHAR NOT NULL, v FLOAT)").ok());
+
+  struct OracleRow {
+    int64_t id;
+    std::string grp;
+    bool v_null;
+    double v;
+  };
+  std::vector<OracleRow> accepted;
+  Rng rng(19);
+  // Builds a batch; `rejects` receives the indexes of the rows the oracle
+  // expects rejected, and `accepted` the rows it expects loaded.
+  auto make_batch = [&](int64_t first_id, size_t n, std::vector<uint64_t>* rejects) {
+    RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kFloat64});
+    for (size_t i = 0; i < n; ++i) {
+      int64_t id = first_id + static_cast<int64_t>(i);
+      bool id_null = rng.Uniform(13) == 0;
+      bool grp_null = rng.Uniform(17) == 0;
+      bool v_null = rng.Uniform(5) == 0;
+      std::string grp = "g" + std::to_string(rng.Uniform(6));
+      double v = static_cast<double>(rng.Uniform(1000)) / 4;
+      rows.columns[0].Append(id_null ? Value::Null(TypeId::kInt64) : Value::Int64(id));
+      rows.columns[1].Append(grp_null ? Value::Null(TypeId::kString) : Value::String(grp));
+      rows.columns[2].Append(v_null ? Value::Null(TypeId::kFloat64) : Value::Float64(v));
+      if (id_null || grp_null) {
+        rejects->push_back(i);
+      } else {
+        accepted.push_back({id, grp, v_null, v});
+      }
+    }
+    return rows;
+  };
+
+  // Node and local segment of every accepted row, per projection: the
+  // default super projection segments by HASH(id), i.e. HashCombine of the
+  // HASH seed with HashInt64(id); the buddy is the same ring shifted by one.
+  auto expect_placement = [&](bool check_containers) {
+    Cluster* cluster = db.cluster();
+    Epoch now = cluster->epochs()->LatestQueryableEpoch();
+    SegmentationRing ring = cluster->ring();
+    for (uint32_t offset : {0u, 1u}) {
+      std::string proj = offset == 0 ? "m_super" : "m_super_b1";
+      SCOPED_TRACE(proj);
+      std::vector<std::multiset<int64_t>> want_ids(cluster->num_nodes());
+      std::vector<std::map<uint32_t, uint64_t>> want_segs(cluster->num_nodes());
+      for (const auto& r : accepted) {
+        uint64_t h = HashCombine(0x9b97ULL, HashInt64(r.id));
+        uint32_t node = ring.NodeFor(h, offset);
+        want_ids[node].insert(r.id);
+        ++want_segs[node][cluster->node(node)->GetStorage(proj)->LocalSegmentOf(h)];
+      }
+      for (uint32_t n = 0; n < cluster->num_nodes(); ++n) {
+        SCOPED_TRACE(n);
+        ProjectionStorage* ps = cluster->node(n)->GetStorage(proj);
+        ASSERT_NE(ps, nullptr);
+        RowBlock rows;
+        std::vector<Epoch> dels;
+        ASSERT_TRUE(ReadProjectionRows(db.fs(), ps, now, &rows, nullptr, &dels, nullptr)
+                        .ok());
+        ASSERT_EQ(ps->config().column_names[0], "id");
+        EXPECT_EQ(rows.NumRows(), want_ids[n].size());
+        std::multiset<int64_t> got(rows.columns[0].ints.begin(),
+                                   rows.columns[0].ints.end());
+        EXPECT_EQ(got, want_ids[n]);
+        if (!check_containers) continue;
+        EXPECT_EQ(ps->WosRowCount(), 0u);
+        std::map<uint32_t, uint64_t> got_segs;
+        for (const auto& c : ps->Containers()) got_segs[c->local_segment] += c->row_count;
+        EXPECT_EQ(got_segs, want_segs[n]);
+        EXPECT_GT(got_segs.size(), 1u);  // several local segments were written
+      }
+    }
+  };
+
+  auto expect_answers = [&]() {
+    int64_t count = 0, id_sum = 0, v_count = 0;
+    double v_sum = 0;
+    std::map<std::string, int64_t> per_grp;
+    for (const auto& r : accepted) {
+      ++count;
+      id_sum += r.id;
+      ++per_grp[r.grp];
+      if (!r.v_null) {
+        ++v_count;
+        v_sum += r.v;
+      }
+    }
+    auto agg = db.Execute("SELECT COUNT(*), SUM(id), COUNT(v), SUM(v) FROM m");
+    ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+    ASSERT_EQ(agg.value().NumRows(), 1u);
+    EXPECT_EQ(agg.value().At(0, 0).i64(), count);
+    EXPECT_EQ(agg.value().At(0, 1).i64(), id_sum);
+    EXPECT_EQ(agg.value().At(0, 2).i64(), v_count);
+    EXPECT_DOUBLE_EQ(agg.value().At(0, 3).f64(), v_sum);  // quarters sum exactly
+    auto groups = db.Execute("SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp");
+    ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+    ASSERT_EQ(groups.value().NumRows(), per_grp.size());
+    size_t i = 0;
+    for (const auto& [grp, n] : per_grp) {
+      EXPECT_EQ(groups.value().At(i, 0).str(), grp);
+      EXPECT_EQ(groups.value().At(i, 1).i64(), n);
+      ++i;
+    }
+  };
+
+  std::vector<uint64_t> want_wos_rejects, want_direct_rejects;
+  RowBlock wos_rows = make_batch(0, 3000, &want_wos_rejects);
+  RowBlock direct_rows = make_batch(3000, 5000, &want_direct_rejects);
+  for (auto [rows, direct, want] :
+       {std::make_tuple(&wos_rows, false, &want_wos_rejects),
+        std::make_tuple(&direct_rows, true, &want_direct_rejects)}) {
+    SCOPED_TRACE(direct ? "direct" : "wos");
+    auto loaded = db.Load("m", *rows, direct);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_FALSE(want->empty());
+    EXPECT_EQ(loaded.value().rows_loaded, rows->NumRows() - want->size());
+    std::vector<uint64_t> got;
+    for (const auto& rej : loaded.value().rejected) got.push_back(rej.row_index);
+    std::sort(got.begin(), got.end());  // reported column by column
+    EXPECT_EQ(got, *want);
+  }
+  expect_placement(/*check_containers=*/false);
+  expect_answers();
+  ASSERT_TRUE(db.RunTupleMover().ok());
+  expect_placement(/*check_containers=*/true);
+  expect_answers();
 }
 
 }  // namespace

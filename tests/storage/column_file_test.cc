@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -92,11 +93,11 @@ TEST(ColumnFileTest, SingleBlockRandomRead) {
 TEST(ColumnFileTest, NullsAcrossBlocks) {
   MemFileSystem fs;
   ColumnWriter writer(TypeId::kFloat64, EncodingId::kAuto, 7);
+  ColumnVector col(TypeId::kFloat64);
   for (int i = 0; i < 50; ++i) {
-    Value v = (i % 5 == 0) ? Value::Null(TypeId::kFloat64)
-                           : Value::Float64(i * 1.5);
-    ASSERT_TRUE(writer.AppendValue(v).ok());
+    col.Append((i % 5 == 0) ? Value::Null(TypeId::kFloat64) : Value::Float64(i * 1.5));
   }
+  ASSERT_TRUE(writer.Append(col).ok());
   ASSERT_TRUE(writer.Finish(&fs, "f.dat", "f.idx").ok());
   auto reader = ColumnReader::Open(&fs, "f.dat", "f.idx");
   ASSERT_TRUE(reader.ok());
@@ -106,6 +107,110 @@ TEST(ColumnFileTest, NullsAcrossBlocks) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(out.IsNull(i), i % 5 == 0) << i;
     if (i % 5 != 0) EXPECT_DOUBLE_EQ(out.doubles[i], i * 1.5);
+  }
+}
+
+// A column appended in uneven chunks, one of them dict-coded, must write
+// exactly the bytes and block index of the same column appended at once:
+// blocks split every rows_per_block rows of the column, whatever the chunks.
+void ExpectChunkedMatchesOneShot(const ColumnVector& full,
+                                 const std::vector<ColumnVector>& chunks, EncodingId enc,
+                                 size_t rows_per_block) {
+  MemFileSystem fs;
+  ColumnWriter one(full.type, enc, rows_per_block);
+  ASSERT_TRUE(one.Append(full).ok());
+  auto one_meta = one.Finish(&fs, "one.dat", "one.idx");
+  ASSERT_TRUE(one_meta.ok());
+  ColumnWriter chunked(full.type, enc, rows_per_block);
+  for (const auto& c : chunks) ASSERT_TRUE(chunked.Append(c).ok());
+  EXPECT_EQ(chunked.rows_buffered_total(), full.PhysicalSize());
+  auto chunked_meta = chunked.Finish(&fs, "chunked.dat", "chunked.idx");
+  ASSERT_TRUE(chunked_meta.ok());
+
+  EXPECT_EQ(fs.ReadFile("one.dat").value(), fs.ReadFile("chunked.dat").value());
+  EXPECT_EQ(fs.ReadFile("one.idx").value(), fs.ReadFile("chunked.idx").value());
+  const auto& a = one_meta.value().blocks;
+  const auto& b = chunked_meta.value().blocks;
+  ASSERT_EQ(a.size(), (full.PhysicalSize() + rows_per_block - 1) / rows_per_block);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].offset, b[i].offset);
+    EXPECT_EQ(a[i].encoded_bytes, b[i].encoded_bytes);
+    EXPECT_EQ(a[i].row_start, b[i].row_start);
+    EXPECT_EQ(a[i].row_start, i * rows_per_block);
+    EXPECT_EQ(a[i].row_count, b[i].row_count);
+    EXPECT_EQ(a[i].min.is_null(), b[i].min.is_null());
+    EXPECT_EQ(a[i].min.Compare(b[i].min), 0);
+    EXPECT_EQ(a[i].max.Compare(b[i].max), 0);
+    EXPECT_EQ(a[i].null_count, b[i].null_count);
+    EXPECT_EQ(a[i].crc, b[i].crc);
+  }
+  EXPECT_EQ(one_meta.value().raw_bytes, chunked_meta.value().raw_bytes);
+}
+
+// Splits flat `full` into chunks of 1, rpb - 1, 2 * rpb + 3 and the remaining
+// rows. The third chunk is dict-coded over a sorted dictionary of its
+// distinct values.
+std::vector<ColumnVector> UnevenChunks(const ColumnVector& full, size_t rpb) {
+  std::vector<size_t> sizes = {1, rpb - 1, 2 * rpb + 3};
+  sizes.push_back(full.PhysicalSize() - 1 - (rpb - 1) - (2 * rpb + 3));
+  std::vector<ColumnVector> chunks;
+  size_t pos = 0;
+  for (size_t k = 0; k < sizes.size(); ++k) {
+    ColumnVector c(full.type);
+    c.AppendRange(full, pos, sizes[k]);
+    if (k == 2) {
+      std::vector<uint32_t> order(c.PhysicalSize());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+      std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+        return ColumnVector::CompareEntries(c, x, c, y) < 0;
+      });
+      auto dict = std::make_shared<ColumnVector>(full.type);
+      ColumnVector coded(full.type);
+      coded.ints.assign(c.PhysicalSize(), 0);
+      coded.nulls = c.nulls;
+      for (uint32_t i : order) {
+        if (c.IsNull(i)) continue;  // NULL rows keep code 0
+        if (dict->PhysicalSize() == 0 ||
+            ColumnVector::CompareEntries(*dict, dict->PhysicalSize() - 1, c, i) != 0)
+          dict->AppendFrom(c, i);
+        coded.ints[i] = static_cast<int64_t>(dict->PhysicalSize() - 1);
+      }
+      coded.dict = dict;
+      coded.dict_sorted = true;
+      c = std::move(coded);
+    }
+    pos += sizes[k];
+    chunks.push_back(std::move(c));
+  }
+  return chunks;
+}
+
+TEST(ColumnFileTest, UnevenChunkAppendsMatchOneShot) {
+  constexpr size_t kRpb = 64;
+  constexpr size_t kRows = 5 * kRpb + 17;
+  Rng rng(11);
+  ColumnVector strs(TypeId::kString), ints(TypeId::kInt64);
+  for (size_t i = 0; i < kRows; ++i) {
+    bool null = rng.Uniform(7) == 0;
+    strs.Append(null ? Value::Null(TypeId::kString)
+                     : Value::String("s" + std::to_string(rng.Uniform(40))));
+    ints.Append(null ? Value::Null(TypeId::kInt64)
+                     : Value::Int64(static_cast<int64_t>(i / 3 + rng.Uniform(4))));
+  }
+  // NULLs only in the last chunk, so the earlier chunks carry no null flags.
+  ColumnVector late_nulls(TypeId::kInt64);
+  for (size_t i = 0; i < kRows; ++i) {
+    late_nulls.Append(i >= kRows - 5 ? Value::Null(TypeId::kInt64)
+                                     : Value::Int64(static_cast<int64_t>(i % 9)));
+  }
+  for (EncodingId enc : {EncodingId::kAuto, EncodingId::kPlain, EncodingId::kRle,
+                         EncodingId::kBlockDict}) {
+    SCOPED_TRACE(static_cast<int>(enc));
+    ExpectChunkedMatchesOneShot(strs, UnevenChunks(strs, kRpb), enc, kRpb);
+    ExpectChunkedMatchesOneShot(ints, UnevenChunks(ints, kRpb), enc, kRpb);
+    ExpectChunkedMatchesOneShot(late_nulls, UnevenChunks(late_nulls, kRpb), enc, kRpb);
   }
 }
 
@@ -279,15 +384,24 @@ TEST(MemFileSystemRaceTest, DeleteAndHardLinkVsReads) {
   MemFileSystem fs;
   const std::string payload(8192, 'q');
   ASSERT_TRUE(fs.WriteFile("src", payload).ok());
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> good_reads{0};
+  // Latch: the mutator starts once every reader has finished one read, so it
+  // cannot finish its churn before any reader is scheduled.
+  std::atomic<int> readers_pending{kReaders};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         for (const char* path : {"src", "link"}) {
           std::string out;
           Status st = fs.ReadRangeInto(path, 100, 4096, &out);
+          // Count down before any assertion can return, or the mutator
+          // would hang.
+          if (first) readers_pending.fetch_sub(1);
+          first = false;
           if (st.ok()) {
             ASSERT_EQ(out.size(), 4096u);
             ASSERT_EQ(out, std::string(4096, 'q'));
@@ -298,6 +412,7 @@ TEST(MemFileSystemRaceTest, DeleteAndHardLinkVsReads) {
     });
   }
   std::thread mutator([&] {
+    while (readers_pending.load() > 0) std::this_thread::yield();
     for (int i = 0; i < 2000; ++i) {
       (void)fs.HardLink("src", "link");
       (void)fs.Delete("link");
