@@ -131,11 +131,11 @@ void BM_ExternalSort(benchmark::State& state) {
   // Budget sized to generate ~target_runs spill runs (1 == fully in-memory).
   MemFileSystem fs;
   ExecStats stats;
+  ResourceBudget budget(input.MemoryBytes() / target_runs);
   ExecContext ctx;
   ctx.fs = &fs;
   ctx.stats = &stats;
-  size_t block_bytes = input.MemoryBytes();
-  ctx.sort_memory_bytes = target_runs <= 1 ? 0 : block_bytes / target_runs;
+  if (target_runs > 1) ctx.budget = &budget;
   std::vector<SortKey> keys = KeysFor(kIntMulti);
   size_t runs = 0;
   for (auto _ : state) {
@@ -167,7 +167,6 @@ void BM_TopK(benchmark::State& state) {
   ExecContext ctx;
   ctx.fs = &fs;
   ctx.stats = &stats;
-  ctx.sort_memory_bytes = 0;
   std::vector<SortKey> keys = KeysFor(kIntMulti);
   for (auto _ : state) {
     SortOperator sort(std::make_unique<BlockSliceOperator>(&input), keys, k);

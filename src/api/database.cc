@@ -81,7 +81,6 @@ ExecContext Database::SessionContext(QuerySession* session) {
   ctx.spill_seq = spill_seq_;
   ctx.scheduler = scheduler_.get();
   ctx.intra_node_parallelism = options_.intra_node_parallelism;
-  ctx.sort_memory_bytes = options_.sort_memory_budget;
   ctx.hedge_deadline_ms = hedge_deadline_ms_.load(std::memory_order_relaxed);
   ctx.hedge_max_attempts = options_.hedge_max_attempts;
   return ctx;
@@ -100,7 +99,6 @@ ExecContext Database::MakeExecContext() {
   ctx.spill_seq = spill_seq_;
   ctx.scheduler = scheduler_.get();
   ctx.intra_node_parallelism = options_.intra_node_parallelism;
-  ctx.sort_memory_bytes = options_.sort_memory_budget;
   ctx.hedge_deadline_ms = hedge_deadline_ms_.load(std::memory_order_relaxed);
   ctx.hedge_max_attempts = options_.hedge_max_attempts;
   return ctx;

@@ -36,9 +36,6 @@ struct DatabaseOptions {
   /// How long a query waits in the admission queue before failing with
   /// ResourceExhausted.
   uint32_t admission_timeout_ms = 10000;
-  /// Per-Sort buffering ceiling before run generation spills to disk
-  /// (external sort, DESIGN.md §8). 0 disables the cap.
-  size_t sort_memory_budget = 64ull << 20;
   /// Morsel fragments per scan unit in SELECT plans (DESIGN.md §12);
   /// admission may scale a query's fan-out down when the pool is tight.
   size_t intra_node_parallelism = 4;

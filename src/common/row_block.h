@@ -152,6 +152,12 @@ struct RowBlock {
   void AppendRowFrom(const RowBlock& src, size_t row) {
     for (size_t c = 0; c < columns.size(); ++c) columns[c].AppendFrom(src.columns[c], row);
   }
+  /// Append rows [start, start+count) of `src` column by column (the bulk
+  /// counterpart of an AppendRowFrom loop; src columns must not be RLE).
+  void AppendRange(const RowBlock& src, size_t start, size_t count) {
+    for (size_t c = 0; c < columns.size(); ++c)
+      columns[c].AppendRange(src.columns[c], start, count);
+  }
 
   size_t MemoryBytes() const {
     size_t n = 0;

@@ -354,16 +354,25 @@ Status HashGroupByOperator::Open(ExecContext* ctx) {
 
   code_map_dict_.reset();
   code_map_.clear();
+  reserved_ = 0;
+  Status aggregated = Aggregate();
+  table_ = Table();
+  ctx_->Release(&reserved_);
+  return aggregated;
+}
+
+Status HashGroupByOperator::Aggregate() {
   for (;;) {
     RowBlock block;
     STRATICA_RETURN_NOT_OK(child_->GetNext(&block));
     if (block.NumRows() == 0) break;
     Consume(&block);
-    // Externalize when over budget: flush groups (key + serialized states)
-    // to grace partitions by key hash.
-    if (ctx_->budget && table_.bytes > 0 &&
-        static_cast<int64_t>(table_.bytes) > ctx_->budget->available()) {
+    // Reserve the table's growth; when the query's budget refuses it, flush
+    // the groups (key + serialized states) to grace partitions by key hash
+    // and release what the table held.
+    if (table_.bytes > reserved_ && !ctx_->Reserve(table_.bytes - reserved_, &reserved_)) {
       STRATICA_RETURN_NOT_OK(SpillTable());
+      ctx_->Release(&reserved_);
     }
   }
 
@@ -409,7 +418,6 @@ Status HashGroupByOperator::Open(ExecContext* ctx) {
       out.columns[a].Append(AggState().Final(spec_.aggs[a]));
     output_.push_back(std::move(out));
   }
-  table_ = Table();
   return Status::OK();
 }
 

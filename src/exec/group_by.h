@@ -28,8 +28,9 @@ struct GroupBySpec {
   std::vector<std::string> output_names;  ///< group names then agg names
 };
 
-/// \brief Hash aggregation with grace-partition externalization. When the
-/// table exceeds its budget, groups spill to 16 hash-disjoint partitions;
+/// \brief Hash aggregation with grace-partition externalization. The table
+/// reserves its growth against the query's budget after every input block;
+/// when a reservation is refused, groups spill to 16 hash-disjoint partitions;
 /// at end of input the partitions merge back — as independent work-stealing
 /// tasks on the query's Scheduler when one is installed (DESIGN.md §12),
 /// since no group can span two partitions.
@@ -46,7 +47,8 @@ class HashGroupByOperator : public Operator {
   std::string DebugString() const override;
   std::vector<Operator*> Children() const override { return {child_.get()}; }
   size_t MemoryEstimateBytes() const override {
-    // Hash table + group keys/states up to the grace-spill threshold.
+    // Hash table + group keys/states; a table that outgrows the query's
+    // budget spills to grace partitions.
     return 8 << 20;
   }
 
@@ -74,6 +76,9 @@ class HashGroupByOperator : public Operator {
   /// Single RLE group column: resolve the group once per run, aggregate
   /// same-column aggs by run length.
   void ConsumeRleKey(RowBlock* block);
+  /// Consume the child, spilling on a refused reservation, then fill
+  /// output_ (merging grace partitions if any spilled).
+  Status Aggregate();
   /// Find or create the group for `row` (key hash `h` precomputed by the
   /// batched hasher); returns the group id.
   uint32_t FindOrInsertGroup(Table* table, const RowBlock& block,
@@ -92,6 +97,7 @@ class HashGroupByOperator : public Operator {
   GroupBySpec spec_;
   ExecContext* ctx_ = nullptr;
   Table table_;
+  size_t reserved_ = 0;  ///< bytes of table_ held against ctx_->budget
   std::vector<uint32_t> identity_cols_;  // 0..num_group_cols-1, hoisted
   std::vector<uint64_t> hash_buf_;       // per-block batched key hashes
   std::vector<uint32_t> head_buf_;       // per-block batched probe results

@@ -68,8 +68,7 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
     STRATICA_RETURN_NOT_OK(build_->GetNext(&block));
     if (block.NumRows() == 0) break;
     block.DecodeAll();
-    size_t block_bytes = block.MemoryBytes();
-    if (ctx->budget && !ctx->budget->TryReserve(block_bytes)) {
+    if (!ctx->Reserve(block.MemoryBytes(), &reserved_)) {
       // Runtime algorithm switch: spool the build rows to one spill file;
       // every fragment then sort-merges its own probe subset against the
       // full spilled build (their union is the unit's result).
@@ -90,15 +89,13 @@ Status SharedJoinBuild::Build(ExecContext* ctx) {
         ctx->stats->spill_files.fetch_add(1);
       }
       STRATICA_RETURN_NOT_OK(build_->Close());
-      ctx->budget->Release(bytes_);
-      bytes_ = 0;
+      ctx->Release(&reserved_);
       rows_ = RowBlock(build_->OutputTypes());
       spilled_ = true;
       spill_path_ = writer.path();
       return Status::OK();
     }
-    bytes_ += block_bytes;
-    for (size_t r = 0; r < block.NumRows(); ++r) rows_.AppendRowFrom(block, r);
+    rows_.AppendRange(block, 0, block.NumRows());
   }
   STRATICA_RETURN_NOT_OK(build_->Close());
 
@@ -192,10 +189,7 @@ void SharedJoinBuild::ProbeHeads(const uint64_t* hashes, const uint8_t* null_key
 void SharedJoinBuild::FragmentClosed(ExecContext* ctx) {
   std::lock_guard lock(mu_);
   if (open_fragments_ == 0) return;
-  if (--open_fragments_ == 0 && ctx != nullptr && ctx->budget != nullptr) {
-    ctx->budget->Release(bytes_);
-    bytes_ = 0;
-  }
+  if (--open_fragments_ == 0 && ctx != nullptr) ctx->Release(&reserved_);
 }
 
 // ---------------------------------------------------------------------------

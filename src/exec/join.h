@@ -52,8 +52,9 @@ struct JoinSpec {
 /// only a fan-out-1 RIGHT/FULL join emits them as unmatched build rows
 /// (the matched-bit array would race across fragments, so the operator
 /// rejects RIGHT/FULL above fan-out 1 and the planner keeps such plans
-/// serial). If the accumulated build side exceeds the memory budget, the
-/// rows are spooled to a single spill file and every fragment independently
+/// serial). Each build block is reserved against the query's budget; when
+/// one is refused, the rows are spooled to a single spill file, the
+/// reservation is released, and every fragment independently
 /// switches to a sort-merge join over it (each fragment's probe subset
 /// against the full build unions to the exact per-unit result).
 class SharedJoinBuild {
@@ -113,7 +114,7 @@ class SharedJoinBuild {
   std::vector<uint32_t> next_row_;
   std::vector<Shard> shards_;
   size_t shard_mask_ = 0;
-  size_t bytes_ = 0;           ///< budget reservation held until last close
+  size_t reserved_ = 0;        ///< bytes of rows_ held until the last close
   size_t open_fragments_;      ///< fragments that have not closed yet
 };
 
@@ -151,10 +152,10 @@ class HashJoinOperator : public Operator {
   std::string DebugString() const override;
   std::vector<Operator*> Children() const override;
   size_t MemoryEstimateBytes() const override {
-    // Build-side rows + hash table up to the spill-to-merge threshold. The
-    // build is one table split across `fanout` sibling operators, so each
-    // fragment accounts a slice and the unit totals what one serial join
-    // reserves.
+    // Build-side rows + hash table; a build the query's budget refuses
+    // switches to a sort-merge join. The build is one table split across
+    // `fanout` sibling operators, so each fragment accounts a slice and the
+    // unit totals what one serial join reserves.
     return std::max<size_t>((8 << 20) / shared_->fanout(), 64 << 10);
   }
 

@@ -118,7 +118,6 @@ class ResourceBudget {
     return false;
   }
   void Release(size_t bytes) { available_.fetch_add(static_cast<int64_t>(bytes)); }
-  int64_t available() const { return available_.load(); }
 
  private:
   std::atomic<int64_t> available_;
@@ -129,6 +128,11 @@ struct ExecContext {
   FileSystem* fs = nullptr;
   Epoch epoch = 0;       ///< Snapshot epoch the query targets.
   uint64_t txn_id = 0;   ///< For read-your-writes visibility.
+  /// The query's memory: the admission reservation (DESIGN.md §9) and the
+  /// one limit every spilling operator is held to. The hash join build,
+  /// hash group-by and sort each Reserve what they buffer, block by block,
+  /// spill when a reservation is refused, and Release what they hold. Null
+  /// = unbounded (tests and benches only; Database always installs one).
   ResourceBudget* budget = nullptr;
   ExecStats* stats = nullptr;
   std::string spill_dir = "tmp/spill";
@@ -145,11 +149,6 @@ struct ExecContext {
   /// fragments, and partitioned build tasks all run here. Null = spawn
   /// nothing in parallel (operators fall back to their serial paths).
   Scheduler* scheduler = nullptr;
-  /// Per-Sort buffering ceiling before run generation spills (Section 6.1:
-  /// operators must handle inputs of any size regardless of allocated
-  /// memory). Enforced even when no ResourceBudget is installed; 0 disables
-  /// the cap (tests only).
-  size_t sort_memory_bytes = 64ull << 20;
   /// Straggler-hedging policy for exchanges (DESIGN.md §11). 0 disables
   /// hedging; otherwise a producer that has pushed nothing by the deadline
   /// is speculatively re-issued against its buddy copy. The deadline doubles
@@ -164,6 +163,19 @@ struct ExecContext {
   /// (where every file op is slow) stops consuming I/O once hedged past and
   /// does not stall query teardown for the rest of its scan.
   const std::atomic<bool>* abandon = nullptr;
+
+  /// Reserve `bytes` more against `budget` and add them to the operator's
+  /// `*reserved`. False = refused: the caller spills, then Releases.
+  bool Reserve(size_t bytes, size_t* reserved) {
+    if (budget != nullptr && !budget->TryReserve(bytes)) return false;
+    *reserved += bytes;
+    return true;
+  }
+  /// Return everything the operator holds (`*reserved`) to `budget`.
+  void Release(size_t* reserved) {
+    if (budget != nullptr) budget->Release(*reserved);
+    *reserved = 0;
+  }
 
   std::string NextSpillPath() {
     return spill_dir + "/s" + std::to_string(spill_seq->fetch_add(1));
@@ -190,8 +202,8 @@ class Operator {
   /// Working-set estimate for this operator alone (no children), used by
   /// the resource manager's admission reservation. Deliberately coarse —
   /// the paper's resource manager also plans against budgeted estimates,
-  /// not measured usage — and conservative for blocking operators, whose
-  /// spill thresholds bound the true footprint.
+  /// not measured usage. The spilling operators are held to the sum through
+  /// ExecContext::budget, so an under-estimate costs a spill, not an overrun.
   virtual size_t MemoryEstimateBytes() const { return 256 << 10; }
 };
 

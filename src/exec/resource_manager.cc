@@ -95,6 +95,7 @@ ResourceManagerStats ResourceManager::stats() const {
   ResourceManagerStats s = stats_;
   s.reserved_bytes = reserved_;
   s.active_queries = active_;
+  s.waiting = queue_.size();
   return s;
 }
 

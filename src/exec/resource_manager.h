@@ -44,6 +44,7 @@ struct ResourceManagerStats {
   uint64_t timeouts = 0;        ///< admissions that failed on timeout
   uint64_t reserved_bytes = 0;  ///< gauge: bytes currently reserved
   uint64_t active_queries = 0;  ///< gauge: tickets currently live
+  uint64_t waiting = 0;         ///< gauge: admissions queued right now
   uint64_t peak_reserved_bytes = 0;
   uint64_t peak_active_queries = 0;
 };

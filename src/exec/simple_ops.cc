@@ -40,7 +40,7 @@ Result<RowBlock> DrainOperator(Operator* op, ExecContext* ctx) {
     STRATICA_RETURN_NOT_OK(op->GetNext(&block));
     if (block.NumRows() == 0) break;
     block.DecodeAll();
-    for (size_t r = 0; r < block.NumRows(); ++r) all.AppendRowFrom(block, r);
+    all.AppendRange(block, 0, block.NumRows());
   }
   STRATICA_RETURN_NOT_OK(op->Close());
   return all;
@@ -52,7 +52,7 @@ Status MaterializedOperator::GetNext(RowBlock* out) {
   size_t n = rows.NumRows();
   if (cursor_ >= n) return Status::OK();
   size_t take = std::min(ctx_->vector_size, n - cursor_);
-  for (size_t r = 0; r < take; ++r) out->AppendRowFrom(rows, cursor_ + r);
+  out->AppendRange(rows, cursor_, take);
   cursor_ += take;
   return Status::OK();
 }
@@ -137,7 +137,6 @@ RowBlock SortOperator::SortBuffer() {
 Status SortOperator::SpillRun() {
   RowBlock sorted = SortBuffer();
   buffer_ = RowBlock(child_->OutputTypes());
-  buffer_bytes_ = 0;
   if (sorted.NumRows() == 0) return Status::OK();
   SpillWriter writer(ctx_->fs, ctx_->NextSpillPath());
   STRATICA_RETURN_NOT_OK(writer.Append(sorted));
@@ -159,25 +158,12 @@ Status SortOperator::ConsumeRuns() {
     STRATICA_RETURN_NOT_OK(child_->GetNext(&in));
     if (in.NumRows() == 0) break;
     in.DecodeAll();
-    size_t bytes = in.MemoryBytes();
-    for (size_t c = 0; c < buffer_.columns.size(); ++c) {
-      buffer_.columns[c].AppendRange(in.columns[c], 0, in.NumRows());
-    }
-    buffer_bytes_ += bytes;
-    // Externalize when either limit runs out (Section 6.1: all operators can
-    // handle arbitrary inputs regardless of allocated memory): the shared
-    // ResourceBudget when one is installed, and the per-sort spill ceiling
-    // always — an unbudgeted context must not buffer the whole input.
-    bool over_budget = ctx_->budget != nullptr && !ctx_->budget->TryReserve(bytes);
-    if (!over_budget && ctx_->budget != nullptr) reserved_ += bytes;
-    bool over_limit =
-        ctx_->sort_memory_bytes > 0 && buffer_bytes_ > ctx_->sort_memory_bytes;
-    if (over_budget || over_limit) {
+    buffer_.AppendRange(in, 0, in.NumRows());
+    // Externalize when the query's budget refuses the block (Section 6.1:
+    // every operator handles any input within the memory it is given).
+    if (!ctx_->Reserve(in.MemoryBytes(), &reserved_)) {
       STRATICA_RETURN_NOT_OK(SpillRun());
-      if (ctx_->budget != nullptr) {
-        ctx_->budget->Release(reserved_);
-        reserved_ = 0;
-      }
+      ctx_->Release(&reserved_);
     }
   }
 
@@ -259,16 +245,10 @@ Status SortOperator::ConsumeTopK() {
       heap_.back() = {std::string(kd, kl), topk_seq_++,
                       static_cast<uint32_t>(topk_store_.NumRows() - 1)};
       std::push_heap(heap_.begin(), heap_.end(), worse);
-      // Compact on row growth, or on byte growth for wide rows — the store
-      // must not outgrow the sort budget just because replaced rows linger
-      // (live rows are O(result) and must fit to be returned at all). The
-      // byte check walks the store, so it runs every 1024 insertions.
-      if (topk_store_.NumRows() > 4 * k + 1024 ||
-          ((topk_store_.NumRows() & 1023) == 0 && ctx_->sort_memory_bytes > 0 &&
-           topk_store_.NumRows() > 2 * k &&
-           topk_store_.MemoryBytes() > ctx_->sort_memory_bytes)) {
-        CompactTopKStore();
-      }
+      // Replaced rows linger in the store until it outgrows the heap, so
+      // the store stays O(k) rows (live rows are O(result) and must fit to
+      // be returned at all).
+      if (topk_store_.NumRows() > 4 * k + 1024) CompactTopKStore();
     }
   }
   if (ctx_->stats && pruned > 0) ctx_->stats->topk_rows_pruned.fetch_add(pruned);
@@ -299,16 +279,11 @@ Status SortOperator::Open(ExecContext* ctx) {
   sorted_ = RowBlock(child_->OutputTypes());
   cursor_ = 0;
   reserved_ = 0;
-  buffer_bytes_ = 0;
   topk_seq_ = 0;
   merge_mode_ = false;
 
-  Status consumed =
-      limit_hint_ > 0 ? ConsumeTopK() : ConsumeRuns();
-  if (ctx->budget != nullptr) {
-    ctx->budget->Release(reserved_);
-    reserved_ = 0;
-  }
+  Status consumed = limit_hint_ > 0 ? ConsumeTopK() : ConsumeRuns();
+  ctx->Release(&reserved_);
   return consumed;
 }
 
@@ -318,9 +293,7 @@ Status SortOperator::GetNext(RowBlock* out) {
     size_t n = sorted_.NumRows();
     if (cursor_ >= n) return Status::OK();
     size_t take = std::min(ctx_->vector_size, n - cursor_);
-    for (size_t c = 0; c < out->columns.size(); ++c) {
-      out->columns[c].AppendRange(sorted_.columns[c], cursor_, take);
-    }
+    out->AppendRange(sorted_, cursor_, take);
     cursor_ += take;
     return Status::OK();
   }

@@ -104,13 +104,14 @@ class FilterOperator : public Operator {
 };
 
 /// \brief Sort (Section 6.1 #5): externalizing sort over normalized keys
-/// (DESIGN.md §8). Run generation buffers input up to the spill memory
-/// limit (ExecContext::sort_memory_bytes and/or the ResourceBudget), sorts
-/// each run with a memcmp-class normalized-key sort and spills it; the
-/// final run stays in memory and all runs stream through a k-way
-/// loser-tree merge. When a Limit sits above the Sort, the planner passes
-/// `limit_hint` and the operator switches to a fused top-k heap that keeps
-/// at most `limit_hint` rows buffered and never spills.
+/// (DESIGN.md §8). Run generation reserves each input block against the
+/// query's budget (ExecContext::budget); when a reservation is refused it
+/// sorts the buffer with a memcmp-class normalized-key sort, spills it as a
+/// run and releases what it held. The final run stays in memory and all
+/// runs stream through a k-way loser-tree merge. When a Limit sits above
+/// the Sort, the planner passes `limit_hint` and the operator switches to a
+/// fused top-k heap that keeps O(`limit_hint`) rows buffered and never
+/// spills.
 class SortOperator : public Operator {
  public:
   SortOperator(OperatorPtr child, std::vector<SortKey> keys, uint64_t limit_hint = 0)
@@ -124,8 +125,8 @@ class SortOperator : public Operator {
   std::string DebugString() const override;
   std::vector<Operator*> Children() const override { return {child_.get()}; }
   size_t MemoryEstimateBytes() const override {
-    // Top-k keeps at most limit_hint rows; a full sort buffers up to the
-    // run-generation ceiling before spilling.
+    // Top-k keeps O(limit_hint) rows; a full sort spills when the query's
+    // budget refuses a block.
     return limit_hint_ > 0 ? (1 << 20) : (16 << 20);
   }
 
@@ -144,8 +145,7 @@ class SortOperator : public Operator {
   ExecContext* ctx_ = nullptr;
 
   RowBlock buffer_;
-  size_t buffer_bytes_ = 0;
-  size_t reserved_ = 0;
+  size_t reserved_ = 0;  ///< bytes of buffer_ held against ctx_->budget
   std::vector<std::string> run_paths_;
   std::unique_ptr<LoserTreeMerger> merger_;
 

@@ -32,7 +32,7 @@ class BroadcastState {
       if (!status_.ok() || block.NumRows() == 0) break;
       block.DecodeAll();
       if (ctx->stats) ctx->stats->exchange_bytes.fetch_add(block.MemoryBytes());
-      for (size_t r = 0; r < block.NumRows(); ++r) rows_.AppendRowFrom(block, r);
+      rows_.AppendRange(block, 0, block.NumRows());
     }
     if (status_.ok()) status_ = child_->Close();
     return status_;
@@ -64,7 +64,7 @@ class BroadcastConsumerOperator : public Operator {
     *out = RowBlock(OutputTypes());
     if (cursor_ >= rows.NumRows()) return Status::OK();
     size_t take = std::min(ctx_->vector_size, rows.NumRows() - cursor_);
-    for (size_t r = 0; r < take; ++r) out->AppendRowFrom(rows, cursor_ + r);
+    out->AppendRange(rows, cursor_, take);
     cursor_ += take;
     return Status::OK();
   }

@@ -3,9 +3,15 @@
 // runtime hash->merge switch), sort spill, analytic windows, exchanges.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
 
 #include "cluster/cluster.h"
 #include "exec/analytic.h"
@@ -191,6 +197,134 @@ TEST_F(ExecFixture, HashGroupBySpillsUnderTinyBudgetSameAnswer) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().NumRows(), 1000u);
   EXPECT_GT(stats_.rows_spilled.load(), 0u);
+}
+
+// Parks each GatedSource at its EOF until the test thread opens the gate,
+// so both group-bys above the sources hold their whole input at once.
+struct ConsumeGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  bool open = false;
+
+  void ArriveAndWait() {
+    std::unique_lock lock(mu);
+    ++arrived;
+    cv.notify_all();
+    cv.wait(lock, [&] { return open; });
+  }
+  bool WaitForArrivals(int n) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30), [&] { return arrived == n; });
+  }
+  void Open() {
+    {
+      std::lock_guard lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+/// Serves `block` in vector_size slices, then waits at `gate` once before
+/// reporting end of stream.
+class GatedSource : public Operator {
+ public:
+  GatedSource(RowBlock block, ConsumeGate* gate) : block_(std::move(block)), gate_(gate) {}
+  Status Open(ExecContext* ctx) override {
+    ctx_ = ctx;
+    cursor_ = 0;
+    return Status::OK();
+  }
+  Status GetNext(RowBlock* out) override {
+    *out = RowBlock(OutputTypes());
+    size_t take = std::min(ctx_->vector_size, block_.NumRows() - cursor_);
+    if (take == 0 && gate_ != nullptr) std::exchange(gate_, nullptr)->ArriveAndWait();
+    out->AppendRange(block_, cursor_, take);
+    cursor_ += take;
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  std::vector<TypeId> OutputTypes() const override { return {TypeId::kInt64}; }
+  std::vector<std::string> OutputNames() const override { return {"k"}; }
+  std::string DebugString() const override { return "GatedSource"; }
+
+ private:
+  RowBlock block_;
+  ConsumeGate* gate_;
+  ExecContext* ctx_ = nullptr;
+  size_t cursor_ = 0;
+};
+
+// Two group-bys of one query share its budget. Each table needs about 60%
+// of it, so together they must not fit: the budget is the one limit, and at
+// least one of them spills while both hold their tables at the same time.
+TEST_F(ExecFixture, ConcurrentGroupBysShareOneBudget) {
+  constexpr int64_t kGroups = 6000;
+  // HashGroupBy charges 64 bytes per group plus 48 per aggregate state.
+  constexpr size_t kTableBytes = kGroups * (64 + 48);
+  ResourceBudget budget(kTableBytes * 5 / 3);
+  GroupBySpec spec;
+  spec.group_columns = {0};
+  spec.aggs = {{AggKind::kCountStar, -1, TypeId::kInt64}};
+  spec.output_names = {"k", "n"};
+  auto input = [&](int64_t first_key) {
+    RowBlock block({TypeId::kInt64});
+    for (int rep = 0; rep < 3; ++rep) {
+      for (int64_t g = 0; g < kGroups; ++g) block.columns[0].ints.push_back(first_key + g);
+    }
+    return block;
+  };
+  auto counts = [](const RowBlock& rows) {
+    std::map<int64_t, int64_t> m;
+    for (size_t r = 0; r < rows.NumRows(); ++r)
+      m[rows.columns[0].ints[r]] = rows.columns[1].ints[r];
+    return m;
+  };
+
+  // Unspilled oracle per input, and proof that one table alone fits.
+  std::map<int64_t, int64_t> want[2];
+  for (int i = 0; i < 2; ++i) {
+    ExecStats solo_stats;
+    ExecContext solo = ctx_;
+    solo.stats = &solo_stats;
+    solo.budget = &budget;
+    HashGroupByOperator gb(std::make_unique<GatedSource>(input(i * kGroups), nullptr), spec);
+    auto rows = DrainOperator(&gb, &solo);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(solo_stats.rows_spilled.load(), 0u) << "one table alone must fit";
+    want[i] = counts(rows.value());
+    ASSERT_EQ(want[i].size(), static_cast<size_t>(kGroups));
+  }
+
+  ConsumeGate gate;
+  ExecStats stats[2];
+  Result<RowBlock> got[2] = {RowBlock(), RowBlock()};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i] {
+      ExecContext ctx = ctx_;
+      ctx.stats = &stats[i];
+      ctx.budget = &budget;
+      HashGroupByOperator gb(std::make_unique<GatedSource>(input(i * kGroups), &gate),
+                             spec);
+      got[i] = DrainOperator(&gb, &ctx);
+    });
+  }
+  // Both inputs consumed, neither group-by has emitted or released yet.
+  bool both_arrived = gate.WaitForArrivals(2);
+  gate.Open();
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(both_arrived);
+
+  EXPECT_GT(stats[0].rows_spilled.load() + stats[1].rows_spilled.load(), 0u)
+      << "two tables of 60% each were held under one budget without a spill";
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+    EXPECT_EQ(counts(got[i].value()), want[i]);
+  }
+  // Every reservation was returned: the whole budget is free again.
+  EXPECT_TRUE(budget.TryReserve(kTableBytes * 5 / 3));
 }
 
 // Over the sorted projection the scan emits cust as RLE runs; the group-by

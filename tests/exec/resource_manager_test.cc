@@ -24,6 +24,15 @@ ResourceManagerConfig Cfg(size_t pool, size_t slots = 0,
   return cfg;
 }
 
+// Polls the `waiting` gauge until `n` admissions are queued. Gives up after
+// 10 s and leaves the caller's assertions to report what went wrong.
+void WaitForWaiters(const ResourceManager& rm, uint64_t n) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rm.stats().waiting < n && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ResourceManagerTest, ReservationClampedToFloorAndPool) {
   ResourceManager rm(Cfg(8 * kMB));
   {
@@ -82,18 +91,20 @@ TEST(ResourceManagerTest, FifoOrderIsStrict) {
   std::atomic<int> order{0};
   int big_rank = -1, small_rank = -1;
   std::thread big([&] {
-    auto t = rm.Admit(8 * kMB);  // does not fit until holder releases
+    // Does not fit until holder releases. It takes the whole pool, so
+    // `small` cannot be admitted before `big` has recorded its rank and
+    // dropped its ticket; with room for both the ranks would race.
+    auto t = rm.Admit(10 * kMB);
     ASSERT_TRUE(t.ok());
     big_rank = order.fetch_add(1);
   });
-  // Give `big` time to reach the head of the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  WaitForWaiters(rm, 1);  // `big` is at the head of the queue
   std::thread small([&] {
     auto t = rm.Admit(1 * kMB);  // would fit right now, but arrived later
     ASSERT_TRUE(t.ok());
     small_rank = order.fetch_add(1);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  WaitForWaiters(rm, 2);  // `small` has been refused once and queued
   // Strict FIFO: the small request must still be queued behind big.
   EXPECT_EQ(order.load(), 0);
   holder.value().Release();
@@ -114,7 +125,7 @@ TEST(ResourceManagerTest, ConcurrencySlotsCapActiveQueries) {
     ASSERT_TRUE(t.ok());
     c_admitted = true;
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  WaitForWaiters(rm, 1);
   EXPECT_FALSE(c_admitted.load()) << "third query admitted past the slot cap";
   a.value().Release();
   c.join();

@@ -1,7 +1,7 @@
 // External-sort and merge-kernel tests (DESIGN.md §8): spill vs in-memory
 // vs std::stable_sort oracle across key types / NULLs / DESC / duplicates /
 // top-k, loser-tree merge correctness + provenance, and the Sort operator's
-// spill memory-limit accounting.
+// spilling under the query's ResourceBudget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,38 +89,38 @@ TEST_F(SortMergeTest, DifferentialSpillVsInMemoryVsOracle) {
                                     << keys[0].column);
     RowBlock want = OracleSort(input, keys);
 
-    // In-memory (no cap) and spilled (tiny cap) must both equal the oracle
-    // exactly, ties included.
+    // In-memory (no budget) and spilled (tiny budget) must both equal the
+    // oracle exactly, ties included.
     ExecContext mem_ctx;
     mem_ctx.fs = &fs_;
     mem_ctx.stats = &stats_;
-    mem_ctx.sort_memory_bytes = 0;
     auto in_memory = RunSort(input, keys, &mem_ctx);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
     ExpectBlocksEqual(in_memory.value(), want);
 
+    ResourceBudget budget(64 << 10);
     ExecContext spill_ctx;
     spill_ctx.fs = &fs_;
     spill_ctx.stats = &stats_;
-    spill_ctx.sort_memory_bytes = 64 << 10;
+    spill_ctx.budget = &budget;
     size_t runs = 0;
     auto spilled = RunSort(input, keys, &spill_ctx, 0, &runs);
     ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    EXPECT_GT(runs, 1u);  // the cap must actually externalize
+    EXPECT_GT(runs, 1u);  // the budget must actually externalize
     ExpectBlocksEqual(spilled.value(), want);
   }
 }
 
-TEST_F(SortMergeTest, SpillHonorsMemoryLimitWithoutBudget) {
-  // The satellite fix: before, a context without a ResourceBudget buffered
-  // the entire input. Now sort_memory_bytes alone forces run generation and
-  // the runs/bytes surface in ExecStats.
+TEST_F(SortMergeTest, SpillHonorsSmallBudget) {
+  // The query's budget is the sort's only memory limit: a budget smaller
+  // than one input block makes every block a spilled run, and the
+  // runs/bytes surface in ExecStats.
   RowBlock input = RandomBlock(30000, 5);
+  ResourceBudget budget(32 << 10);
   ExecContext ctx;
   ctx.fs = &fs_;
   ctx.stats = &stats_;
-  ctx.budget = nullptr;
-  ctx.sort_memory_bytes = 32 << 10;
+  ctx.budget = &budget;
   size_t runs = 0;
   auto sorted = RunSort(input, {{0, false}, {2, false}}, &ctx, 0, &runs);
   ASSERT_TRUE(sorted.ok());
@@ -242,10 +242,11 @@ TEST_F(SortMergeTest, NanDoublesStaySortedThroughSpillMerge) {
     input.columns[2].strings.push_back("");
     input.columns[3].ints.push_back(static_cast<int64_t>(r));
   }
+  ResourceBudget budget(64 << 10);  // force spill runs + merge
   ExecContext ctx;
   ctx.fs = &fs_;
   ctx.stats = &stats_;
-  ctx.sort_memory_bytes = 64 << 10;  // force spill runs + merge
+  ctx.budget = &budget;
   size_t runs = 0;
   auto sorted = RunSort(input, {{1, false}}, &ctx, 0, &runs);
   ASSERT_TRUE(sorted.ok());
