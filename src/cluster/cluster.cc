@@ -267,81 +267,39 @@ Result<RowBlock> Cluster::BuildPrejoinRows(const ProjectionDef& proj,
                                            std::vector<RejectedRecord>* rejected,
                                            Epoch snapshot) {
   STRATICA_ASSIGN_OR_RETURN(TableDef fact, catalog_->GetTable(proj.anchor_table));
-  // Load each dimension's rows (dimensions are small by definition of the
-  // N:1 prejoin) and index them by join key.
+  // Gather each dimension's rows (dimensions are small by definition of the
+  // N:1 prejoin) in table order and index the live ones by join key.
   struct DimData {
-    RowBlock rows;
+    TableDef table;
+    CopyRows rows;
     std::vector<int> dim_cols;       // join key columns in dim block
     std::vector<int> fact_cols;      // join key columns in fact block
-    std::unordered_map<uint64_t, size_t> index;
-    std::string name;
+    std::unordered_map<uint64_t, uint32_t> index;
   };
   std::vector<DimData> dims;
   for (const auto& pj : proj.prejoins) {
     DimData d;
-    d.name = pj.dim_table;
-    STRATICA_ASSIGN_OR_RETURN(TableDef dim_table, catalog_->GetTable(pj.dim_table));
-    // Read the dimension from its first available super projection copy.
-    RowBlock dim_rows;
+    STRATICA_ASSIGN_OR_RETURN(d.table, catalog_->GetTable(pj.dim_table));
+    std::vector<ProjectionColumnDef> columns;
+    for (size_t c = 0; c < d.table.columns.size(); ++c)
+      columns.push_back({d.table.columns[c].name, static_cast<int>(c)});
+    // The first super projection whose every slot has a live copy.
     bool found = false;
     for (const auto& dp : catalog_->ProjectionsForTable(pj.dim_table)) {
       if (!dp.is_super) continue;
-      // Concatenate across nodes (dimension projections may be segmented).
-      RowBlock all(dim_table.ToBindSchema().types);
-      bool complete = true;
-      uint32_t n = num_nodes();
-      if (dp.segmentation.replicated) {
-        for (uint32_t i = 0; i < n; ++i) {
-          Node* node = nodes_[i].get();
-          if (!node->up()) continue;
-          auto* ps = node->GetStorage(dp.name);
-          if (!ps) continue;
-          RowBlock part;
-          STRATICA_RETURN_NOT_OK(
-              ReadProjectionRows(fs_, ps, snapshot, &part, nullptr, nullptr, nullptr));
-          all = std::move(part);
-          break;
-        }
-      } else {
-        for (uint32_t i = 0; i < n; ++i) {
-          Node* node = nodes_[i].get();
-          auto* ps = node->GetStorage(dp.name);
-          if (!ps) continue;
-          if (!node->up()) {
-            complete = false;
-            break;
-          }
-          RowBlock part;
-          STRATICA_RETURN_NOT_OK(
-              ReadProjectionRows(fs_, ps, snapshot, &part, nullptr, nullptr, nullptr));
-          for (size_t r = 0; r < part.NumRows(); ++r) all.AppendRowFrom(part, r);
-        }
+      auto got = Gather(dp, columns, 0, snapshot);
+      if (got.ok()) {
+        d.rows = std::move(got).value();
+        found = true;
+        break;
       }
-      if (complete) {
-        // The dim projection stores columns in its own order; remap to
-        // table order.
-        RowBlock remapped(dim_table.ToBindSchema().types);
-        for (size_t tc = 0; tc < dim_table.columns.size(); ++tc) {
-          int pc = dp.FindColumn(dim_table.columns[tc].name);
-          if (pc < 0) {
-            complete = false;
-            break;
-          }
-          remapped.columns[tc] = all.columns[pc];
-        }
-        if (complete) {
-          dim_rows = std::move(remapped);
-          found = true;
-          break;
-        }
-      }
+      if (got.status().code() != StatusCode::kClusterUnavailable) return got.status();
     }
     if (!found)
       return Status::ClusterUnavailable("dimension ", pj.dim_table,
                                         " unavailable for prejoin load");
-    d.rows = std::move(dim_rows);
     for (const auto& c : pj.dim_join_columns) {
-      int idx = dim_table.FindColumn(c);
+      int idx = d.table.FindColumn(c);
       if (idx < 0) return Status::AnalysisError("bad prejoin dim column: ", c);
       d.dim_cols.push_back(idx);
     }
@@ -350,126 +308,89 @@ Result<RowBlock> Cluster::BuildPrejoinRows(const ProjectionDef& proj,
       if (idx < 0) return Status::AnalysisError("bad prejoin fact column: ", c);
       d.fact_cols.push_back(idx);
     }
-    for (size_t r = 0; r < d.rows.NumRows(); ++r) {
+    for (uint32_t r = 0; r < d.rows.rows.NumRows(); ++r) {
+      if (d.rows.deletes[r] != 0) continue;  // deleted at the snapshot
       uint64_t h = 0x9b97;
-      for (int c : d.dim_cols) h = HashCombine(h, d.rows.columns[c].HashEntry(r));
+      for (int c : d.dim_cols) h = HashCombine(h, d.rows.rows.columns[c].HashEntry(r));
       d.index.emplace(h, r);
     }
     dims.push_back(std::move(d));
   }
 
-  // Build output columns in the projection's order.
-  std::vector<TypeId> out_types;
-  STRATICA_ASSIGN_OR_RETURN(ProjectionStorageConfig cfg, MakeStorageConfig(proj, 0));
-  out_types = cfg.column_types;
-  RowBlock out(out_types);
-
-  std::vector<size_t> dim_match(dims.size());
+  // Match every fact row, then gather the output a column at a time.
+  std::vector<uint32_t> kept;
+  std::vector<std::vector<uint32_t>> dim_rows(dims.size());
   for (size_t r = 0; r < rows.NumRows(); ++r) {
-    bool ok = true;
-    for (size_t di = 0; di < dims.size() && ok; ++di) {
+    size_t di = 0;
+    for (; di < dims.size(); ++di) {
       uint64_t h = 0x9b97;
       for (int c : dims[di].fact_cols) h = HashCombine(h, rows.columns[c].HashEntry(r));
       auto it = dims[di].index.find(h);
-      if (it == dims[di].index.end()) {
-        rejected->push_back(
-            {r, "no matching row in prejoin dimension " + dims[di].name});
-        ok = false;
-      } else {
-        dim_match[di] = it->second;
-      }
+      if (it == dims[di].index.end()) break;
+      dim_rows[di].push_back(it->second);
     }
-    if (!ok) continue;
-    for (size_t oc = 0; oc < proj.columns.size(); ++oc) {
-      const auto& pc = proj.columns[oc];
-      if (pc.table_column >= 0) {
-        out.columns[oc].AppendFrom(rows.columns[pc.table_column], r);
-      } else {
-        auto dot = pc.name.find('.');
-        std::string dim_name = pc.name.substr(0, dot);
-        std::string col_name = pc.name.substr(dot + 1);
-        for (size_t di = 0; di < dims.size(); ++di) {
-          if (dims[di].name != dim_name) continue;
-          STRATICA_ASSIGN_OR_RETURN(TableDef dim_table, catalog_->GetTable(dim_name));
-          int dc = dim_table.FindColumn(col_name);
-          out.columns[oc].AppendFrom(dims[di].rows.columns[dc], dim_match[di]);
-          break;
-        }
-      }
+    if (di == dims.size()) {
+      kept.push_back(static_cast<uint32_t>(r));
+      continue;
     }
+    rejected->push_back(
+        {r, "no matching row in prejoin dimension " + dims[di].table.name});
+    for (size_t dj = 0; dj < di; ++dj) dim_rows[dj].pop_back();
+  }
+  STRATICA_ASSIGN_OR_RETURN(ProjectionStorageConfig cfg, MakeStorageConfig(proj, 0));
+  RowBlock out(cfg.column_types);
+  for (size_t oc = 0; oc < proj.columns.size(); ++oc) {
+    const auto& pc = proj.columns[oc];
+    if (pc.table_column >= 0) {
+      out.columns[oc].AppendGather(rows.columns[pc.table_column], kept);
+      continue;
+    }
+    auto dot = pc.name.find('.');
+    auto dim = std::find_if(dims.begin(), dims.end(), [&](const DimData& d) {
+      return d.table.name == pc.name.substr(0, dot);
+    });
+    if (dim == dims.end()) return Status::Internal("no prejoin dimension for ", pc.name);
+    int dc = dim->table.FindColumn(pc.name.substr(dot + 1));
+    out.columns[oc].AppendGather(dim->rows.rows.columns[dc], dim_rows[dim - dims.begin()]);
   }
   return out;
 }
 
 Status Cluster::RouteAndInsert(const ProjectionDef& proj, RowBlock rows,
                                Transaction* txn, bool direct_ros) {
-  if (rows.NumRows() == 0) return Status::OK();
+  const size_t n_rows = rows.NumRows();
+  if (n_rows == 0) return Status::OK();
   uint64_t block_bytes = rows.MemoryBytes();
   // Topology snapshot for the whole routing pass. DML holds the table's I
   // lock, and the rebalance swap holds S on every table, so the snapshot
   // cannot go stale mid-route.
-  uint32_t num = num_nodes();
   SegmentationRing ring = this->ring();
-  if (proj.segmentation.replicated) {
-    // Every up node gets a copy; the last one takes the block itself.
-    uint32_t last_up = num;
-    for (uint32_t i = 0; i < num; ++i) {
-      if (nodes_[i]->up()) last_up = i;
-    }
-    for (uint32_t i = 0; i < num; ++i) {
-      Node* node = nodes_[i].get();
-      if (!node->up()) continue;
-      auto* ps = node->GetStorage(proj.name);
-      if (!ps) return Status::Internal("missing storage for ", proj.name);
-      RowBlock copy = i == last_up ? std::move(rows) : rows;
-      if (node->id() != 0) AddNetworkBytes(block_bytes);
-      Status st = direct_ros ? ps->InsertDirectRos(std::move(copy), txn)
-                             : ps->InsertWos(std::move(copy), txn);
-      // A node crashing between the up() check above and the insert is the
-      // same case as failing the check: skip it, the buddy recovers the rows.
-      if (st.code() == StatusCode::kClusterUnavailable) continue;
-      STRATICA_RETURN_NOT_OK(st);
-    }
-    return Status::OK();
-  }
-  // Evaluate the segmentation expression over the projection-ordered rows.
+  uint32_t num = ring.num_nodes();
   ProjectionStorage* any_ps = nodes_[0]->GetStorage(proj.name);
   if (!any_ps) return Status::Internal("missing storage for ", proj.name);
-  const size_t n_rows = rows.NumRows();
-  std::vector<size_t> counts(num, 0);
-  std::vector<std::vector<uint32_t>> per_node(num);
-  {
-    ColumnVector hashes;
-    STRATICA_RETURN_NOT_OK(
-        EvalExpr(*any_ps->config().segmentation_expr, rows, &hashes));
-    auto target = [&](size_t r) {
-      return ring.NodeFor(static_cast<uint64_t>(hashes.ints[r]),
-                          proj.segmentation.node_offset);
-    };
-    // Count first so each node's index list is allocated once; a node that
-    // gets every row needs none.
-    for (size_t r = 0; r < n_rows; ++r) ++counts[target(r)];
-    if (std::find(counts.begin(), counts.end(), n_rows) == counts.end()) {
-      for (uint32_t n = 0; n < num; ++n) per_node[n].reserve(counts[n]);
-      for (size_t r = 0; r < n_rows; ++r)
-        per_node[target(r)].push_back(static_cast<uint32_t>(r));
-    }
+  STRATICA_ASSIGN_OR_RETURN(RingSplit split, Route(proj, any_ps->config(), rows, ring));
+  // The last up node that gets every row takes the block itself.
+  uint32_t taker = num;
+  for (uint32_t n = 0; n < num; ++n) {
+    if (split.counts[n] == n_rows && nodes_[n]->up()) taker = n;
   }
   for (uint32_t n = 0; n < num; ++n) {
-    if (counts[n] == 0) continue;
+    if (split.counts[n] == 0) continue;
     // Rows destined to a down node are skipped; the node recovers them from
     // this projection's buddy after it rejoins (Section 5.2).
     if (!nodes_[n]->up()) continue;
     auto* ps = nodes_[n]->GetStorage(proj.name);
     if (!ps) return Status::Internal("missing storage for ", proj.name);
-    // Gather the node's rows column at a time; a node that gets every row
-    // takes the block itself.
-    RowBlock part = counts[n] == n_rows ? std::move(rows)
-                                        : ApplyPermutation(rows, per_node[n]);
-    if (n != 0) AddNetworkBytes(part.MemoryBytes());
+    // Gather the node's rows column at a time.
+    bool whole = split.counts[n] == n_rows;
+    RowBlock part = n == taker ? std::move(rows)
+                    : whole    ? rows
+                               : ApplyPermutation(rows, split.rows[n]);
+    if (n != 0) AddNetworkBytes(whole ? block_bytes : part.MemoryBytes());
     Status st = direct_ros ? ps->InsertDirectRos(std::move(part), txn)
                            : ps->InsertWos(std::move(part), txn);
-    // Crash raced the up() check: same as a down node, skip (see above).
+    // A node crashing between the up() check above and the insert is the
+    // same case as failing the check: skip it, the buddy recovers the rows.
     if (st.code() == StatusCode::kClusterUnavailable) continue;
     STRATICA_RETURN_NOT_OK(st);
   }

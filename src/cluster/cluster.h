@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -232,18 +233,11 @@ class Cluster {
                                                     const SegmentationRing& ring) const;
   /// Two-phase online rebalance core shared by add and remove.
   Status RebalanceToNodeCount(uint32_t new_count);
-  /// Phase-2 helper: replay commits in (from, to] from the active storages
-  /// of `def` into the staged new-generation storages (routing by
-  /// `new_ring`), including content-matched translation of deletes that
-  /// target pre-`from` rows.
-  Status ReplayRebalanceDelta(const ProjectionDef& def,
-                              std::vector<std::unique_ptr<ProjectionStorage>>& staged,
-                              Epoch from, Epoch to, const SegmentationRing& new_ring,
-                              uint32_t old_count);
   Status RouteAndInsert(const ProjectionDef& proj, RowBlock rows, Transaction* txn,
                         bool direct_ros);
   /// Build prejoined rows for a prejoin projection (Section 3.3): N:1 join
-  /// with dimension tables at load time; unmatched rows are rejected.
+  /// of `rows` (in anchor-table column order) with dimension rows live at
+  /// `snapshot`; unmatched rows are rejected, in row order.
   Result<RowBlock> BuildPrejoinRows(const ProjectionDef& proj, const RowBlock& rows,
                                     std::vector<RejectedRecord>* rejected,
                                     Epoch snapshot);
@@ -253,19 +247,62 @@ class Cluster {
   Status RecoverProjectionOnNode(const ProjectionDef& def, uint32_t node_id,
                                  Epoch up_to, bool take_lock, uint64_t txn_id,
                                  bool full_rebuild = false);
-  /// Up copy holding exactly `node_id`'s rows of `def`, fit to serve as the
-  /// source for a recovery that replays epochs after `needed_from`; null
-  /// when K-safety is exhausted for that slot. Quarantined copies still
-  /// holding their data qualify (reads are checksum-verified); copies a
-  /// failed repair gutted qualify only when gutted at or before
-  /// `needed_from` — such a copy is complete after the gut point only.
-  ProjectionStorage* FindRecoverySource(const ProjectionDef& def, uint32_t node_id,
-                                        Epoch needed_from);
   /// RefreshProjection body; runs with the anchor table's S lock held so
   /// every error path still releases it in the caller.
-  Status RefreshProjectionLocked(const std::string& projection,
-                                 const ProjectionDef& def, const TableDef& table,
+  Status RefreshProjectionLocked(const ProjectionDef& def, const TableDef& table,
                                  const ProjectionDef& src, Epoch now);
+
+  // --- copy path (Section 5.2): recovery, repair, refresh, rebalance and the
+  // prejoin dimension read all run slot source -> gather -> route -> replay.
+
+  /// Rows gathered from live copies: each with its commit epoch, its delete
+  /// epoch (0 = live at the read epoch) and the node it was read from.
+  struct CopyRows {
+    RowBlock rows;
+    std::vector<Epoch> epochs;
+    std::vector<Epoch> deletes;
+    std::vector<uint32_t> hosts;
+
+    /// Rows `idx`, in that order, with their epochs and hosts.
+    CopyRows Select(const std::vector<uint32_t>& idx) const;
+  };
+  /// Slot source: the up copy in `def`'s buddy family that serves ring slot
+  /// `slot` (any slot of a replicated projection) for history after
+  /// `needed_from`, never on node `exclude_node` (-1 = none). `def`'s own
+  /// copy is preferred, then its buddies. Quarantined copies still holding
+  /// their data qualify (reads are checksum-verified); a copy a failed
+  /// repair gutted qualifies only when gutted at or before `needed_from`,
+  /// since it is complete after the gut point only. Null when K-safety is
+  /// exhausted for the slot; `*host` receives the serving node.
+  ProjectionStorage* SlotSource(const ProjectionDef& def, uint32_t slot,
+                                Epoch needed_from, int exclude_node, uint32_t* host);
+  /// Gather: read ring slot `slot` of `src` (every slot when unset) at
+  /// `at`, each through SlotSource, into one block in the order of
+  /// `columns` (matched to `src`'s by table column, else by name).
+  Result<CopyRows> Gather(const ProjectionDef& src,
+                          const std::vector<ProjectionColumnDef>& columns,
+                          Epoch needed_from, Epoch at,
+                          std::optional<uint32_t> slot = std::nullopt,
+                          int exclude_node = -1);
+  /// Route: split `rows` of `proj` (projection column order, segmentation
+  /// bound in `cfg`) into per-node row index lists under `ring`. Counts
+  /// come first so each list is allocated once; a node that gets every row
+  /// (every node of a replicated projection) gets no list.
+  struct RingSplit {
+    std::vector<size_t> counts;
+    std::vector<std::vector<uint32_t>> rows;
+  };
+  static Result<RingSplit> Route(const ProjectionDef& proj,
+                                 const ProjectionStorageConfig& cfg,
+                                 const RowBlock& rows, const SegmentationRing& ring);
+  /// Replay: route `src` (in `def`'s column order) by `ring`; ingest each
+  /// target's rows committed in (from, to] with their epochs, re-target
+  /// deletes in (from, to] of older rows by content, and charge 64 B of
+  /// network traffic per row landing on a node other than its source host.
+  /// A node whose `targets` entry is null is skipped.
+  Status Replay(const ProjectionDef& def, const CopyRows& src,
+                const SegmentationRing& ring,
+                const std::vector<ProjectionStorage*>& targets, Epoch from, Epoch to);
 
   ClusterConfig cfg_;
   FileSystem* fs_;

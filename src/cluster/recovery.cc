@@ -1,17 +1,23 @@
-// Node recovery, projection refresh, and elastic rebalance (Section 5.2).
+// The copy path (Section 5.2): node recovery, quarantine repair, projection
+// refresh, elastic rebalance and the prejoin dimension read all copy
+// epoch-stamped rows and delete markers from live copies the same way. The
+// slot source picks the copy serving each ring slot (the projection's own,
+// then its buddies); the gather reads those slots into one block in the
+// caller's column order; the replay routes the rows by the ring, ingests the
+// ones committed after `from` with their epochs, and re-resolves later
+// deletes of older rows on the destination by content (the "separate plan"
+// the paper uses to move delete vectors).
 //
-// Recovery replays the DML a down node missed using the buddy projection:
-// the node first truncates to its Last Good Epoch (WOS contents died with
-// it), then copies missed rows from the buddy in two phases — a lock-free
-// historical phase covering (LGE, Eh], then a current phase under a Shared
-// table lock covering (Eh, now]. Because buddies share sort order, row data
-// moves wholesale; delete markers that target pre-LGE rows are re-resolved
-// on the recovering node by content (the "separate plan" the paper uses to
-// move delete vectors).
+// Recovery first truncates the node to its Last Good Epoch (WOS contents
+// died with it), then runs the path in two phases: a lock-free historical
+// phase covering (LGE, Eh], then a current phase under a Shared table lock
+// covering (Eh, now].
+#include <algorithm>
 #include <unordered_map>
 
 #include "cluster/cluster.h"
 #include "common/hash.h"
+#include "storage/sort_util.h"
 
 namespace stratica {
 
@@ -34,8 +40,7 @@ struct MissedDelete {
 /// Re-target `deletes` (rows of `src_rows`) onto `ps` by content match: read
 /// the destination's live rows as of `read_at`, find each deleted row's twin
 /// and register a delete-vector chunk carrying the original delete epoch.
-/// Shared by node recovery and elastic rebalance (the paper's "separate
-/// plan" for moving delete vectors).
+/// Replay's step for deletes of rows the destination already holds.
 Status TranslateDeletesByContent(const FileSystem* fs, ProjectionStorage* ps,
                                  const RowBlock& src_rows,
                                  const std::vector<MissedDelete>& deletes,
@@ -88,15 +93,11 @@ Status TranslateDeletesByContent(const FileSystem* fs, ProjectionStorage* ps,
   return Status::OK();
 }
 
-}  // namespace
-
-namespace {
-
-/// Which copies may serve a recovery range (needed_from, now]?
+/// Which copies may serve a copy range (needed_from, now]?
 ///
 /// A quarantined copy that still has its data IS usable: its reads are
 /// checksum-verified end to end, so either the copy serves correct bytes or
-/// the recovery fails cleanly and is retried — and recovery_mu_ guarantees
+/// the copy fails cleanly and is retried — and recovery_mu_ guarantees
 /// no repair is concurrently rebuilding it under us. Rejecting it instead
 /// deadlocks the common double-fault: the quarantined copy's buddy goes
 /// down, each side is the only possible source for the other.
@@ -111,39 +112,150 @@ bool UsableAsSource(const ProjectionStorage* cand, Epoch needed_from) {
   return true;
 }
 
+template <typename T>
+std::vector<T> Pick(const std::vector<T>& v, const std::vector<uint32_t>& idx) {
+  std::vector<T> out;
+  out.reserve(idx.size());
+  for (uint32_t i : idx) out.push_back(v[i]);
+  return out;
+}
+
 }  // namespace
 
-ProjectionStorage* Cluster::FindRecoverySource(const ProjectionDef& def,
-                                               uint32_t node_id,
-                                               Epoch needed_from) {
+Cluster::CopyRows Cluster::CopyRows::Select(const std::vector<uint32_t>& idx) const {
+  return {ApplyPermutation(rows, idx), Pick(epochs, idx), Pick(deletes, idx),
+          Pick(hosts, idx)};
+}
+
+ProjectionStorage* Cluster::SlotSource(const ProjectionDef& def, uint32_t slot,
+                                       Epoch needed_from, int exclude_node,
+                                       uint32_t* host) {
   uint32_t n = num_nodes();
-  // A live source holding exactly this node's rows.
-  if (def.segmentation.replicated) {
-    for (uint32_t i = 0; i < n; ++i) {
-      Node* other = nodes_[i].get();
-      if (other->id() == static_cast<int>(node_id) || !other->up()) continue;
-      auto* cand = other->GetStorage(def.name);
+  std::string family = def.buddy_of.empty() ? def.name : def.buddy_of;
+  std::vector<ProjectionDef> copies{def};
+  for (auto& copy : catalog_->ProjectionsForTable(def.anchor_table)) {
+    std::string copy_family = copy.buddy_of.empty() ? copy.name : copy.buddy_of;
+    if (copy_family == family && copy.name != def.name) copies.push_back(std::move(copy));
+  }
+  for (const auto& copy : copies) {
+    // A segmented copy stores the slot on one node; a replicated one on all.
+    bool replicated = copy.segmentation.replicated;
+    for (uint32_t i = 0; i < (replicated ? n : 1); ++i) {
+      uint32_t h = replicated ? i : (slot + copy.segmentation.node_offset) % n;
+      if (static_cast<int>(h) == exclude_node || !nodes_[h]->up()) continue;
+      auto* cand = nodes_[h]->GetStorage(copy.name);
       if (!UsableAsSource(cand, needed_from)) continue;
+      *host = h;
       return cand;
     }
-    return nullptr;
-  }
-  // Ring slot this node stores for `def`; any projection in the same
-  // family stores the same slot on a (hopefully up) different node.
-  SegmentationRing ring = this->ring();
-  uint32_t slot = ring.SlotStoredBy(node_id, def.segmentation.node_offset);
-  std::string family = def.buddy_of.empty() ? def.name : def.buddy_of;
-  for (const auto& copy : catalog_->ProjectionsForTable(def.anchor_table)) {
-    std::string copy_family = copy.buddy_of.empty() ? copy.name : copy.buddy_of;
-    if (copy_family != family || copy.name == def.name) continue;
-    if (copy.segmentation.replicated) continue;
-    uint32_t host = (slot + copy.segmentation.node_offset) % ring.num_nodes();
-    if (!nodes_[host]->up()) continue;
-    auto* cand = nodes_[host]->GetStorage(copy.name);
-    if (!UsableAsSource(cand, needed_from)) continue;
-    return cand;
   }
   return nullptr;
+}
+
+Result<Cluster::CopyRows> Cluster::Gather(const ProjectionDef& src,
+                                          const std::vector<ProjectionColumnDef>& columns,
+                                          Epoch needed_from, Epoch at,
+                                          std::optional<uint32_t> slot,
+                                          int exclude_node) {
+  // Map the caller's columns onto the source's once: every copy in a buddy
+  // family shares one column layout.
+  std::vector<size_t> src_cols;
+  for (const auto& c : columns) {
+    size_t s = 0;
+    while (s < src.columns.size() &&
+           !(c.table_column >= 0 ? src.columns[s].table_column == c.table_column
+                                 : src.columns[s].name == c.name))
+      ++s;
+    if (s == src.columns.size())
+      return Status::Internal("projection ", src.name, " lacks column ", c.name);
+    src_cols.push_back(s);
+  }
+  uint32_t num_slots = src.segmentation.replicated ? 1 : num_nodes();
+  CopyRows out;
+  for (uint32_t s = slot.value_or(0); s < (slot ? *slot + 1 : num_slots); ++s) {
+    uint32_t host = 0;
+    ProjectionStorage* ps = SlotSource(src, s, needed_from, exclude_node, &host);
+    if (!ps) {
+      return Status::ClusterUnavailable("no live copy of ", src.name,
+                                        " serves ring slot ", s);
+    }
+    RowBlock part;
+    std::vector<Epoch> epochs, deletes;
+    STRATICA_RETURN_NOT_OK(
+        ReadProjectionRows(fs_, ps, at, &part, &epochs, &deletes, nullptr));
+    if (out.rows.columns.empty()) {
+      for (size_t sc : src_cols) out.rows.columns.emplace_back(part.columns[sc].type);
+    }
+    for (size_t c = 0; c < src_cols.size(); ++c)
+      out.rows.columns[c].AppendRange(part.columns[src_cols[c]], 0, part.NumRows());
+    out.epochs.insert(out.epochs.end(), epochs.begin(), epochs.end());
+    out.deletes.insert(out.deletes.end(), deletes.begin(), deletes.end());
+    out.hosts.insert(out.hosts.end(), part.NumRows(), host);
+  }
+  return out;
+}
+
+Result<Cluster::RingSplit> Cluster::Route(const ProjectionDef& proj,
+                                          const ProjectionStorageConfig& cfg,
+                                          const RowBlock& rows,
+                                          const SegmentationRing& ring) {
+  const size_t n_rows = rows.NumRows();
+  RingSplit split;
+  split.rows.resize(ring.num_nodes());
+  if (proj.segmentation.replicated) {
+    split.counts.assign(ring.num_nodes(), n_rows);
+    return split;
+  }
+  split.counts.assign(ring.num_nodes(), 0);
+  ColumnVector hashes;
+  STRATICA_RETURN_NOT_OK(EvalExpr(*cfg.segmentation_expr, rows, &hashes));
+  auto target = [&](size_t r) {
+    return ring.NodeFor(static_cast<uint64_t>(hashes.ints[r]),
+                        proj.segmentation.node_offset);
+  };
+  for (size_t r = 0; r < n_rows; ++r) ++split.counts[target(r)];
+  if (std::find(split.counts.begin(), split.counts.end(), n_rows) == split.counts.end()) {
+    for (uint32_t n = 0; n < ring.num_nodes(); ++n) split.rows[n].reserve(split.counts[n]);
+    for (size_t r = 0; r < n_rows; ++r)
+      split.rows[target(r)].push_back(static_cast<uint32_t>(r));
+  }
+  return split;
+}
+
+Status Cluster::Replay(const ProjectionDef& def, const CopyRows& src,
+                       const SegmentationRing& ring,
+                       const std::vector<ProjectionStorage*>& targets, Epoch from,
+                       Epoch to) {
+  auto first = std::find_if(targets.begin(), targets.end(),
+                            [](const ProjectionStorage* ps) { return ps != nullptr; });
+  if (first == targets.end()) return Status::OK();
+  STRATICA_ASSIGN_OR_RETURN(RingSplit split, Route(def, (*first)->config(), src.rows, ring));
+  const size_t n_rows = src.rows.NumRows();
+  for (uint32_t node = 0; node < targets.size(); ++node) {
+    ProjectionStorage* ps = targets[node];
+    if (ps == nullptr) continue;
+    // Rows committed after `from` are copied; deletes after `from` of older
+    // rows must be re-targeted at the copy's existing rows by content.
+    std::vector<uint32_t> copy;
+    std::vector<MissedDelete> late_deletes;
+    uint64_t moved = 0;
+    bool every_row = split.counts[node] == n_rows;
+    for (size_t i = 0; i < split.counts[node]; ++i) {
+      uint32_t r = every_row ? static_cast<uint32_t>(i) : split.rows[node][i];
+      if (src.epochs[r] > from) {
+        copy.push_back(r);
+        moved += src.hosts[r] != node;
+      } else if (src.deletes[r] > from) {
+        late_deletes.push_back({r, src.deletes[r]});
+      }
+    }
+    AddNetworkBytes(64 * moved);  // coarse per-row transfer accounting
+    CopyRows mine = src.Select(copy);
+    STRATICA_RETURN_NOT_OK(ps->IngestRecovered(std::move(mine.rows), std::move(mine.epochs),
+                                               std::move(mine.deletes), to));
+    STRATICA_RETURN_NOT_OK(TranslateDeletesByContent(fs_, ps, src.rows, late_deletes, from));
+  }
+  return Status::OK();
 }
 
 Status Cluster::RecoverProjectionOnNode(const ProjectionDef& def, uint32_t node_id,
@@ -162,34 +274,12 @@ Status Cluster::RecoverProjectionOnNode(const ProjectionDef& def, uint32_t node_
   }
 
   Epoch start = full_rebuild ? 0 : ps->lge();
-
-  ProjectionStorage* source = FindRecoverySource(def, node_id, start);
-  if (!source) {
-    return Status::ClusterUnavailable("no live buddy to recover ", def.name,
-                                      " on node ", node_id);
-  }
-
-  RowBlock rows;
-  std::vector<Epoch> row_epochs, delete_epochs;
-  STRATICA_RETURN_NOT_OK(ReadProjectionRows(fs_, source, up_to, &rows, &row_epochs,
-                                            &delete_epochs, nullptr));
-
-  // Partition the buddy's view: rows committed after `start` are copied to
-  // the recovering node; deletes after `start` against older rows must be
-  // re-targeted at the node's existing containers by content.
-  RowBlock to_copy(std::vector<TypeId>(ps->config().column_types));
-  std::vector<Epoch> copy_epochs, copy_dels;
-  std::vector<MissedDelete> old_row_deletes;
-  for (size_t r = 0; r < rows.NumRows(); ++r) {
-    if (row_epochs[r] > start) {
-      to_copy.AppendRowFrom(rows, r);
-      copy_epochs.push_back(row_epochs[r]);
-      copy_dels.push_back(delete_epochs[r]);
-      AddNetworkBytes(64);  // coarse per-row transfer accounting
-    } else if (delete_epochs[r] > start) {
-      old_row_deletes.push_back({r, delete_epochs[r]});
-    }
-  }
+  SegmentationRing ring = this->ring();
+  uint32_t slot = def.segmentation.replicated
+                      ? 0
+                      : ring.SlotStoredBy(node_id, def.segmentation.node_offset);
+  STRATICA_ASSIGN_OR_RETURN(
+      CopyRows rows, Gather(def, def.columns, start, up_to, slot, static_cast<int>(node_id)));
   if (full_rebuild) {
     // Only now — with the source's full view safely in memory — destroy
     // the damaged copy. Ordering the read before the wipe means a source
@@ -203,11 +293,9 @@ Status Cluster::RecoverProjectionOnNode(const ProjectionDef& def, uint32_t node_
     ps->Clear(/*delete_files=*/true);
     STRATICA_RETURN_NOT_OK(ps->ScrubFiles().status());
   }
-  STRATICA_RETURN_NOT_OK(ps->IngestRecovered(std::move(to_copy), std::move(copy_epochs),
-                                             std::move(copy_dels), up_to));
-
-  // Content-match missed deletions against the node's surviving rows.
-  return TranslateDeletesByContent(fs_, ps, rows, old_row_deletes, start);
+  std::vector<ProjectionStorage*> targets(ring.num_nodes(), nullptr);
+  targets[node_id] = ps;
+  return Replay(def, rows, ring, targets, start, up_to);
 }
 
 Status Cluster::RecoverNode(uint32_t node_id) {
@@ -358,83 +446,51 @@ Status Cluster::RefreshProjection(const std::string& projection) {
   STRATICA_RETURN_NOT_OK(
       locks_.Acquire(txn->id(), def.anchor_table, LockMode::kS));
   Epoch now = epochs_.LatestQueryableEpoch();
-  Status st = RefreshProjectionLocked(projection, def, table, supers.front(), now);
+  Status st = RefreshProjectionLocked(def, table, supers.front(), now);
   // Release on every path — an early error return must not leak the S
   // lock (it would wedge all future DML on the anchor table).
   txns_.Rollback(txn);  // bookkeeping txn held no data
   return st;
 }
 
-Status Cluster::RefreshProjectionLocked(const std::string& projection,
-                                        const ProjectionDef& def,
-                                        const TableDef& table,
+Status Cluster::RefreshProjectionLocked(const ProjectionDef& def, const TableDef& table,
                                         const ProjectionDef& src, Epoch now) {
-  // Gather all rows of the table (each segmented super copy contributes its
-  // nodes' rows; a replicated one contributes a single node's).
-  RowBlock all(table.ToBindSchema().types);
-  std::vector<Epoch> all_epochs, all_dels;
-  uint32_t num = num_nodes();
+  // Every ring slot of the source, from any live copy, in the target's
+  // column order — or in table order for a prejoin, whose dimension columns
+  // come from the join.
+  std::vector<ProjectionColumnDef> columns = def.columns;
+  if (def.IsPrejoin()) {
+    columns.clear();
+    for (size_t c = 0; c < table.columns.size(); ++c)
+      columns.push_back({table.columns[c].name, static_cast<int>(c)});
+  }
+  STRATICA_ASSIGN_OR_RETURN(CopyRows all, Gather(src, columns, 0, now));
+  if (def.IsPrejoin()) {
+    std::vector<RejectedRecord> rejected;
+    STRATICA_ASSIGN_OR_RETURN(RowBlock joined,
+                              BuildPrejoinRows(def, all.rows, &rejected, now));
+    // Rejects come in row order; the joined rows keep the others' epochs.
+    std::vector<uint32_t> kept;
+    auto rej = rejected.begin();
+    for (uint32_t r = 0; r < all.rows.NumRows(); ++r) {
+      if (rej != rejected.end() && rej->row_index == r) {
+        ++rej;
+      } else {
+        kept.push_back(r);
+      }
+    }
+    all = all.Select(kept);
+    all.rows = std::move(joined);
+  }
   SegmentationRing ring = this->ring();
-  for (uint32_t ni = 0; ni < num; ++ni) {
-    Node* node = nodes_[ni].get();
-    auto* ps = node->GetStorage(src.name);
-    if (!ps) continue;
-    if (!node->up())
-      return Status::ClusterUnavailable("refresh source node down");
-    RowBlock part;
-    std::vector<Epoch> part_epochs, part_dels;
-    STRATICA_RETURN_NOT_OK(ReadProjectionRows(fs_, ps, now, &part, &part_epochs,
-                                              &part_dels, nullptr));
-    // Remap the projection's column order to table order.
-    for (size_t r = 0; r < part.NumRows(); ++r) {
-      for (size_t tc = 0; tc < table.columns.size(); ++tc) {
-        int pc = src.FindColumn(table.columns[tc].name);
-        all.columns[tc].AppendFrom(part.columns[pc], r);
-      }
-      all_epochs.push_back(part_epochs[r]);
-      all_dels.push_back(part_dels[r]);
-    }
-    if (src.segmentation.replicated) break;
+  std::vector<ProjectionStorage*> targets(ring.num_nodes(), nullptr);
+  for (uint32_t ni = 0; ni < ring.num_nodes(); ++ni) {
+    if (!nodes_[ni]->up()) continue;  // recovers the rows from a buddy later
+    targets[ni] = nodes_[ni]->GetStorage(def.name);
+    if (!targets[ni]) return Status::Internal("missing storage for ", def.name);
+    targets[ni]->Clear(/*delete_files=*/true);
   }
-
-  // Route rows into the refreshed projection on each node with original
-  // epochs preserved.
-  for (uint32_t ni = 0; ni < num; ++ni) {
-    Node* node = nodes_[ni].get();
-    if (!node->up()) continue;
-    auto* ps = node->GetStorage(projection);
-    if (!ps) return Status::Internal("missing storage for ", projection);
-    ps->Clear(/*delete_files=*/true);
-
-    RowBlock mine(std::vector<TypeId>(ps->config().column_types));
-    std::vector<Epoch> mine_epochs, mine_dels;
-    // Build projection-ordered rows, then keep those segmented to this node.
-    RowBlock proj_rows(std::vector<TypeId>(ps->config().column_types));
-    for (size_t c = 0; c < def.columns.size(); ++c) {
-      int tc = table.FindColumn(def.columns[c].name);
-      proj_rows.columns[c] = all.columns[tc];
-    }
-    if (def.segmentation.replicated) {
-      mine = proj_rows;
-      mine_epochs = all_epochs;
-      mine_dels = all_dels;
-    } else {
-      ColumnVector hashes;
-      STRATICA_RETURN_NOT_OK(
-          EvalExpr(*ps->config().segmentation_expr, proj_rows, &hashes));
-      for (size_t r = 0; r < proj_rows.NumRows(); ++r) {
-        uint32_t target = ring.NodeFor(static_cast<uint64_t>(hashes.ints[r]),
-                                       def.segmentation.node_offset);
-        if (target != static_cast<uint32_t>(node->id())) continue;
-        mine.AppendRowFrom(proj_rows, r);
-        mine_epochs.push_back(all_epochs[r]);
-        mine_dels.push_back(all_dels[r]);
-      }
-    }
-    STRATICA_RETURN_NOT_OK(ps->IngestRecovered(std::move(mine), std::move(mine_epochs),
-                                               std::move(mine_dels), now));
-  }
-  return Status::OK();
+  return Replay(def, all, ring, targets, 0, now);
 }
 
 Status Cluster::AddNodeAndRebalance() { return RebalanceToNodeCount(num_nodes() + 1); }
@@ -443,68 +499,6 @@ Status Cluster::RemoveLastNodeAndRebalance() {
   uint32_t n = num_nodes();
   if (n <= 1) return Status::InvalidArgument("cannot remove the last node");
   return RebalanceToNodeCount(n - 1);
-}
-
-Status Cluster::ReplayRebalanceDelta(
-    const ProjectionDef& def, std::vector<std::unique_ptr<ProjectionStorage>>& staged,
-    Epoch from, Epoch to, const SegmentationRing& new_ring, uint32_t old_count) {
-  SegmentationRing old_ring(old_count);
-  // Gather the source rows visible at `to` from the active copies (each node
-  // holds its segment; a replicated projection's first copy has everything).
-  RowBlock all;
-  std::vector<Epoch> all_epochs, all_dels;
-  bool first = true;
-  for (uint32_t n = 0; n < old_count; ++n) {
-    auto* ps = nodes_[n]->GetStorage(def.name);
-    if (!ps) continue;
-    RowBlock part;
-    std::vector<Epoch> pe, pd;
-    STRATICA_RETURN_NOT_OK(ReadProjectionRows(fs_, ps, to, &part, &pe, &pd, nullptr));
-    if (first) {
-      all = RowBlock(std::vector<TypeId>(ps->config().column_types));
-      first = false;
-    }
-    for (size_t r = 0; r < part.NumRows(); ++r) {
-      all.AppendRowFrom(part, r);
-      all_epochs.push_back(pe[r]);
-      all_dels.push_back(pd[r]);
-    }
-    if (def.segmentation.replicated) break;
-  }
-  if (first) return Status::Internal("no source storage for ", def.name);
-
-  ColumnVector hashes;
-  if (!def.segmentation.replicated) {
-    STRATICA_RETURN_NOT_OK(
-        EvalExpr(*staged[0]->config().segmentation_expr, all, &hashes));
-  }
-  for (uint32_t i = 0; i < staged.size(); ++i) {
-    ProjectionStorage* ps = staged[i].get();
-    RowBlock mine(std::vector<TypeId>(ps->config().column_types));
-    std::vector<Epoch> mine_epochs, mine_dels;
-    std::vector<MissedDelete> late_deletes;
-    for (size_t r = 0; r < all.NumRows(); ++r) {
-      if (!def.segmentation.replicated) {
-        uint64_t h = static_cast<uint64_t>(hashes.ints[r]);
-        if (new_ring.NodeFor(h, def.segmentation.node_offset) != i) continue;
-        if (old_ring.NodeFor(h, def.segmentation.node_offset) != i) AddNetworkBytes(64);
-      }
-      if (all_epochs[r] > from) {
-        // A row committed inside (from, to]: copy it with its epochs intact
-        // (including a deletion that also landed inside the window).
-        mine.AppendRowFrom(all, r);
-        mine_epochs.push_back(all_epochs[r]);
-        mine_dels.push_back(all_dels[r]);
-      } else if (all_dels[r] > from) {
-        // The row itself was staged in phase 1; only its deletion is new.
-        late_deletes.push_back({r, all_dels[r]});
-      }
-    }
-    STRATICA_RETURN_NOT_OK(ps->IngestRecovered(std::move(mine), std::move(mine_epochs),
-                                               std::move(mine_dels), to));
-    STRATICA_RETURN_NOT_OK(TranslateDeletesByContent(fs_, ps, all, late_deletes, from));
-  }
-  return Status::OK();
 }
 
 Status Cluster::RebalanceToNodeCount(uint32_t new_count) {
@@ -533,6 +527,16 @@ Status Cluster::RebalanceToNodeCount(uint32_t new_count) {
 
   uint32_t gen = ++rebalance_gen_;
   SegmentationRing new_ring(new_count);
+  // Gather `def` at `to` from the active copies (num_nodes() advances only
+  // at the swap) and replay (from, to] into its staged copies by the new ring.
+  auto replay = [&](const ProjectionDef& def,
+                    std::vector<std::unique_ptr<ProjectionStorage>>& staged, Epoch from,
+                    Epoch to) -> Status {
+    STRATICA_ASSIGN_OR_RETURN(CopyRows all, Gather(def, def.columns, from, to));
+    std::vector<ProjectionStorage*> targets;
+    for (auto& ps : staged) targets.push_back(ps.get());
+    return Replay(def, all, new_ring, targets, from, to);
+  };
 
   struct StagedProjection {
     ProjectionDef def;
@@ -563,8 +567,7 @@ Status Cluster::RebalanceToNodeCount(uint32_t new_count) {
           fs_, nodes_[i]->BaseDir() + "/" + pname + ".g" + std::to_string(gen),
           std::move(cfg));
     }
-    Status s = ReplayRebalanceDelta(def, sp.nodes, /*from=*/0, /*to=*/horizon,
-                                    new_ring, old_count);
+    Status s = replay(def, sp.nodes, /*from=*/0, /*to=*/horizon);
     if (!s.ok()) {
       discard_staged();
       return s;
@@ -590,8 +593,7 @@ Status Cluster::RebalanceToNodeCount(uint32_t new_count) {
   }
   Epoch now = epochs_.LatestQueryableEpoch();
   for (auto& sp : staged) {
-    Status s = ReplayRebalanceDelta(sp.def, sp.nodes, /*from=*/horizon, /*to=*/now,
-                                    new_ring, old_count);
+    Status s = replay(sp.def, sp.nodes, /*from=*/horizon, /*to=*/now);
     if (!s.ok()) {
       txns_.Rollback(txn);
       discard_staged();

@@ -7,6 +7,7 @@
 // path (storage snapshots, commit stamping, lock manager, resource manager,
 // mover vs. scans) from many threads at once.
 #include "api/database.h"
+#include "common/fault_fs.h"
 
 #include <gtest/gtest.h>
 
@@ -233,17 +234,34 @@ TEST(ConcurrencyTest, AdmissionTimeoutFailsQuery) {
             static_cast<uint64_t>(exhausted.load()));
 }
 
-// CREATE PROJECTION whose refresh cannot run (source node down) must fail
-// the statement AND leave no half-created projection behind.
+// CREATE PROJECTION whose refresh cannot run (one ring slot's source copy
+// is unreadable) must fail the statement AND leave no half-created
+// projection behind.
 TEST(ConcurrencyTest, CreateProjectionRefreshFailureRollsBack) {
+  MemFileSystem base;
+  auto fault_fs = std::make_shared<FaultFs>(&base, 7);
   DatabaseOptions opts;
   opts.num_nodes = 3;
   opts.k_safety = 1;
+  opts.fs = fault_fs;
   auto db = std::make_unique<Database>(opts);
   MustExec(db.get(), "CREATE TABLE s (a INT NOT NULL, b INT)");
   MustExec(db.get(), "INSERT INTO s VALUES (1, 10), (2, 20), (3, 30), (4, 40)");
+  ASSERT_TRUE(db->RunTupleMover().ok());  // the rows now sit in ROS files
 
-  ASSERT_TRUE(db->cluster()->MarkNodeDown(2).ok());
+  // Every read of one node's super-projection files fails for good. Refresh
+  // reads that node's ring slot from the node's own copy, so it cannot run;
+  // queries fail over to the buddy.
+  uint32_t faulty = 0;
+  for (; faulty < 3; ++faulty) {
+    if (db->cluster()->node(faulty)->GetStorage("s_super")->NumContainers() > 0) break;
+  }
+  ASSERT_LT(faulty, 3u);
+  FaultRule unreadable;
+  unreadable.path_pattern = "^node" + std::to_string(faulty) + "/s_super/";
+  unreadable.op_mask = kFaultRead;
+  unreadable.kind = FaultKind::kPersistentError;
+  size_t rule = fault_fs->AddRule(unreadable);
   auto created = db->Execute(
       "CREATE PROJECTION p_ab (a, b) AS SELECT a, b FROM s ORDER BY b "
       "SEGMENTED BY HASH(b)");
@@ -262,9 +280,8 @@ TEST(ConcurrencyTest, CreateProjectionRefreshFailureRollsBack) {
   auto ins = db->Execute("INSERT INTO s VALUES (5, 0)");
   ASSERT_TRUE(ins.ok()) << "failed refresh leaked its table lock: "
                         << ins.status().ToString();
-
-  // After recovery the same DDL succeeds and the projection answers.
-  ASSERT_TRUE(db->cluster()->RecoverNode(2).ok());
+  // Once the fault clears the same DDL succeeds and the projection answers.
+  fault_fs->RemoveRule(rule);
   MustExec(db.get(),
            "CREATE PROJECTION p_ab (a, b) AS SELECT a, b FROM s ORDER BY b "
            "SEGMENTED BY HASH(b)");

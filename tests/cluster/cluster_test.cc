@@ -112,10 +112,10 @@ class ClusterFixture : public ::testing::Test {
   }
 
   // Sum of visible sale_ids across all up nodes for one projection family,
-  // used as a cheap content fingerprint.
-  int64_t Fingerprint(const std::string& projection) {
+  // used as a cheap content fingerprint; read at `at` (0 = now).
+  int64_t Fingerprint(const std::string& projection, Epoch at = 0) {
     int64_t sum = 0;
-    Epoch now = cluster_->epochs()->LatestQueryableEpoch();
+    Epoch now = at != 0 ? at : cluster_->epochs()->LatestQueryableEpoch();
     for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
       auto* ps = cluster_->node(n)->GetStorage(projection);
       if (!ps || !cluster_->node(n)->up()) continue;
@@ -133,6 +133,102 @@ class ClusterFixture : public ::testing::Test {
       }
     }
     return sum;
+  }
+
+  // Delete rows whose first column is below `bound` from `table`'s super
+  // projection and buddy on every up node, by issuing delete vectors
+  // (simulating a DELETE statement's effect); returns the commit epoch.
+  Epoch DeleteIdsBelow(int64_t bound, const std::string& table = "sales") {
+    Epoch now = cluster_->epochs()->LatestQueryableEpoch();
+    auto txn = cluster_->txns()->Begin();
+    for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+      if (!cluster_->node(n)->up()) continue;
+      for (const std::string& proj : {table + "_super", table + "_super_b1"}) {
+        auto* ps = cluster_->node(n)->GetStorage(proj);
+        RowBlock rows;
+        std::vector<std::pair<uint64_t, uint64_t>> pos;
+        EXPECT_TRUE(
+            ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, &pos).ok());
+        std::map<uint64_t, std::vector<uint64_t>> by_target;
+        for (size_t r = 0; r < rows.NumRows(); ++r) {
+          if (rows.columns[0].ints[r] < bound)
+            by_target[pos[r].first].push_back(pos[r].second);
+        }
+        for (auto& [target, positions] : by_target) {
+          EXPECT_TRUE(ps->AddDeletes(target, positions, txn.get()).ok());
+        }
+      }
+    }
+    auto e = cluster_->Commit(txn);
+    EXPECT_TRUE(e.ok()) << e.status().ToString();
+    return e.ok() ? e.value() : 0;
+  }
+
+  // Narrow projection of `sales` sorted and segmented by cust (Section 5.2's
+  // late-created projection).
+  ProjectionDef NarrowProjection() {
+    ProjectionDef narrow;
+    narrow.name = "sales_by_cust";
+    narrow.anchor_table = "sales";
+    narrow.columns = {{"cust", -1, EncodingId::kRle},
+                      {"price", -1, EncodingId::kAuto},
+                      {"sale_id", -1, EncodingId::kAuto}};
+    narrow.sort_columns = {0};
+    narrow.segmentation.expr = Func(FuncKind::kHash, {Col("cust")});
+    return narrow;
+  }
+
+  // The `customers` dimension (cust 0..39 only; sales reference 0..49) and
+  // the `sales_prejoin` projection that denormalizes its region.
+  void CreateCustomersAndPrejoin() {
+    TableDef dim;
+    dim.name = "customers";
+    dim.columns = {{"cust_id", TypeId::kInt64, false},
+                   {"region", TypeId::kString, true}};
+    ASSERT_TRUE(cluster_->CreateTableWithSuperProjection(std::move(dim)).ok());
+    RowBlock dim_rows({TypeId::kInt64, TypeId::kString});
+    for (int i = 0; i < 40; ++i) {
+      dim_rows.columns[0].ints.push_back(i);
+      dim_rows.columns[1].strings.push_back(i % 2 ? "east" : "west");
+    }
+    auto txn = cluster_->txns()->Begin();
+    ASSERT_TRUE(cluster_->Load("customers", dim_rows, txn.get()).ok());
+    ASSERT_TRUE(cluster_->Commit(txn).ok());
+
+    ProjectionDef prejoin;
+    prejoin.name = "sales_prejoin";
+    prejoin.anchor_table = "sales";
+    prejoin.columns = {{"sale_id", -1, EncodingId::kAuto},
+                       {"cust", -1, EncodingId::kAuto},
+                       {"price", -1, EncodingId::kAuto},
+                       {"customers.region", -1, EncodingId::kRle}};
+    prejoin.sort_columns = {1};
+    prejoin.segmentation.expr = Func(FuncKind::kHash, {Col("sale_id")});
+    prejoin.prejoins.push_back({"customers", {"cust"}, {"cust_id"}});
+    ASSERT_TRUE(cluster_->CreateProjectionWithBuddies(prejoin).ok());
+  }
+
+  // Every copy of `sales_prejoin` holds `want_rows` rows across the nodes,
+  // each with the region its cust maps to.
+  void ExpectPrejoinRows(uint64_t want_rows) {
+    Epoch now = cluster_->epochs()->LatestQueryableEpoch();
+    for (const std::string proj : {"sales_prejoin", "sales_prejoin_b1"}) {
+      SCOPED_TRACE(proj);
+      uint64_t prejoin_rows = 0;
+      for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+        auto* ps = cluster_->node(n)->GetStorage(proj);
+        ASSERT_NE(ps, nullptr);
+        RowBlock rows;
+        ASSERT_TRUE(
+            ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, nullptr).ok());
+        prejoin_rows += rows.NumRows();
+        for (size_t r = 0; r < rows.NumRows(); ++r) {
+          int64_t cust = rows.columns[1].ints[r];
+          EXPECT_EQ(rows.columns[3].strings[r], cust % 2 ? "east" : "west");
+        }
+      }
+      EXPECT_EQ(prejoin_rows, want_rows);
+    }
   }
 
   MemFileSystem fs_;
@@ -263,29 +359,8 @@ TEST_F(ClusterFixture, RecoveryReplaysMissedDeletes) {
   ASSERT_TRUE(cluster_->RunTupleMover().ok());
   ASSERT_TRUE(cluster_->MarkNodeDown(0).ok());
 
-  // Delete sale_id 0..9 cluster-wide while node 0 is down, by issuing
-  // delete vectors on up nodes (simulating a DELETE statement's effect).
-  Epoch now = cluster_->epochs()->LatestQueryableEpoch();
-  auto txn = cluster_->txns()->Begin();
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    if (!cluster_->node(n)->up()) continue;
-    for (const std::string proj : {"sales_super", "sales_super_b1"}) {
-      auto* ps = cluster_->node(n)->GetStorage(proj);
-      RowBlock rows;
-      std::vector<std::pair<uint64_t, uint64_t>> pos;
-      ASSERT_TRUE(
-          ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, &pos).ok());
-      std::map<uint64_t, std::vector<uint64_t>> by_target;
-      for (size_t r = 0; r < rows.NumRows(); ++r) {
-        if (rows.columns[0].ints[r] < 10) by_target[pos[r].first].push_back(pos[r].second);
-      }
-      for (auto& [target, positions] : by_target) {
-        ASSERT_TRUE(ps->AddDeletes(target, positions, txn.get()).ok());
-      }
-    }
-  }
-  auto e = cluster_->Commit(txn);
-  ASSERT_TRUE(e.ok());
+  // Delete sale_id 0..9 cluster-wide while node 0 is down.
+  ASSERT_GT(DeleteIdsBelow(10), 0u);
 
   ASSERT_TRUE(cluster_->RecoverNode(0).ok());
   int64_t expected = 99 * 100 / 2 - 45;  // sum 0..99 minus deleted 0..9
@@ -295,23 +370,72 @@ TEST_F(ClusterFixture, RecoveryReplaysMissedDeletes) {
 
 TEST_F(ClusterFixture, RefreshPopulatesLateProjection) {
   LoadAndCommit(0, 300);
+  // Deletes committed before the refresh must survive it with their epochs.
+  Epoch deleted_at = DeleteIdsBelow(10);
+  ASSERT_GT(deleted_at, 1u);
   // Narrow projection created after the data was loaded (Section 5.2).
-  ProjectionDef narrow;
-  narrow.name = "sales_by_cust";
-  narrow.anchor_table = "sales";
-  narrow.columns = {{"cust", -1, EncodingId::kRle},
-                    {"price", -1, EncodingId::kAuto},
-                    {"sale_id", -1, EncodingId::kAuto}};
-  narrow.sort_columns = {0};
-  narrow.segmentation.expr = Func(FuncKind::kHash, {Col("cust")});
-  ASSERT_TRUE(cluster_->CreateProjectionWithBuddies(narrow).ok());
+  ASSERT_TRUE(cluster_->CreateProjectionWithBuddies(NarrowProjection()).ok());
   EXPECT_EQ(Fingerprint("sales_by_cust"), 0);  // empty before refresh
 
   ASSERT_TRUE(cluster_->RefreshProjection("sales_by_cust").ok());
   ASSERT_TRUE(cluster_->RefreshProjection("sales_by_cust_b1").ok());
+  int64_t expected = 299 * 300 / 2 - 45;  // sum 0..299 minus deleted 0..9
+  EXPECT_EQ(Fingerprint("sales_by_cust"), expected);
+  EXPECT_EQ(Fingerprint("sales_by_cust_b1"), expected);
+  // Read before the delete committed, the deleted rows are still there.
+  EXPECT_EQ(Fingerprint("sales_by_cust", deleted_at - 1), 299 * 300 / 2);
+  EXPECT_EQ(Fingerprint("sales_by_cust_b1", deleted_at - 1), 299 * 300 / 2);
+}
+
+// Refresh reads each ring slot from any live copy: with node 1 down, its
+// slot of the source comes from the buddy, and recovery fills node 1's
+// copies of the refreshed projection afterwards.
+TEST_F(ClusterFixture, RefreshSucceedsWithNodeDown) {
+  LoadAndCommit(0, 300);
+  ASSERT_TRUE(cluster_->CreateProjectionWithBuddies(NarrowProjection()).ok());
+  ASSERT_TRUE(cluster_->MarkNodeDown(1).ok());
+
+  Status refreshed = cluster_->RefreshProjection("sales_by_cust");
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  refreshed = cluster_->RefreshProjection("sales_by_cust_b1");
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+
+  ASSERT_TRUE(cluster_->RecoverNode(1).ok());
   int64_t expected = 299 * 300 / 2;
   EXPECT_EQ(Fingerprint("sales_by_cust"), expected);
   EXPECT_EQ(Fingerprint("sales_by_cust_b1"), expected);
+}
+
+// Rebalance charges the interconnect once for every row that changes host:
+// 64 B per row, counted from where each copy's rows sit before and after.
+TEST_F(ClusterFixture, RebalanceChargesEachMovedRowOnce) {
+  LoadAndCommit(0, 600);
+  ASSERT_TRUE(cluster_->RunTupleMover().ok());
+  auto hosts = [&] {
+    std::map<std::pair<std::string, int64_t>, uint32_t> where;
+    Epoch now = cluster_->epochs()->LatestQueryableEpoch();
+    for (const std::string proj : {"sales_super", "sales_super_b1"}) {
+      for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+        RowBlock rows;
+        EXPECT_TRUE(ReadProjectionRows(&fs_, cluster_->node(n)->GetStorage(proj), now,
+                                       &rows, nullptr, nullptr, nullptr)
+                        .ok());
+        for (int64_t id : rows.columns[0].ints) where[{proj, id}] = n;
+      }
+    }
+    return where;
+  };
+  auto before = hosts();
+  ASSERT_EQ(before.size(), 1200u);
+  uint64_t bytes_before = cluster_->network_bytes();
+
+  ASSERT_TRUE(cluster_->AddNodeAndRebalance().ok());
+  auto after = hosts();
+  ASSERT_EQ(after.size(), 1200u);
+  uint64_t moved = 0;
+  for (const auto& [row, host] : before) moved += after.at(row) != host;
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(cluster_->network_bytes() - bytes_before, 64 * moved);
 }
 
 TEST_F(ClusterFixture, AddNodeRebalancePreservesContentAndPlacement) {
@@ -380,32 +504,7 @@ TEST_F(ClusterFixture, AhmHeldWhileNodeDown) {
 }
 
 TEST_F(ClusterFixture, PrejoinProjectionDenormalizesAndRejectsOrphans) {
-  TableDef dim;
-  dim.name = "customers";
-  dim.columns = {{"cust_id", TypeId::kInt64, false},
-                 {"region", TypeId::kString, true}};
-  ASSERT_TRUE(cluster_->CreateTableWithSuperProjection(std::move(dim)).ok());
-  RowBlock dim_rows({TypeId::kInt64, TypeId::kString});
-  for (int i = 0; i < 40; ++i) {  // cust 0..39 only; sales reference 0..49
-    dim_rows.columns[0].ints.push_back(i);
-    dim_rows.columns[1].strings.push_back(i % 2 ? "east" : "west");
-  }
-  auto txn = cluster_->txns()->Begin();
-  ASSERT_TRUE(cluster_->Load("customers", dim_rows, txn.get()).ok());
-  ASSERT_TRUE(cluster_->Commit(txn).ok());
-
-  ProjectionDef prejoin;
-  prejoin.name = "sales_prejoin";
-  prejoin.anchor_table = "sales";
-  prejoin.columns = {{"sale_id", -1, EncodingId::kAuto},
-                     {"cust", -1, EncodingId::kAuto},
-                     {"price", -1, EncodingId::kAuto},
-                     {"customers.region", -1, EncodingId::kRle}};
-  prejoin.sort_columns = {1};
-  prejoin.segmentation.expr = Func(FuncKind::kHash, {Col("sale_id")});
-  prejoin.prejoins.push_back({"customers", {"cust"}, {"cust_id"}});
-  ASSERT_TRUE(cluster_->CreateProjectionWithBuddies(prejoin).ok());
-
+  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
   auto txn2 = cluster_->txns()->Begin();
   auto result = cluster_->Load("sales", MakeRows(0, 100), txn2.get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -415,21 +514,47 @@ TEST_F(ClusterFixture, PrejoinProjectionDenormalizesAndRejectsOrphans) {
   EXPECT_EQ(result.value().rejected.size(), 20u);  // 100 rows, cust = i%50
 
   // The prejoin projection stores the denormalized region column.
-  Epoch now = cluster_->epochs()->LatestQueryableEpoch();
-  uint64_t prejoin_rows = 0;
-  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    auto* ps = cluster_->node(n)->GetStorage("sales_prejoin");
-    ASSERT_NE(ps, nullptr);
-    RowBlock rows;
-    ASSERT_TRUE(
-        ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, nullptr).ok());
-    prejoin_rows += rows.NumRows();
-    for (size_t r = 0; r < rows.NumRows(); ++r) {
-      int64_t cust = rows.columns[1].ints[r];
-      EXPECT_EQ(rows.columns[3].strings[r], cust % 2 ? "east" : "west");
-    }
-  }
-  EXPECT_EQ(prejoin_rows, 80u);
+  ExpectPrejoinRows(80);
+}
+
+// The dimension read takes each ring slot from any live copy, so a prejoin
+// load succeeds with a node down; recovery then fills that node's copies.
+TEST_F(ClusterFixture, PrejoinLoadSucceedsWithNodeDown) {
+  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
+  ASSERT_TRUE(cluster_->MarkNodeDown(1).ok());
+  auto txn = cluster_->txns()->Begin();
+  auto result = cluster_->Load("sales", MakeRows(0, 100), txn.get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(cluster_->Commit(txn).ok());
+  EXPECT_EQ(result.value().rejected.size(), 20u);
+
+  ASSERT_TRUE(cluster_->RecoverNode(1).ok());
+  ExpectPrejoinRows(80);
+}
+
+// Only dimension rows live at the load's snapshot join: a deleted customer
+// rejects its sales like a missing one.
+TEST_F(ClusterFixture, PrejoinLoadRejectsDeletedDimensionRows) {
+  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
+  ASSERT_GT(DeleteIdsBelow(10, "customers"), 0u);
+  auto txn = cluster_->txns()->Begin();
+  auto result = cluster_->Load("sales", MakeRows(0, 100), txn.get());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(cluster_->Commit(txn).ok());
+  EXPECT_EQ(result.value().rejected.size(), 40u);  // cust 0..9 and 40..49
+  ExpectPrejoinRows(60);
+}
+
+// Refresh of a prejoin projection over rows loaded before it existed joins
+// them exactly as a load would have.
+TEST_F(ClusterFixture, PrejoinRefreshOverExistingRows) {
+  LoadAndCommit(0, 100);
+  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
+  Status refreshed = cluster_->RefreshProjection("sales_prejoin");
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  refreshed = cluster_->RefreshProjection("sales_prejoin_b1");
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  ExpectPrejoinRows(80);
 }
 
 // Loads with rejected rows through both the WOS and direct-to-ROS on 4 nodes
