@@ -7,6 +7,7 @@
 
 #include "api/database.h"
 #include "cluster/cluster.h"
+#include "exec/scan.h"
 
 int main() {
   using namespace stratica;
@@ -49,11 +50,12 @@ int main() {
     for (uint32_t n = 0; n < db.cluster()->num_nodes(); ++n) {
       auto* ps = db.cluster()->node(n)->GetStorage(p.name);
       if (!ps) continue;
-      RowBlock rows;
-      if (!ReadProjectionRows(db.fs(), ps, db.cluster()->epochs()->LatestQueryableEpoch(),
-                              &rows, nullptr, nullptr, nullptr)
-               .ok())
-        continue;
+      // Every stored row, deleted ones included (a history read).
+      auto read = ScanCopy(db.fs(), ps, db.cluster()->epochs()->LatestQueryableEpoch(),
+                           {kScanDeleteEpoch});
+      if (!read.ok()) continue;
+      RowBlock rows = std::move(read).value();
+      rows.columns.pop_back();
       std::printf("  node %u (%zu rows):\n", n, rows.NumRows());
       std::string text = rows.ToString(10);
       // Indent.

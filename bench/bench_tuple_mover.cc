@@ -1,12 +1,14 @@
 // Tuple mover benchmarks: mergeout through the shared loser-tree merge
-// kernel across fan-ins (DESIGN.md §8), and the Section 4
+// kernel across fan-ins (DESIGN.md §8), the Section 4
 // strata-policy ablation (exponential strata bound how often a tuple is
-// rewritten; eager and lazy merging both hurt).
+// rewritten; eager and lazy merging both hurt), and the per-scan cost of
+// the deletes the mover has not purged yet (DESIGN.md §1).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
 
+#include "api/database.h"
 #include "common/rng.h"
 #include "storage/projection_storage.h"
 #include "tuplemover/tuple_mover.h"
@@ -118,6 +120,72 @@ BENCHMARK(BM_StrataPolicy)
     ->Args({8, 4})    // strata (production-ish)
     ->Args({64, 16})  // lazy
     ->Unit(benchmark::kMillisecond);
+
+/// A meter-style table (metric, meter, collected, value), 20 metrics x 100
+/// meters x 288 readings in one ROS container, sorted by its columns in
+/// order; with `delete_series`, the first that many series of metrics 10
+/// and up are deleted, one 288-position chunk per DELETE.
+std::unique_ptr<Database> MakeMeterDb(int delete_series) {
+  DatabaseOptions opts;
+  opts.worker_threads = 4;
+  opts.local_segments_per_node = 1;
+  auto db = std::make_unique<Database>(opts);
+  if (!db->Execute("CREATE TABLE readings (metric INT, meter INT, collected INT, "
+                   "value FLOAT)")
+           .ok())
+    std::exit(1);
+  RowBlock rows({TypeId::kInt64, TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64});
+  Rng rng(3);
+  for (int metric = 0; metric < 20; ++metric) {
+    for (int meter = 0; meter < 100; ++meter) {
+      for (int k = 0; k < 288; ++k) {
+        rows.columns[0].ints.push_back(metric);
+        rows.columns[1].ints.push_back(meter);
+        rows.columns[2].ints.push_back(k);
+        rows.columns[3].doubles.push_back(50 + rng.NextDouble() * 10);
+      }
+    }
+  }
+  if (!db->Load("readings", rows, /*direct=*/true).ok()) std::exit(1);
+  if (!db->RunTupleMover().ok()) std::exit(1);
+  for (int s = 0; s < delete_series; ++s) {
+    auto del = db->Execute("DELETE FROM readings WHERE metric = " + std::to_string(10 + s / 100) +
+                           " AND meter = " + std::to_string(s % 100));
+    if (!del.ok() || del.value().affected_rows != 288) std::exit(1);
+  }
+  return db;
+}
+
+/// Interleaves the same point read on a table with no deletes and on one
+/// with 1000 committed 288-position delete chunks in blocks the read never
+/// touches, and reports read_after_deletes_ratio (with / without). A reader
+/// pays only for the deletes in the blocks it reads, so the ratio stays
+/// near 1 however many chunks sit elsewhere.
+void BM_ReadAfterDeletesPair(benchmark::State& state) {
+  static Database* clean = MakeMeterDb(0).release();
+  static Database* deleted = MakeMeterDb(1000).release();
+  Rng rng(11);
+  double clean_ns = 0, deleted_ns = 0;
+  for (auto _ : state) {
+    std::string sql = "SELECT AVG(value) FROM readings WHERE metric = " +
+                      std::to_string(rng.Range(0, 9)) +
+                      " AND meter = " + std::to_string(rng.Range(0, 99));
+    auto t0 = std::chrono::steady_clock::now();
+    auto a = clean->Execute(sql);
+    auto t1 = std::chrono::steady_clock::now();
+    auto b = deleted->Execute(sql);
+    auto t2 = std::chrono::steady_clock::now();
+    if (!a.ok() || !b.ok()) {
+      state.SkipWithError("read failed");
+      return;
+    }
+    clean_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
+    deleted_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
+    benchmark::DoNotOptimize(a.value().NumRows() + b.value().NumRows());
+  }
+  if (clean_ns > 0) state.counters["read_after_deletes_ratio"] = deleted_ns / clean_ns;
+}
+BENCHMARK(BM_ReadAfterDeletesPair)->Unit(benchmark::kMillisecond)->MinTime(1.0)->UseRealTime();
 
 }  // namespace
 }  // namespace stratica

@@ -4,8 +4,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "exec/scan.h"
 #include "exec/simple_ops.h"
-#include "storage/encoding.h"
+#include "storage/sort_util.h"
 
 namespace stratica {
 
@@ -362,13 +363,12 @@ Result<QueryResult> Database::RunCopy(const CopyStmt& stmt) {
   return result;
 }
 
-Result<uint64_t> Database::ApplyDelete(const std::string& table, const ExprPtr& where,
-                                       Transaction* txn, RowBlock* deleted_rows) {
+Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
+                             Transaction* txn, RowBlock* deleted_rows) {
   STRATICA_ASSIGN_OR_RETURN(TableDef def, catalog_.GetTable(table));
   STRATICA_RETURN_NOT_OK(
       cluster_->locks()->Acquire(txn->id(), table, LockMode::kX));
   Epoch snapshot = txn->snapshot_epoch();
-  uint64_t deleted = 0;
   bool captured = false;
 
   // Super projections first: they can always evaluate the predicate and
@@ -383,33 +383,36 @@ Result<uint64_t> Database::ApplyDelete(const std::string& table, const ExprPtr& 
                      return rank(a) < rank(b);
                    });
 
+  // A DELETE is a scan that outputs positions (Section 3.7.1): per copy,
+  // the WHERE clause filters and prunes a scan whose matching live rows
+  // come out with their target and position, grouped by target into one
+  // delete chunk each.
   for (const auto& proj : projections) {
-    // Per-projection content multiset (only built for the fallback path).
-    std::map<std::string, uint32_t> content_budget;
+    const bool is_super = proj.is_super && !proj.IsPrejoin();
+    ProjectionStorage* any = nullptr;
+    for (uint32_t n = 0; n < cluster_->num_nodes() && !any; ++n)
+      any = cluster_->node(n)->GetStorage(proj.name);
+    if (!any) continue;
+    const size_t ncols = any->config().column_names.size();
+    ExprPtr pred = where ? CloneExpr(where) : nullptr;
     bool use_content_match = false;
-    if (where) {
-      ExprPtr probe = CloneExpr(where);
+    if (pred) {
       BindSchema schema;
-      for (const auto& pc : proj.columns) {
-        int tc = def.FindColumn(pc.name);
-        schema.Add(pc.name, tc >= 0 ? def.columns[tc].type : TypeId::kInt64);
-      }
-      use_content_match = !BindExpr(probe, schema).ok();
+      for (size_t c = 0; c < ncols; ++c)
+        schema.Add(any->config().column_names[c], any->config().column_types[c]);
+      use_content_match = !BindExpr(pred, schema).ok();
     }
-    if (use_content_match) {
-      if (!captured || !deleted_rows)
-        return Status::NotImplemented(
-            "DELETE predicate references columns missing from projection ",
-            proj.name, " and no super capture is available");
-      for (size_t r = 0; r < deleted_rows->NumRows(); ++r) {
-        std::string key;
-        for (const auto& pc : proj.columns) {
-          int tc = def.FindColumn(pc.name);
-          if (tc < 0) continue;  // prejoined dimension column
-          EncodeValue(&key, deleted_rows->columns[tc].GetValue(r));
-        }
-        ++content_budget[key];
-      }
+    // A projection lacking a predicate column deletes the rows the super
+    // projections captured instead, each copy matching them by content over
+    // the columns it shares with the table.
+    if (use_content_match && (!captured || !deleted_rows))
+      return Status::NotImplemented(
+          "DELETE predicate references columns missing from projection ", proj.name,
+          " and no super capture is available");
+    std::vector<std::pair<size_t, size_t>> content_cols;  // (projection, table)
+    for (size_t c = 0; c < proj.columns.size(); ++c) {
+      int tc = def.FindColumn(proj.columns[c].name);
+      if (tc >= 0) content_cols.emplace_back(c, static_cast<size_t>(tc));
     }
 
     for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
@@ -417,73 +420,49 @@ Result<uint64_t> Database::ApplyDelete(const std::string& table, const ExprPtr& 
       if (!node->up()) continue;
       auto* ps = node->GetStorage(proj.name);
       if (!ps) continue;
-      RowBlock rows;
-      std::vector<Epoch> dels;
-      std::vector<std::pair<uint64_t, uint64_t>> positions;
-      STRATICA_RETURN_NOT_OK(
-          ReadProjectionRows(fs_.get(), ps, snapshot, &rows, nullptr, &dels,
-                             &positions));
-      std::vector<uint8_t> sel(rows.NumRows(), 1);
-      if (where && !use_content_match) {
-        ExprPtr pred = CloneExpr(where);
-        BindSchema schema;
-        for (size_t c = 0; c < ps->config().column_names.size(); ++c)
-          schema.Add(ps->config().column_names[c], ps->config().column_types[c]);
-        STRATICA_RETURN_NOT_OK(BindExpr(pred, schema));
-        STRATICA_RETURN_NOT_OK(EvalPredicate(*pred, rows, &sel));
-      } else if (use_content_match) {
-        // Resolve which table column feeds each projection column.
-        std::vector<int> table_cols;
-        for (const auto& pc : proj.columns) table_cols.push_back(def.FindColumn(pc.name));
-        for (size_t r = 0; r < rows.NumRows(); ++r) {
-          std::string key;
-          for (size_t c = 0; c < proj.columns.size(); ++c) {
-            if (table_cols[c] < 0) continue;
-            EncodeValue(&key, rows.columns[c].GetValue(r));
-          }
-          auto it = content_budget.find(key);
-          if (it != content_budget.end() && it->second > 0) {
-            --it->second;
-          } else {
-            sel[r] = 0;
-          }
+      STRATICA_ASSIGN_OR_RETURN(
+          RowBlock rows, ScanCopy(fs_.get(), ps, snapshot, {kScanTarget, kScanPosition},
+                                  use_content_match ? nullptr : pred));
+      if (use_content_match) {
+        std::vector<uint32_t> hit;
+        for (int64_t m : MatchByContent(rows, *deleted_rows, content_cols))
+          if (m >= 0) hit.push_back(static_cast<uint32_t>(m));
+        std::sort(hit.begin(), hit.end());  // back in target, position order
+        rows = ApplyPermutation(rows, hit);
+      }
+      if (is_super && deleted_rows && !captured) {
+        // Capture table-ordered row content once (for UPDATE re-insert and
+        // narrow-projection content matching).
+        for (size_t tc = 0; tc < def.columns.size(); ++tc) {
+          int pc = proj.FindColumn(def.columns[tc].name);
+          deleted_rows->columns[tc].AppendRange(rows.columns[pc], 0, rows.NumRows());
         }
       }
-      std::map<uint64_t, std::vector<uint64_t>> by_target;
-      for (size_t r = 0; r < rows.NumRows(); ++r) {
-        if (!sel[r] || dels[r] != 0) continue;
-        by_target[positions[r].first].push_back(positions[r].second);
-        if (proj.is_super && !proj.IsPrejoin() && deleted_rows && !captured) {
-          // Capture table-ordered row content once (for UPDATE re-insert
-          // and narrow-projection content matching).
-          for (size_t tc = 0; tc < def.columns.size(); ++tc) {
-            int pc = proj.FindColumn(def.columns[tc].name);
-            deleted_rows->columns[tc].AppendFrom(rows.columns[pc], r);
-          }
-        }
-      }
-      for (auto& [target, pos] : by_target) {
-        deleted += pos.size();
-        STRATICA_RETURN_NOT_OK(ps->AddDeletes(target, pos, txn));
+      // The scan emits each target's rows together, in position order.
+      const auto& targets = rows.columns[ncols].ints;
+      const auto& positions = rows.columns[ncols + 1].ints;
+      for (size_t lo = 0, hi = 0; lo < targets.size(); lo = hi) {
+        while (hi < targets.size() && targets[hi] == targets[lo]) ++hi;
+        STRATICA_RETURN_NOT_OK(ps->AddDeletes(
+            static_cast<uint64_t>(targets[lo]),
+            std::vector<uint64_t>(positions.begin() + lo, positions.begin() + hi), txn));
       }
     }
-    if (proj.is_super && !proj.IsPrejoin()) captured = true;
+    if (is_super) captured = true;
   }
-  return deleted;
+  return Status::OK();
 }
 
 Result<QueryResult> Database::RunDelete(const DeleteStmt& stmt) {
-  auto txn = cluster_->txns()->Begin();
-  RowBlock dummy;
   STRATICA_ASSIGN_OR_RETURN(TableDef def, catalog_.GetTable(stmt.table));
+  auto txn = cluster_->txns()->Begin();
   RowBlock captured(def.ToBindSchema().types);
-  auto deleted = ApplyDelete(stmt.table, stmt.where, txn.get(), &captured);
-  if (!deleted.ok()) {
+  Status st = ApplyDelete(stmt.table, stmt.where, txn.get(), &captured);
+  if (!st.ok()) {
     cluster_->txns()->Rollback(txn);
-    return deleted.status();
+    return st;
   }
-  STRATICA_ASSIGN_OR_RETURN(Epoch e, cluster_->Commit(txn));
-  (void)e;
+  STRATICA_RETURN_NOT_OK(cluster_->Commit(txn).status());
   QueryResult result;
   result.affected_rows = captured.NumRows();
   result.message = "DELETE " + std::to_string(captured.NumRows());
@@ -495,10 +474,10 @@ Result<QueryResult> Database::RunUpdate(const UpdateStmt& stmt) {
   STRATICA_ASSIGN_OR_RETURN(TableDef def, catalog_.GetTable(stmt.table));
   auto txn = cluster_->txns()->Begin();
   RowBlock old_rows(def.ToBindSchema().types);
-  auto deleted = ApplyDelete(stmt.table, stmt.where, txn.get(), &old_rows);
+  Status deleted = ApplyDelete(stmt.table, stmt.where, txn.get(), &old_rows);
   if (!deleted.ok()) {
     cluster_->txns()->Rollback(txn);
-    return deleted.status();
+    return deleted;
   }
   // Apply assignments to the captured rows.
   RowBlock new_rows(def.ToBindSchema().types);
@@ -537,8 +516,7 @@ Result<QueryResult> Database::RunUpdate(const UpdateStmt& stmt) {
     cluster_->txns()->Rollback(txn);
     return loaded.status();
   }
-  STRATICA_ASSIGN_OR_RETURN(Epoch e, cluster_->Commit(txn));
-  (void)e;
+  STRATICA_RETURN_NOT_OK(cluster_->Commit(txn).status());
   QueryResult result;
   result.affected_rows = old_rows.NumRows();
   result.message = "UPDATE " + std::to_string(old_rows.NumRows());

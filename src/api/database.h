@@ -142,10 +142,11 @@ class Database {
   Result<QueryResult> RunCopy(const CopyStmt& stmt);
   Result<QueryResult> RunDelete(const DeleteStmt& stmt);
   Result<QueryResult> RunUpdate(const UpdateStmt& stmt);
-  /// Shared by DELETE and UPDATE: collect (projection, node, target,
-  /// positions) matching a predicate and register delete vectors.
-  Result<uint64_t> ApplyDelete(const std::string& table, const ExprPtr& where,
-                               Transaction* txn, RowBlock* deleted_rows);
+  /// Shared by DELETE and UPDATE: scan every up copy of the table's
+  /// projections for the live rows matching `where` and register their
+  /// positions as delete vectors; `deleted_rows` receives their content.
+  Status ApplyDelete(const std::string& table, const ExprPtr& where, Transaction* txn,
+                     RowBlock* deleted_rows);
 
   DatabaseOptions options_;
   /// Declared first so it is destroyed last: query teardown and the tuple

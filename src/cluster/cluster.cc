@@ -599,57 +599,4 @@ Result<uint64_t> Cluster::Backup(const std::string& label) {
   return files;
 }
 
-Status ReadProjectionRows(const FileSystem* fs, ProjectionStorage* ps, Epoch epoch,
-                          RowBlock* out, std::vector<Epoch>* row_epochs,
-                          std::vector<Epoch>* delete_epochs,
-                          std::vector<std::pair<uint64_t, uint64_t>>* positions) {
-  const auto& cfg = ps->config();
-  *out = RowBlock(std::vector<TypeId>(cfg.column_types));
-  if (row_epochs) row_epochs->clear();
-  if (delete_epochs) delete_epochs->clear();
-  if (positions) positions->clear();
-
-  StorageSnapshot snap = ps->GetSnapshot(epoch);
-  for (const auto& c : snap.ros) {
-    RowBlock rows;
-    std::vector<Epoch> epochs;
-    STRATICA_RETURN_NOT_OK(ReadRosContainer(fs, *c, &rows, &epochs));
-    // Per-position delete epoch for this container.
-    std::unordered_map<uint64_t, Epoch> dels;
-    for (const auto& d : ps->ContainerDeleteChunks(c->id)) {
-      for (size_t i = 0; i < d->positions.size(); ++i) {
-        if (d->epochs[i] <= epoch) dels[d->positions[i]] = d->epochs[i];
-      }
-    }
-    for (size_t r = 0; r < rows.NumRows(); ++r) {
-      if (epochs[r] > epoch) continue;  // committed after the snapshot
-      out->AppendRowFrom(rows, r);
-      if (row_epochs) row_epochs->push_back(epochs[r]);
-      if (delete_epochs) {
-        auto it = dels.find(r);
-        delete_epochs->push_back(it == dels.end() ? 0 : it->second);
-      }
-      if (positions) positions->emplace_back(c->id, r);
-    }
-  }
-  std::unordered_map<uint64_t, Epoch> wos_dels;
-  for (const auto& d : ps->WosDeleteChunks()) {
-    for (size_t i = 0; i < d->positions.size(); ++i) {
-      if (d->epochs[i] <= epoch) wos_dels[d->positions[i]] = d->epochs[i];
-    }
-  }
-  for (const auto& w : snap.wos) {
-    for (size_t r = 0; r < w->NumRows(); ++r) {
-      out->AppendRowFrom(w->rows, r);
-      if (row_epochs) row_epochs->push_back(w->epoch);
-      if (delete_epochs) {
-        auto it = wos_dels.find(w->start_pos + r);
-        delete_epochs->push_back(it == wos_dels.end() ? 0 : it->second);
-      }
-      if (positions) positions->emplace_back(kWosTargetId, w->start_pos + r);
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace stratica

@@ -268,17 +268,21 @@ class Cluster {
   };
   /// Slot source: the up copy in `def`'s buddy family that serves ring slot
   /// `slot` (any slot of a replicated projection) for history after
-  /// `needed_from`, never on node `exclude_node` (-1 = none). `def`'s own
-  /// copy is preferred, then its buddies. Quarantined copies still holding
+  /// `needed_from`, never on node `exclude_node` (-1 = none) and never one
+  /// of `failed`. `def`'s own copy is preferred, then its buddies. Quarantined copies still holding
   /// their data qualify (reads are checksum-verified); a copy a failed
   /// repair gutted qualifies only when gutted at or before `needed_from`,
   /// since it is complete after the gut point only. Null when K-safety is
   /// exhausted for the slot; `*host` receives the serving node.
   ProjectionStorage* SlotSource(const ProjectionDef& def, uint32_t slot,
-                                Epoch needed_from, int exclude_node, uint32_t* host);
+                                Epoch needed_from, int exclude_node,
+                                const std::vector<ProjectionStorage*>& failed,
+                                uint32_t* host);
   /// Gather: read ring slot `slot` of `src` (every slot when unset) at
   /// `at`, each through SlotSource, into one block in the order of
-  /// `columns` (matched to `src`'s by table column, else by name).
+  /// `columns` (matched to `src`'s by table column, else by name). Each
+  /// slot is a history scan of one copy; a copy whose read fails is
+  /// excluded and the slot retried on the next, until none is left.
   Result<CopyRows> Gather(const ProjectionDef& src,
                           const std::vector<ProjectionColumnDef>& columns,
                           Epoch needed_from, Epoch at,
@@ -336,14 +340,13 @@ class Cluster {
   std::mutex recovery_mu_;
 };
 
-/// Read one node's rows of a projection at a snapshot epoch into a block
-/// (recovery, refresh, rebalance and tests; queries use the exec engine).
-/// Optional outputs, all parallel to the rows: commit epochs, delete epochs
-/// (0 = live as of `epoch`), and (target container / WOS, position) pairs.
-Status ReadProjectionRows(const FileSystem* fs, ProjectionStorage* ps, Epoch epoch,
-                          RowBlock* out, std::vector<Epoch>* row_epochs,
-                          std::vector<Epoch>* delete_epochs,
-                          std::vector<std::pair<uint64_t, uint64_t>>* positions);
+/// Match rows by content, for deletes a copy cannot place by position (a
+/// narrow projection in DML, a replayed delete in the copy path): pairs each
+/// row of `wanted` with a distinct row of `rows` equal in every (column of
+/// `rows`, column of `wanted`) pair of `cols`. Returns, per wanted row, the
+/// matched row of `rows`, or -1.
+std::vector<int64_t> MatchByContent(const RowBlock& rows, const RowBlock& wanted,
+                                    const std::vector<std::pair<size_t, size_t>>& cols);
 
 }  // namespace stratica
 

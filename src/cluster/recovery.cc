@@ -17,79 +17,36 @@
 
 #include "cluster/cluster.h"
 #include "common/hash.h"
+#include "exec/scan.h"
 #include "storage/sort_util.h"
 
 namespace stratica {
 
 namespace {
 
-/// Hash a full row (all columns), for content-based delete translation.
-uint64_t RowContentHash(const RowBlock& rows, size_t r) {
-  uint64_t h = 0xbdd1;
-  for (const auto& col : rows.columns) h = HashCombine(h, col.HashEntry(r));
-  return h;
-}
-
-/// A delete observed on a source copy that targets a row the destination
-/// already holds; must be re-resolved on the destination by content.
-struct MissedDelete {
-  size_t src_row;   ///< row index in the source block
-  Epoch del_epoch;  ///< epoch the delete committed at
-};
-
-/// Re-target `deletes` (rows of `src_rows`) onto `ps` by content match: read
-/// the destination's live rows as of `read_at`, find each deleted row's twin
-/// and register a delete-vector chunk carrying the original delete epoch.
+/// Re-target the deletes of `deleted` (rows, each deleted at its
+/// `del_epochs` entry) onto `ps` by content: scan the destination's live
+/// rows with their positions as of `read_at`, match each deleted row's twin
+/// and register delete-vector chunks carrying the original delete epochs.
 /// Replay's step for deletes of rows the destination already holds.
-Status TranslateDeletesByContent(const FileSystem* fs, ProjectionStorage* ps,
-                                 const RowBlock& src_rows,
-                                 const std::vector<MissedDelete>& deletes,
-                                 Epoch read_at) {
-  if (deletes.empty()) return Status::OK();
-  RowBlock own;
-  std::vector<std::pair<uint64_t, uint64_t>> own_pos;
-  std::vector<Epoch> own_dels;
-  STRATICA_RETURN_NOT_OK(
-      ReadProjectionRows(fs, ps, read_at, &own, nullptr, &own_dels, &own_pos));
-  std::unordered_multimap<uint64_t, size_t> index;
-  index.reserve(own.NumRows());
-  for (size_t r = 0; r < own.NumRows(); ++r) {
-    if (own_dels[r] == 0) index.emplace(RowContentHash(own, r), r);
+Status TranslateDeletesByContent(FileSystem* fs, ProjectionStorage* ps,
+                                 const RowBlock& deleted,
+                                 const std::vector<Epoch>& del_epochs, Epoch read_at) {
+  if (deleted.NumRows() == 0) return Status::OK();
+  STRATICA_ASSIGN_OR_RETURN(RowBlock own,
+                            ScanCopy(fs, ps, read_at, {kScanTarget, kScanPosition}));
+  const size_t ncols = deleted.columns.size();
+  std::vector<std::pair<size_t, size_t>> cols;
+  for (size_t c = 0; c < ncols; ++c) cols.emplace_back(c, c);
+  std::vector<int64_t> match = MatchByContent(own, deleted, cols);
+  std::map<uint64_t, DeleteList> found;  // target -> (position, delete epoch)
+  for (size_t w = 0; w < match.size(); ++w) {
+    if (match[w] < 0) continue;
+    found[static_cast<uint64_t>(own.columns[ncols].ints[match[w]])].push_back(
+        {static_cast<uint64_t>(own.columns[ncols + 1].ints[match[w]]), del_epochs[w]});
   }
-  std::map<uint64_t, std::vector<uint64_t>> new_deletes;  // target -> positions
-  std::map<uint64_t, std::vector<Epoch>> new_del_epochs;
-  for (const auto& miss : deletes) {
-    uint64_t h = RowContentHash(src_rows, miss.src_row);
-    auto [lo, hi] = index.equal_range(h);
-    for (auto it = lo; it != hi; ++it) {
-      // Verify full content equality, then consume the match.
-      bool equal = true;
-      for (size_t c = 0; c < own.columns.size() && equal; ++c) {
-        equal = ColumnVector::CompareEntries(own.columns[c], it->second,
-                                             src_rows.columns[c], miss.src_row) == 0;
-      }
-      if (!equal) continue;
-      auto [target, pos] = own_pos[it->second];
-      new_deletes[target].push_back(pos);
-      new_del_epochs[target].push_back(miss.del_epoch);
-      index.erase(it);
-      break;
-    }
-  }
-  for (auto& [target, positions] : new_deletes) {
-    auto chunk = std::make_shared<DeleteVectorChunk>();
-    chunk->target_id = target;
-    // Sort by position, keeping epochs parallel.
-    std::vector<size_t> order(positions.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&](size_t a, size_t b) { return positions[a] < positions[b]; });
-    for (size_t i : order) {
-      chunk->positions.push_back(positions[i]);
-      chunk->epochs.push_back(new_del_epochs[target][i]);
-    }
-    ps->AdoptContainer(nullptr, {chunk});
-  }
+  for (auto& [target, list] : found)
+    ps->AdoptContainer(nullptr, {MakeDeleteChunk(target, std::move(list))});
   return Status::OK();
 }
 
@@ -122,6 +79,34 @@ std::vector<T> Pick(const std::vector<T>& v, const std::vector<uint32_t>& idx) {
 
 }  // namespace
 
+std::vector<int64_t> MatchByContent(const RowBlock& rows, const RowBlock& wanted,
+                                    const std::vector<std::pair<size_t, size_t>>& cols) {
+  auto hash = [&](const RowBlock& block, bool is_wanted, size_t r) {
+    uint64_t h = 0xbdd1;
+    for (const auto& [rc, wc] : cols)
+      h = HashCombine(h, block.columns[is_wanted ? wc : rc].HashEntry(r));
+    return h;
+  };
+  std::unordered_multimap<uint64_t, size_t> index;
+  index.reserve(rows.NumRows());
+  for (size_t r = 0; r < rows.NumRows(); ++r) index.emplace(hash(rows, false, r), r);
+  std::vector<int64_t> match(wanted.NumRows(), -1);
+  for (size_t w = 0; w < wanted.NumRows(); ++w) {
+    auto [lo, hi] = index.equal_range(hash(wanted, true, w));
+    for (auto it = lo; it != hi; ++it) {
+      bool equal = std::all_of(cols.begin(), cols.end(), [&](const auto& c) {
+        return ColumnVector::CompareEntries(rows.columns[c.first], it->second,
+                                            wanted.columns[c.second], w) == 0;
+      });
+      if (!equal) continue;
+      match[w] = static_cast<int64_t>(it->second);
+      index.erase(it);  // a row matches at most once
+      break;
+    }
+  }
+  return match;
+}
+
 Cluster::CopyRows Cluster::CopyRows::Select(const std::vector<uint32_t>& idx) const {
   return {ApplyPermutation(rows, idx), Pick(epochs, idx), Pick(deletes, idx),
           Pick(hosts, idx)};
@@ -129,6 +114,7 @@ Cluster::CopyRows Cluster::CopyRows::Select(const std::vector<uint32_t>& idx) co
 
 ProjectionStorage* Cluster::SlotSource(const ProjectionDef& def, uint32_t slot,
                                        Epoch needed_from, int exclude_node,
+                                       const std::vector<ProjectionStorage*>& failed,
                                        uint32_t* host) {
   uint32_t n = num_nodes();
   std::string family = def.buddy_of.empty() ? def.name : def.buddy_of;
@@ -144,7 +130,9 @@ ProjectionStorage* Cluster::SlotSource(const ProjectionDef& def, uint32_t slot,
       uint32_t h = replicated ? i : (slot + copy.segmentation.node_offset) % n;
       if (static_cast<int>(h) == exclude_node || !nodes_[h]->up()) continue;
       auto* cand = nodes_[h]->GetStorage(copy.name);
-      if (!UsableAsSource(cand, needed_from)) continue;
+      if (!UsableAsSource(cand, needed_from) ||
+          std::find(failed.begin(), failed.end(), cand) != failed.end())
+        continue;
       *host = h;
       return cand;
     }
@@ -173,24 +161,32 @@ Result<Cluster::CopyRows> Cluster::Gather(const ProjectionDef& src,
   uint32_t num_slots = src.segmentation.replicated ? 1 : num_nodes();
   CopyRows out;
   for (uint32_t s = slot.value_or(0); s < (slot ? *slot + 1 : num_slots); ++s) {
+    std::vector<ProjectionStorage*> failed;
+    Result<RowBlock> part = RowBlock();
     uint32_t host = 0;
-    ProjectionStorage* ps = SlotSource(src, s, needed_from, exclude_node, &host);
-    if (!ps) {
-      return Status::ClusterUnavailable("no live copy of ", src.name,
-                                        " serves ring slot ", s);
+    for (;;) {
+      ProjectionStorage* ps = SlotSource(src, s, needed_from, exclude_node, failed, &host);
+      if (!ps) {
+        return Status::ClusterUnavailable(
+            "no live copy of ", src.name, " serves ring slot ", s,
+            failed.empty() ? "" : " (last read error: " + part.status().ToString() + ")");
+      }
+      part = ScanCopy(fs_, ps, at, {kScanCommitEpoch, kScanDeleteEpoch});
+      if (part.ok()) break;
+      failed.push_back(ps);
     }
-    RowBlock part;
-    std::vector<Epoch> epochs, deletes;
-    STRATICA_RETURN_NOT_OK(
-        ReadProjectionRows(fs_, ps, at, &part, &epochs, &deletes, nullptr));
+    const RowBlock& rows = part.value();
+    const size_t ncols = rows.columns.size() - 2;  // then the two epoch columns
     if (out.rows.columns.empty()) {
-      for (size_t sc : src_cols) out.rows.columns.emplace_back(part.columns[sc].type);
+      for (size_t sc : src_cols) out.rows.columns.emplace_back(rows.columns[sc].type);
     }
     for (size_t c = 0; c < src_cols.size(); ++c)
-      out.rows.columns[c].AppendRange(part.columns[src_cols[c]], 0, part.NumRows());
+      out.rows.columns[c].AppendRange(rows.columns[src_cols[c]], 0, rows.NumRows());
+    const auto& epochs = rows.columns[ncols].ints;
+    const auto& deletes = rows.columns[ncols + 1].ints;
     out.epochs.insert(out.epochs.end(), epochs.begin(), epochs.end());
     out.deletes.insert(out.deletes.end(), deletes.begin(), deletes.end());
-    out.hosts.insert(out.hosts.end(), part.NumRows(), host);
+    out.hosts.insert(out.hosts.end(), rows.NumRows(), host);
   }
   return out;
 }
@@ -236,8 +232,7 @@ Status Cluster::Replay(const ProjectionDef& def, const CopyRows& src,
     if (ps == nullptr) continue;
     // Rows committed after `from` are copied; deletes after `from` of older
     // rows must be re-targeted at the copy's existing rows by content.
-    std::vector<uint32_t> copy;
-    std::vector<MissedDelete> late_deletes;
+    std::vector<uint32_t> copy, late_deletes;
     uint64_t moved = 0;
     bool every_row = split.counts[node] == n_rows;
     for (size_t i = 0; i < split.counts[node]; ++i) {
@@ -246,14 +241,15 @@ Status Cluster::Replay(const ProjectionDef& def, const CopyRows& src,
         copy.push_back(r);
         moved += src.hosts[r] != node;
       } else if (src.deletes[r] > from) {
-        late_deletes.push_back({r, src.deletes[r]});
+        late_deletes.push_back(r);
       }
     }
     AddNetworkBytes(64 * moved);  // coarse per-row transfer accounting
     CopyRows mine = src.Select(copy);
     STRATICA_RETURN_NOT_OK(ps->IngestRecovered(std::move(mine.rows), std::move(mine.epochs),
                                                std::move(mine.deletes), to));
-    STRATICA_RETURN_NOT_OK(TranslateDeletesByContent(fs_, ps, src.rows, late_deletes, from));
+    CopyRows late = src.Select(late_deletes);
+    STRATICA_RETURN_NOT_OK(TranslateDeletesByContent(fs_, ps, late.rows, late.deletes, from));
   }
   return Status::OK();
 }

@@ -72,9 +72,8 @@ std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap
 struct ScanOperator::Source {
   // Container source state.
   RosContainerPtr container;
-  std::vector<ColumnReader> readers;           // parallel to spec.projection_columns
-  std::unique_ptr<ColumnReader> epoch_reader;  // only when epoch filter needed
-  std::vector<uint64_t> deleted;               // sorted deleted positions
+  std::vector<ColumnReader> readers;           // one per stored output column
+  std::unique_ptr<ColumnReader> epoch_reader;  // epoch filter or commit-epoch output
   size_t next_block = 0;
   size_t block_hi = 0;
 
@@ -107,7 +106,13 @@ struct ScanOperator::SourceMergeInput : public MergeInput {
   Source* src;
 };
 
-ScanOperator::ScanOperator(ScanSpec spec) : spec_(std::move(spec)) {}
+ScanOperator::ScanOperator(ScanSpec spec) : spec_(std::move(spec)) {
+  for (int c : spec_.projection_columns) {
+    num_stored_ += c >= 0;
+    wants_commit_epochs_ |= c == kScanCommitEpoch;
+    history_ |= c == kScanDeleteEpoch;
+  }
+}
 ScanOperator::~ScanOperator() = default;
 
 const StorageSnapshot& MorselDispenser::EnsureSnapshot(ProjectionStorage* storage,
@@ -162,21 +167,20 @@ Status ScanOperator::OpenContainerSource(const ScanRegion& region) {
   }
   auto src = std::make_unique<Source>();
   src->container = region.container;
-  for (int proj_col : spec_.projection_columns) {
+  for (size_t i = 0; i < num_stored_; ++i) {
     // Every reader open is a (possibly slow) file op; bail between them once
     // the exchange stopped caring about this pipeline.
     if (Abandoned()) return Status::OK();
-    auto reader = OpenRosColumn(ctx_->fs, c, proj_col);
+    auto reader = OpenRosColumn(ctx_->fs, c, spec_.projection_columns[i]);
     if (!reader.ok()) return NoteRosFailure(src.get(), reader.status());
     src->readers.push_back(std::move(reader).value());
   }
   if (Abandoned()) return Status::OK();
-  if (!c.epoch_data_path.empty() && c.max_epoch > ctx_->epoch) {
+  if (!c.epoch_data_path.empty() && (c.max_epoch > ctx_->epoch || wants_commit_epochs_)) {
     auto er = ColumnReader::Open(ctx_->fs, c.epoch_data_path, c.epoch_index_path);
     if (!er.ok()) return NoteRosFailure(src.get(), er.status());
     src->epoch_reader = std::make_unique<ColumnReader>(std::move(er).value());
   }
-  src->deleted = snap_.deletes.DeletedPositions(c.id);
   src->next_block = region.block_lo;
   src->block_hi = std::min(region.block_hi, src->readers.empty()
                                                 ? size_t{0}
@@ -190,28 +194,27 @@ Status ScanOperator::OpenWosSource() {
   auto src = std::make_unique<Source>();
   src->is_wos = true;
   RowBlock rows(spec_.output_types);
-  // Gather visible WOS rows (restricted to the scanned columns), applying
-  // delete vectors in one merged pass over the sorted position list: copy
-  // the contiguous keep-segments between deleted positions wholesale.
-  auto wos_deleted = snap_.deletes.DeletedPositions(kWosTargetId);
+  // Gather visible WOS rows (restricted to the scanned columns): a chunk's
+  // deletes come from one range of the sorted WOS delete list, and rows
+  // they hide are skipped unless this is a history read.
+  std::vector<uint32_t> keep;
   for (const auto& chunk : snap_.wos) {
     size_t nrows = chunk->NumRows();
     uint64_t start = chunk->start_pos;
-    auto append_segment = [&](size_t from, size_t to) {
-      if (to <= from) return;
-      for (size_t c = 0; c < spec_.projection_columns.size(); ++c) {
-        rows.columns[c].AppendRange(chunk->rows.columns[spec_.projection_columns[c]],
-                                    from, to - from);
-      }
-    };
-    size_t keep_from = 0;
-    for (auto it = std::lower_bound(wos_deleted.begin(), wos_deleted.end(), start);
-         it != wos_deleted.end() && *it < start + nrows; ++it) {
-      size_t local = static_cast<size_t>(*it - start);
-      append_segment(keep_from, local);
-      keep_from = local + 1;
+    bool any = LoadDeletes(kWosTargetId, start, nrows);
+    keep.clear();
+    for (size_t r = 0; r < nrows; ++r) {
+      if (history_ || !any || del_scratch_[r] == 0) keep.push_back(static_cast<uint32_t>(r));
     }
-    append_segment(keep_from, nrows);
+    for (size_t c = 0; c < num_stored_; ++c) {
+      const ColumnVector& from = chunk->rows.columns[spec_.projection_columns[c]];
+      if (keep.size() == nrows) {
+        rows.columns[c].AppendRange(from, 0, nrows);
+      } else {
+        rows.columns[c].AppendGather(from, keep);
+      }
+    }
+    AppendVirtuals(kWosTargetId, start, keep, nullptr, chunk->epoch, &rows);
   }
   if (spec_.sorted_output && !spec_.sort_key_outputs.empty()) {
     auto perm = ComputeSortPermutation(rows, spec_.sort_key_outputs);
@@ -239,8 +242,10 @@ Status ScanOperator::Open(ExecContext* ctx) {
   // MarkNodeDown clears the flag before crashing volatile state, so a true
   // read here proves the snapshot predates any crash. A false read means the
   // WOS may have been wiped under us — fail over to a buddy instead of
-  // silently returning a partial snapshot.
-  if (!spec_.storage->HostUp()) {
+  // silently returning a partial snapshot. Everything at or before a copy's
+  // LGE is in ROS, which a crash keeps, so a down copy still reads whole up
+  // to its LGE; recovery reads the copy it is rebuilding that way.
+  if (!spec_.storage->HostUp() && ctx->epoch > spec_.storage->lge()) {
     return Status::TransientIoError("host node of ", spec_.storage->config().projection,
                                     " went down after planning; replan");
   }
@@ -332,17 +337,17 @@ Status ScanOperator::ComputeSelection(Source* src, size_t block_idx, uint64_t ro
                                       RowBlock* fblock, size_t n, size_t* selected) {
   sel_scratch_.assign(n, 1);
   if (src != nullptr && src->epoch_reader) {
-    ColumnVector epochs(TypeId::kInt64);
+    epoch_scratch_.ints.clear();  // ReadBlock appends
     STRATICA_RETURN_NOT_OK(
-        NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, &epochs)));
+        NoteRosFailure(src, src->epoch_reader->ReadBlock(block_idx, &epoch_scratch_)));
     for (size_t i = 0; i < n; ++i) {
-      if (static_cast<Epoch>(epochs.ints[i]) > ctx_->epoch) sel_scratch_[i] = 0;
+      if (static_cast<Epoch>(epoch_scratch_.ints[i]) > ctx_->epoch) sel_scratch_[i] = 0;
     }
   }
-  if (src != nullptr && !src->deleted.empty()) {
-    auto lo = std::lower_bound(src->deleted.begin(), src->deleted.end(), row_start);
-    for (auto it = lo; it != src->deleted.end() && *it < row_start + n; ++it) {
-      sel_scratch_[*it - row_start] = 0;
+  // A history read keeps deleted rows (their delete epochs are output).
+  if (src != nullptr && LoadDeletes(src->container->id, row_start, n) && !history_) {
+    for (size_t i = 0; i < n; ++i) {
+      if (del_scratch_[i] != 0) sel_scratch_[i] = 0;
     }
   }
   if (filter_predicate_ != nullptr) {
@@ -585,11 +590,58 @@ Status ScanOperator::AdvanceRos(Source* src) {
             src->readers[c].meta().blocks[b].encoded_bytes);
       }
     }
+    if (num_stored_ < block.columns.size()) {
+      std::vector<uint32_t> rows;
+      rows.reserve(selected);
+      for (size_t i = 0; i < n; ++i) {
+        if (sel_scratch_[i]) rows.push_back(static_cast<uint32_t>(i));
+      }
+      const RosContainer& c = *src->container;
+      AppendVirtuals(c.id, bm0.row_start, rows,
+                     src->epoch_reader ? &epoch_scratch_ : nullptr, c.min_epoch, &block);
+    }
     src->current = std::move(block);
     return Status::OK();
   }
   src->exhausted = true;
   return Status::OK();
+}
+
+bool ScanOperator::LoadDeletes(uint64_t target, uint64_t row_start, size_t n) {
+  // Only a history read outputs every row's entry; other scans fill the
+  // scratch on the first delete in range, so a range without deletes costs
+  // one lookup.
+  bool any = false;
+  if (history_) del_scratch_.assign(n, 0);
+  snap_.ForEachDelete(target, row_start, row_start + n, [&](uint64_t p, Epoch e) {
+    if (!any && !history_) del_scratch_.assign(n, 0);
+    any = true;
+    Epoch& d = del_scratch_[p - row_start];
+    if (d == 0 || e < d) d = e;
+  });
+  return any;
+}
+
+void ScanOperator::AppendVirtuals(uint64_t target, uint64_t row_start,
+                                  const std::vector<uint32_t>& rows,
+                                  const ColumnVector* epochs, Epoch uniform_epoch,
+                                  RowBlock* block) const {
+  for (size_t c = num_stored_; c < block->columns.size(); ++c) {
+    std::vector<int64_t>& out = block->columns[c].ints;
+    out.reserve(out.size() + rows.size());
+    for (uint32_t r : rows) {
+      uint64_t v = 0;
+      switch (spec_.projection_columns[c]) {
+        case kScanTarget: v = target; break;
+        case kScanPosition: v = row_start + r; break;
+        case kScanCommitEpoch:
+          v = epochs ? static_cast<Epoch>(epochs->ints[r]) : uniform_epoch;
+          break;
+        case kScanDeleteEpoch: v = del_scratch_[r]; break;
+      }
+      out.push_back(static_cast<int64_t>(v));
+    }
+  }
 }
 
 Status ScanOperator::Advance(Source* src) {
@@ -657,6 +709,43 @@ Status ScanOperator::Close() {
   merger_.reset();  // holds raw Source pointers; must go before sources_
   sources_.clear();
   return Status::OK();
+}
+
+void AddScanConjunct(ScanSpec* spec, ExprPtr pred) {
+  if (pred->kind == ExprKind::kCompare &&
+      pred->children[0]->kind == ExprKind::kColumnRef &&
+      pred->children[1]->kind == ExprKind::kLiteral) {
+    spec->prune_bounds.push_back(
+        {pred->children[0]->column_index, pred->cmp, pred->children[1]->literal});
+  }
+  spec->predicate = spec->predicate ? And(spec->predicate, pred) : pred;
+}
+
+Result<RowBlock> ScanCopy(FileSystem* fs, ProjectionStorage* storage, Epoch epoch,
+                          const std::vector<int>& virtuals, const ExprPtr& where) {
+  static const char* const kVirtualNames[] = {"$target", "$position", "$commit_epoch",
+                                              "$delete_epoch"};
+  const ProjectionStorageConfig& cfg = storage->config();
+  ScanSpec spec;
+  spec.storage = storage;
+  for (size_t c = 0; c < cfg.column_names.size(); ++c) {
+    spec.projection_columns.push_back(static_cast<int>(c));
+    spec.output_names.push_back(cfg.column_names[c]);
+    spec.output_types.push_back(cfg.column_types[c]);
+  }
+  for (int v : virtuals) {
+    spec.projection_columns.push_back(v);
+    spec.output_names.push_back(kVirtualNames[-v - 1]);
+    spec.output_types.push_back(TypeId::kInt64);
+  }
+  std::vector<ExprPtr> conjuncts;
+  SplitConjuncts(where, &conjuncts);
+  for (auto& c : conjuncts) AddScanConjunct(&spec, std::move(c));
+  ScanOperator scan(std::move(spec));
+  ExecContext ctx;
+  ctx.fs = fs;
+  ctx.epoch = epoch;
+  return DrainOperator(&scan, &ctx);
 }
 
 std::string ScanOperator::DebugString() const {

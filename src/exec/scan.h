@@ -47,6 +47,16 @@ struct PruneBound {
   Value value;
 };
 
+/// Virtual scan outputs (DESIGN.md §7): ScanSpec::projection_columns
+/// entries below zero, placed after the projection columns (at least one of
+/// which the scan must read). Each is an int64 column.
+constexpr int kScanTarget = -1;       ///< container id, or kWosTargetId (as int64)
+constexpr int kScanPosition = -2;     ///< the row's position within its target
+constexpr int kScanCommitEpoch = -3;  ///< the epoch the row committed at
+/// The epoch the row was deleted at, 0 if live at the snapshot. Requesting
+/// it makes the scan a history read: deleted rows are kept, not filtered.
+constexpr int kScanDeleteEpoch = -4;
+
 /// A slice of one container's blocks, for intra-node parallel scans
 /// (Section 3.5: runtime division into logical regions, no physical
 /// sub-partitioning required).
@@ -105,7 +115,9 @@ class MorselDispenser {
 /// (DESIGN.md §7); no field switches it off.
 struct ScanSpec {
   ProjectionStorage* storage = nullptr;
-  std::vector<int> projection_columns;  ///< projection col idx, in output order
+  /// Projection column indexes in output order, then any virtual columns
+  /// (kScanTarget ...).
+  std::vector<int> projection_columns;
   std::vector<std::string> output_names;
   std::vector<TypeId> output_types;
   ExprPtr predicate;  ///< bound against the scan output schema; may be null
@@ -132,13 +144,18 @@ struct ScanSpec {
   std::shared_ptr<MorselDispenser> morsels;
 };
 
+/// Add the bound conjunct `pred` (scan output schema) to `spec`: AND it into
+/// the predicate, and prune by it when it is `column <op> literal`. Planned
+/// scans and DML push their WHERE clauses through this one rule.
+void AddScanConjunct(ScanSpec* spec, ExprPtr pred);
+
 /// \brief Late-materializing columnar scan (DESIGN.md §7): reads filter
 /// columns first as encoded views, computes the selection (epoch
 /// visibility, delete vectors, predicate, SIP), and reads payload columns
-/// only for surviving rows. Reads ROS containers and, when included, the
-/// WOS; in morsel mode (ScanSpec::morsels) it claims block ranges from the
-/// shared dispenser until drained, polling ExecContext::abandon between
-/// storage operations.
+/// only for surviving rows, then any virtual columns (kScanTarget ...).
+/// Reads ROS containers and, when included, the WOS; in morsel mode
+/// (ScanSpec::morsels) it claims block ranges from the shared dispenser
+/// until drained, polling ExecContext::abandon between storage operations.
 class ScanOperator : public Operator {
  public:
   // Constructor/destructor out-of-line: Source is an incomplete type here.
@@ -170,6 +187,18 @@ class ScanOperator : public Operator {
   }
 
   Status OpenContainerSource(const ScanRegion& region);
+  /// Fill del_scratch_ with the delete epoch of rows [row_start,
+  /// row_start + n) of `target` visible at the snapshot (0 = live; a row
+  /// deleted twice keeps its earliest). True if any row is deleted; when
+  /// none is, only a history read's del_scratch_ is filled.
+  bool LoadDeletes(uint64_t target, uint64_t row_start, size_t n);
+  /// Append the virtual output columns for rows `rows` (offsets into a
+  /// source block starting at `row_start` of `target`) to `block`. Commit
+  /// epochs come from `epochs` (per block row) or are all `uniform_epoch`;
+  /// delete epochs from del_scratch_.
+  void AppendVirtuals(uint64_t target, uint64_t row_start,
+                      const std::vector<uint32_t>& rows, const ColumnVector* epochs,
+                      Epoch uniform_epoch, RowBlock* block) const;
   Status OpenWosSource();
   /// Persistent I/O failure / corruption on a container read: quarantine
   /// this projection copy (the planner then reroutes its segment to a buddy,
@@ -192,6 +221,11 @@ class ScanOperator : public Operator {
                           RowBlock* fblock, size_t n, size_t* selected);
 
   ScanSpec spec_;
+  /// Projection columns read from storage: the leading entries of
+  /// spec_.projection_columns, before the virtual ones.
+  size_t num_stored_ = 0;
+  bool wants_commit_epochs_ = false;
+  bool history_ = false;  ///< kScanDeleteEpoch requested: keep deleted rows
   ExecContext* ctx_ = nullptr;
   StorageSnapshot snap_;
   std::vector<std::unique_ptr<Source>> sources_;
@@ -217,10 +251,20 @@ class ScanOperator : public Operator {
   // (the hot loop must not allocate per block).
   std::vector<uint8_t> sel_scratch_;
   std::vector<uint8_t> pred_scratch_;
+  ColumnVector epoch_scratch_{TypeId::kInt64};  ///< the block's commit epochs
+  std::vector<Epoch> del_scratch_;              ///< the block's delete epochs
   std::vector<uint64_t> hash_buf_;
   std::vector<uint8_t> hit_buf_;
   std::vector<uint8_t> null_buf_;
 };
+
+/// Drain a serial scan of one projection copy at `epoch` into one block:
+/// every projection column, then the virtual columns `virtuals`. `where`,
+/// bound against the copy's columns, filters and prunes as a planned scan's
+/// WHERE does. DML, the copy path and tests read copies through this.
+Result<RowBlock> ScanCopy(FileSystem* fs, ProjectionStorage* storage, Epoch epoch,
+                          const std::vector<int>& virtuals,
+                          const ExprPtr& where = nullptr);
 
 }  // namespace stratica
 

@@ -332,6 +332,16 @@ Status BindExpr(Expr* e, const BindSchema& schema) {
   return Status::Internal("unhandled expr kind");
 }
 
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
+  if (!e) return;
+  if (e->kind == ExprKind::kLogical && e->logic == LogicalOp::kAnd) {
+    SplitConjuncts(e->children[0], out);
+    SplitConjuncts(e->children[1], out);
+    return;
+  }
+  out->push_back(e);
+}
+
 void CollectColumns(const Expr& e, std::vector<int>* out) {
   if (e.kind == ExprKind::kColumnRef && e.column_index >= 0) {
     if (std::find(out->begin(), out->end(), e.column_index) == out->end())

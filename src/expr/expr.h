@@ -111,6 +111,10 @@ inline Status BindExpr(const ExprPtr& e, const BindSchema& schema) {
   return BindExpr(e.get(), schema);
 }
 
+/// Append the conjuncts of `e` (its AND operands, recursively) to `out`;
+/// nothing when `e` is null.
+void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
+
 /// Collect the column indexes referenced by a bound expression.
 void CollectColumns(const Expr& e, std::vector<int>* out);
 

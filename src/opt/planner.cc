@@ -88,16 +88,6 @@ class BroadcastConsumerOperator : public Operator {
   size_t cursor_ = 0;
 };
 
-void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
-  if (!e) return;
-  if (e->kind == ExprKind::kLogical && e->logic == LogicalOp::kAnd) {
-    SplitConjuncts(e->children[0], out);
-    SplitConjuncts(e->children[1], out);
-    return;
-  }
-  out->push_back(e);
-}
-
 ExprPtr CombineConjuncts(const std::vector<ExprPtr>& conjuncts) {
   ExprPtr result;
   for (const auto& c : conjuncts) {
@@ -475,7 +465,6 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
                       slot.def.columns[c].type);
     }
     // Push local predicates into the scan, extracting prune bounds.
-    std::vector<ExprPtr> scan_preds;
     for (const auto& pred : slot.local_predicates) {
       ExprPtr local = CloneExpr(pred);
       std::vector<Expr*> stack = {local.get()};
@@ -486,15 +475,8 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
         for (auto& ch : cur->children) stack.push_back(ch.get());
       }
       STRATICA_RETURN_NOT_OK(BindExpr(local, scan_schema));
-      scan_preds.push_back(local);
-      if (local->kind == ExprKind::kCompare &&
-          local->children[0]->kind == ExprKind::kColumnRef &&
-          local->children[1]->kind == ExprKind::kLiteral) {
-        tp.spec.prune_bounds.push_back({local->children[0]->column_index, local->cmp,
-                                        local->children[1]->literal});
-      }
+      AddScanConjunct(&tp.spec, local);
     }
-    tp.spec.predicate = CombineConjuncts(scan_preds);
   }
 
   // ---- SIP filters -----------------------------------------------------------

@@ -45,42 +45,27 @@ Result<DeleteVectorChunkPtr> ReadDvRos(const FileSystem* fs, const std::string& 
   return chunk;
 }
 
-void DeleteIndex::Add(const DeleteVectorChunk& chunk, Epoch snapshot) {
-  auto& vec = by_target_[chunk.target_id];
-  for (size_t i = 0; i < chunk.positions.size(); ++i) {
-    if (chunk.epochs[i] <= snapshot) vec.push_back(chunk.positions[i]);
+DeleteVectorChunkPtr MakeDeleteChunk(uint64_t target_id, DeleteList entries) {
+  std::sort(entries.begin(), entries.end());
+  auto chunk = std::make_shared<DeleteVectorChunk>();
+  chunk->target_id = target_id;
+  for (const DeleteEntry& e : entries) {
+    chunk->positions.push_back(e.position);
+    chunk->epochs.push_back(e.epoch);
   }
-  finalized_ = false;
+  return chunk;
 }
 
-void DeleteIndex::Finalize() const {
-  if (finalized_) return;
-  for (auto& [target, vec] : const_cast<DeleteIndex*>(this)->by_target_) {
-    std::sort(vec.begin(), vec.end());
-    vec.erase(std::unique(vec.begin(), vec.end()), vec.end());
-  }
-  finalized_ = true;
-}
-
-bool DeleteIndex::IsDeleted(uint64_t target_id, uint64_t position) const {
-  Finalize();
-  auto it = by_target_.find(target_id);
-  if (it == by_target_.end()) return false;
-  return std::binary_search(it->second.begin(), it->second.end(), position);
-}
-
-std::vector<uint64_t> DeleteIndex::DeletedPositions(uint64_t target_id) const {
-  Finalize();
-  auto it = by_target_.find(target_id);
-  if (it == by_target_.end()) return {};
-  return it->second;
-}
-
-size_t DeleteIndex::TotalDeleted() const {
-  Finalize();
-  size_t n = 0;
-  for (const auto& [target, vec] : by_target_) n += vec.size();
-  return n;
+DeleteListPtr MergeDeletes(const DeleteListPtr& list, const DeleteVectorChunk& chunk) {
+  auto out = std::make_shared<DeleteList>();
+  out->reserve((list ? list->size() : 0) + chunk.size());
+  if (list) *out = *list;
+  auto mid = static_cast<std::ptrdiff_t>(out->size());
+  for (size_t i = 0; i < chunk.size(); ++i)
+    out->push_back({chunk.positions[i], chunk.epochs[i]});
+  std::sort(out->begin() + mid, out->end());
+  std::inplace_merge(out->begin(), out->begin() + mid, out->end());
+  return out;
 }
 
 }  // namespace stratica

@@ -10,7 +10,6 @@
 #define STRATICA_STORAGE_DELETE_VECTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,25 +51,28 @@ Status WriteDvRos(FileSystem* fs, const DeleteVectorChunk& chunk,
 Result<DeleteVectorChunkPtr> ReadDvRos(const FileSystem* fs, const std::string& path,
                                        uint64_t target_id);
 
-/// \brief Merged view of all deletions visible at a snapshot epoch,
-/// organized per target for O(log n) lookup during scans.
-class DeleteIndex {
- public:
-  void Add(const DeleteVectorChunk& chunk, Epoch snapshot);
-
-  /// True if `position` of `target` is deleted as of the snapshot.
-  bool IsDeleted(uint64_t target_id, uint64_t position) const;
-
-  /// All deleted positions for one target (sorted, deduplicated).
-  std::vector<uint64_t> DeletedPositions(uint64_t target_id) const;
-
-  size_t TotalDeleted() const;
-
- private:
-  std::map<uint64_t, std::vector<uint64_t>> by_target_;  // sorted post-finalize
-  mutable bool finalized_ = false;
-  void Finalize() const;
+/// One committed delete: a row position of a target and the epoch the
+/// delete committed at.
+struct DeleteEntry {
+  uint64_t position = 0;
+  Epoch epoch = 0;
+  bool operator<(const DeleteEntry& o) const {
+    return position != o.position ? position < o.position : epoch < o.epoch;
+  }
 };
+
+/// \brief The committed deletes of one target (container or WOS), sorted by
+/// position (DESIGN.md §1). Published immutable: a writer builds a new list
+/// and swaps the pointer, so every snapshot shares the list it saw and
+/// copies no positions.
+using DeleteList = std::vector<DeleteEntry>;
+using DeleteListPtr = std::shared_ptr<const DeleteList>;
+
+/// A committed chunk of `target_id` holding `entries`, sorted by position.
+DeleteVectorChunkPtr MakeDeleteChunk(uint64_t target_id, DeleteList entries);
+
+/// `list` (may be null) with the entries of the committed `chunk` merged in.
+DeleteListPtr MergeDeletes(const DeleteListPtr& list, const DeleteVectorChunk& chunk);
 
 }  // namespace stratica
 

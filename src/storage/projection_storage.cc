@@ -126,13 +126,7 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
   if (host_down) {
     // Registration raced a node crash. The files were written before the
     // check; drop them rather than leaving orphans for the scrub to chase.
-    for (const auto& c : created) {
-      for (const auto& col : c->columns) {
-        (void)fs_->Delete(col.data_path);
-        (void)fs_->Delete(col.index_path);
-      }
-      (void)fs_->Delete(c->dir + "/meta");
-    }
+    for (const auto& c : created) DeleteRosFiles(fs_, *c);
     return Status::ClusterUnavailable("host node is down");
   }
   txn->MarkDml();
@@ -172,11 +166,7 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
     std::lock_guard lock(mu_);
     for (const auto& c : created) {
       ros_.erase(std::remove(ros_.begin(), ros_.end(), c), ros_.end());
-      for (const auto& col : c->columns) {
-        (void)fs_->Delete(col.data_path);
-        (void)fs_->Delete(col.index_path);
-      }
-      (void)fs_->Delete(c->dir + "/meta");
+      DeleteRosFiles(fs_, *c);
     }
   });
   return Status::OK();
@@ -210,17 +200,24 @@ Status ProjectionStorage::AddDeletes(uint64_t target_id, std::vector<uint64_t> p
     std::lock_guard lock(mu_);
     // Atomic with CrashVolatileState, same reasoning as InsertWos.
     if (!HostUp()) return Status::ClusterUnavailable("host node is down");
-    deletes_.push_back(chunk);
+    pending_deletes_.push_back(chunk);
   }
   txn->MarkDml();
+  // The commit merges the chunk into its target's list before the epoch
+  // becomes queryable, so no snapshot at that epoch can miss it.
   txn->OnCommit([this, chunk](Epoch e) {
     std::lock_guard lock(mu_);
+    auto it = std::find(pending_deletes_.begin(), pending_deletes_.end(), chunk);
+    if (it == pending_deletes_.end()) return;  // lost with a crash
+    pending_deletes_.erase(it);
     std::fill(chunk->epochs.begin(), chunk->epochs.end(), e);
+    AddCommittedDeletesLocked(chunk);
   });
   txn->OnRollback([this, chunk]() {
     std::lock_guard lock(mu_);
-    deletes_.erase(std::remove(deletes_.begin(), deletes_.end(), chunk),
-                   deletes_.end());
+    pending_deletes_.erase(
+        std::remove(pending_deletes_.begin(), pending_deletes_.end(), chunk),
+        pending_deletes_.end());
   });
   return Status::OK();
 }
@@ -239,9 +236,9 @@ StorageSnapshot ProjectionStorage::GetSnapshot(Epoch epoch, uint64_t txn_id) con
     bool own = txn_id != 0 && w->txn_id == txn_id && w->epoch == kUncommittedEpoch;
     if (committed_visible || own) snap.wos.push_back(w);
   }
-  for (const auto& d : deletes_) {
-    bool own = txn_id != 0 && d->txn_id == txn_id;
-    snap.deletes.Add(*d, own ? kUncommittedEpoch : epoch);
+  snap.deletes = delete_lists_;
+  for (const auto& d : pending_deletes_) {
+    if (txn_id != 0 && d->txn_id == txn_id) snap.own_deletes.push_back(d);
   }
   return snap;
 }
@@ -255,13 +252,16 @@ std::vector<WosChunkPtr> ProjectionStorage::CommittedWosChunks(Epoch up_to) cons
   return out;
 }
 
-std::vector<DeleteVectorChunkPtr> ProjectionStorage::WosDeleteChunks() const {
+DeleteListPtr ProjectionStorage::Deletes(uint64_t target_id) const {
   std::lock_guard lock(mu_);
-  std::vector<DeleteVectorChunkPtr> out;
-  for (const auto& d : deletes_) {
-    if (d->target_id == kWosTargetId) out.push_back(d);
-  }
-  return out;
+  auto it = delete_lists_.find(target_id);
+  return it == delete_lists_.end() ? nullptr : it->second;
+}
+
+bool ProjectionStorage::DeletesPending(uint64_t target_id) const {
+  std::lock_guard lock(mu_);
+  return std::any_of(pending_deletes_.begin(), pending_deletes_.end(),
+                     [&](const DeleteVectorChunkPtr& d) { return d->target_id == target_id; });
 }
 
 std::vector<RosContainerPtr> ProjectionStorage::Containers() const {
@@ -303,34 +303,17 @@ Status ProjectionStorage::ApplyMoveout(const MoveoutApply& apply) {
     }
     return false;
   };
-  // Drop WOS-target delete entries that were translated to container
-  // targets by the moveout (they arrive in apply.new_dvs). Copy-on-write:
-  // concurrent readers (ReadProjectionRows, a racing moveout scan) may
-  // still iterate the old chunk outside mu_, so trimmed chunks are
-  // replaced, never mutated in place.
-  for (auto& d : deletes_) {
-    if (d->target_id != kWosTargetId) continue;
-    bool any_consumed = false;
-    for (uint64_t pos : d->positions) any_consumed |= in_consumed(pos);
-    if (!any_consumed) continue;
-    auto trimmed = std::make_shared<DeleteVectorChunk>();
-    trimmed->target_id = d->target_id;
-    trimmed->txn_id = d->txn_id;
-    for (size_t i = 0; i < d->positions.size(); ++i) {
-      if (!in_consumed(d->positions[i])) {
-        trimmed->positions.push_back(d->positions[i]);
-        trimmed->epochs.push_back(d->epochs[i]);
-      }
+  // Drop the WOS deletes of moved rows: they arrive re-targeted at the new
+  // containers in apply.new_dvs.
+  if (auto wos = delete_lists_.find(kWosTargetId); wos != delete_lists_.end()) {
+    auto kept = std::make_shared<DeleteList>();
+    for (const DeleteEntry& e : *wos->second) {
+      if (!in_consumed(e.position)) kept->push_back(e);
     }
-    d = std::move(trimmed);
+    wos->second = std::move(kept);
   }
-  deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
-                                [](const DeleteVectorChunkPtr& d) {
-                                  return d->target_id == kWosTargetId && d->size() == 0;
-                                }),
-                 deletes_.end());
   for (const auto& c : apply.new_containers) ros_.push_back(c);
-  for (const auto& d : apply.new_dvs) deletes_.push_back(d);
+  for (const auto& d : apply.new_dvs) AddCommittedDeletesLocked(d);
   lge_ = std::max(lge_, apply.new_lge);
   return Status::OK();
 }
@@ -350,34 +333,18 @@ Status ProjectionStorage::ApplyMergeout(const MergeoutApply& apply) {
           break;
         }
       }
-      deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
-                                    [id](const DeleteVectorChunkPtr& d) {
-                                      return d->target_id == id;
-                                    }),
-                     deletes_.end());
+      DropDeletesLocked(id);
     }
     if (apply.new_container) ros_.push_back(apply.new_container);
-    for (const auto& d : apply.new_dvs) deletes_.push_back(d);
+    for (const auto& d : apply.new_dvs) AddCommittedDeletesLocked(d);
     CollectRetiredLocked(&gc);
   }
   // Replaced files are deleted only once the last query snapshot holding
   // them drains (with no concurrent readers this deletes immediately, as
   // before), and the deletion itself runs off the mutex so scans never
   // stall behind it. Hard-linked backups keep the bytes alive (§5.2).
-  for (const auto& c : gc) DeleteContainerFiles(*c);
+  for (const auto& c : gc) DeleteRosFiles(fs_, *c);
   return Status::OK();
-}
-
-void ProjectionStorage::DeleteContainerFiles(const RosContainer& c) {
-  for (const auto& col : c.columns) {
-    (void)fs_->Delete(col.data_path);
-    (void)fs_->Delete(col.index_path);
-  }
-  if (!c.epoch_data_path.empty()) {
-    (void)fs_->Delete(c.epoch_data_path);
-    (void)fs_->Delete(c.epoch_index_path);
-  }
-  (void)fs_->Delete(c.dir + "/meta");
 }
 
 void ProjectionStorage::CollectRetiredLocked(
@@ -401,14 +368,44 @@ void ProjectionStorage::GcRetired() {
     std::lock_guard lock(mu_);
     CollectRetiredLocked(&gc);
   }
-  for (const auto& c : gc) DeleteContainerFiles(*c);
+  for (const auto& c : gc) DeleteRosFiles(fs_, *c);
 }
 
 void ProjectionStorage::AdoptContainer(std::shared_ptr<RosContainer> container,
                                        std::vector<DeleteVectorChunkPtr> dvs) {
   std::lock_guard lock(mu_);
   if (container) ros_.push_back(std::move(container));
-  for (auto& d : dvs) deletes_.push_back(std::move(d));
+  for (const auto& d : dvs) AddCommittedDeletesLocked(d);
+}
+
+void ProjectionStorage::AddCommittedDeletesLocked(const DeleteVectorChunkPtr& d) {
+  // WOS deletes are never persisted; the WOS list is their only record
+  // until moveout re-targets them.
+  if (d->target_id != kWosTargetId) deletes_.push_back(d);
+  delete_lists_[d->target_id] = MergeDeletes(delete_lists_[d->target_id], *d);
+}
+
+void ProjectionStorage::DropDeletesLocked(uint64_t target_id) {
+  deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
+                                [target_id](const DeleteVectorChunkPtr& d) {
+                                  return d->target_id == target_id;
+                                }),
+                 deletes_.end());
+  delete_lists_.erase(target_id);
+}
+
+void ProjectionStorage::RebuildDeleteListsLocked() {
+  std::map<uint64_t, std::shared_ptr<DeleteList>> lists;
+  for (const auto& d : deletes_) {
+    auto& list = lists[d->target_id];
+    if (!list) list = std::make_shared<DeleteList>();
+    for (size_t i = 0; i < d->size(); ++i) list->push_back({d->positions[i], d->epochs[i]});
+  }
+  delete_lists_.clear();
+  for (auto& [target, list] : lists) {
+    std::sort(list->begin(), list->end());
+    delete_lists_[target] = std::move(list);
+  }
 }
 
 Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
@@ -439,11 +436,6 @@ Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
     // Drop delete entries newer than the truncation point and all entries
     // targeting dropped containers.
     for (auto& d : deletes_) {
-      if (d->target_id == kWosTargetId) {
-        d->positions.clear();
-        d->epochs.clear();
-        continue;
-      }
       bool target_dropped = false;
       for (const auto& c : dropped) target_dropped |= (c->id == d->target_id);
       std::vector<uint64_t> keep_pos;
@@ -464,19 +456,10 @@ Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
                                     return d->size() == 0;
                                   }),
                    deletes_.end());
+    RebuildDeleteListsLocked();
     lge_ = std::min(lge_, trunc);
   }
-  for (const auto& c : dropped) {
-    for (const auto& col : c->columns) {
-      (void)fs_->Delete(col.data_path);
-      (void)fs_->Delete(col.index_path);
-    }
-    if (!c->epoch_data_path.empty()) {
-      (void)fs_->Delete(c->epoch_data_path);
-      (void)fs_->Delete(c->epoch_index_path);
-    }
-    (void)fs_->Delete(c->dir + "/meta");
-  }
+  for (const auto& c : dropped) DeleteRosFiles(fs_, *c);
   return trunc;
 }
 
@@ -537,27 +520,12 @@ Result<uint64_t> ProjectionStorage::DropPartition(int64_t partition_key) {
         ++it;
       }
     }
-    for (const auto& c : dropped) {
-      uint64_t id = c->id;
-      deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
-                                    [id](const DeleteVectorChunkPtr& d) {
-                                      return d->target_id == id;
-                                    }),
-                     deletes_.end());
-    }
+    for (const auto& c : dropped) DropDeletesLocked(c->id);
   }
   uint64_t rows = 0;
   for (const auto& c : dropped) {
     rows += c->row_count;
-    for (const auto& col : c->columns) {
-      (void)fs_->Delete(col.data_path);
-      (void)fs_->Delete(col.index_path);
-    }
-    if (!c->epoch_data_path.empty()) {
-      (void)fs_->Delete(c->epoch_data_path);
-      (void)fs_->Delete(c->epoch_index_path);
-    }
-    (void)fs_->Delete(c->dir + "/meta");
+    DeleteRosFiles(fs_, *c);
   }
   return rows;
 }
@@ -566,13 +534,15 @@ void ProjectionStorage::Clear(bool delete_files) {
   std::lock_guard lock(mu_);
   generation_.fetch_add(1, std::memory_order_acq_rel);
   if (delete_files) {
-    for (const auto& c : ros_) DeleteContainerFiles(*c);
-    for (const auto& c : retired_) DeleteContainerFiles(*c);
+    for (const auto& c : ros_) DeleteRosFiles(fs_, *c);
+    for (const auto& c : retired_) DeleteRosFiles(fs_, *c);
   }
   wos_.clear();
   ros_.clear();
   retired_.clear();
   deletes_.clear();
+  pending_deletes_.clear();
+  delete_lists_.clear();
   wos_next_pos_ = 0;
   lge_ = 0;
 }
@@ -593,6 +563,8 @@ void ProjectionStorage::CrashVolatileState() {
                                   return !d->persisted;
                                 }),
                  deletes_.end());
+  pending_deletes_.clear();
+  RebuildDeleteListsLocked();
 }
 
 void ProjectionStorage::Quarantine(uint64_t container_id, const std::string& reason) {
@@ -709,10 +681,6 @@ uint64_t ProjectionStorage::WosRowCount() const {
   return n;
 }
 
-bool ProjectionStorage::WosSaturated() const {
-  return WosRowCount() >= cfg_.wos_capacity_rows;
-}
-
 Epoch ProjectionStorage::lge() const {
   std::lock_guard lock(mu_);
   return lge_;
@@ -727,13 +695,6 @@ uint64_t ProjectionStorage::TotalRosBytes() const {
   std::lock_guard lock(mu_);
   uint64_t n = 0;
   for (const auto& c : ros_) n += c->total_bytes;
-  return n;
-}
-
-uint64_t ProjectionStorage::TotalRosRawBytes() const {
-  std::lock_guard lock(mu_);
-  uint64_t n = 0;
-  for (const auto& c : ros_) n += c->raw_bytes;
   return n;
 }
 

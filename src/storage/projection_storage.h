@@ -7,6 +7,7 @@
 #ifndef STRATICA_STORAGE_PROJECTION_STORAGE_H_
 #define STRATICA_STORAGE_PROJECTION_STORAGE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -73,8 +74,36 @@ struct StorageSnapshot {
   Epoch epoch = 0;
   std::vector<RosContainerPtr> ros;
   std::vector<std::shared_ptr<const WosChunk>> wos;
-  DeleteIndex deletes;
+  /// Each target's committed delete list, shared with the storage (the
+  /// snapshot copies pointers, never positions); entries newer than `epoch`
+  /// are skipped at read time.
+  std::map<uint64_t, DeleteListPtr> deletes;
+  /// The reading transaction's own uncommitted delete chunks.
+  std::vector<DeleteVectorChunkPtr> own_deletes;
   uint64_t TotalRows() const;
+
+  /// Call fn(position, delete_epoch) for every delete of `target` in
+  /// positions [lo, hi) visible at this snapshot: committed deletes at or
+  /// before `epoch` (a lower_bound into the sorted list, so a reader pays
+  /// only for the deletes in the range it reads), then the transaction's
+  /// own, which carry kUncommittedEpoch.
+  template <typename Fn>
+  void ForEachDelete(uint64_t target, uint64_t lo, uint64_t hi, Fn&& fn) const {
+    auto it = deletes.find(target);
+    if (it != deletes.end()) {
+      const DeleteList& list = *it->second;
+      for (auto e = std::lower_bound(list.begin(), list.end(), DeleteEntry{lo, 0});
+           e != list.end() && e->position < hi; ++e) {
+        if (e->epoch <= epoch) fn(e->position, e->epoch);
+      }
+    }
+    for (const auto& d : own_deletes) {
+      if (d->target_id != target) continue;
+      for (uint64_t p : d->positions) {
+        if (p >= lo && p < hi) fn(p, kUncommittedEpoch);
+      }
+    }
+  }
 };
 
 /// Result of a moveout or WOS-spill computation, applied atomically.
@@ -132,10 +161,14 @@ class ProjectionStorage {
   /// Committed WOS chunks with epoch <= up_to (moveout input).
   std::vector<WosChunkPtr> CommittedWosChunks(Epoch up_to) const;
 
-  /// Delete-vector chunks targeting the WOS (moveout must translate these).
-  std::vector<DeleteVectorChunkPtr> WosDeleteChunks() const;
+  /// Committed delete list of `target_id` (null when it has none): moveout
+  /// translates the WOS's, mergeout remaps its inputs'.
+  DeleteListPtr Deletes(uint64_t target_id) const;
+  /// True while an uncommitted delete chunk targets `target_id`.
+  bool DeletesPending(uint64_t target_id) const;
 
-  /// Committed containers (mergeout input), plus their delete chunks.
+  /// Committed containers (mergeout input), plus their committed delete
+  /// chunks (the DVWOS/DVROS persistence units).
   std::vector<RosContainerPtr> Containers() const;
   std::vector<DeleteVectorChunkPtr> ContainerDeleteChunks(uint64_t container_id) const;
 
@@ -240,11 +273,9 @@ class ProjectionStorage {
 
   // --- stats ----------------------------------------------------------------
   uint64_t WosRowCount() const;
-  bool WosSaturated() const;
   Epoch lge() const;
   size_t NumContainers() const;
   uint64_t TotalRosBytes() const;
-  uint64_t TotalRosRawBytes() const;
   uint64_t TotalRosRows() const;
 
   /// Allocate a container id + directory (also used by the tuple mover).
@@ -265,7 +296,14 @@ class ProjectionStorage {
   /// containers while scans may still be reading the old ones; deleting
   /// eagerly would fail those scans). File deletion happens off-mutex.
   void CollectRetiredLocked(std::vector<std::shared_ptr<RosContainer>>* out);
-  void DeleteContainerFiles(const RosContainer& c);
+  /// Rebuild every target's delete list from the committed chunks in
+  /// `deletes_` (after a crash or truncation dropped some of them).
+  void RebuildDeleteListsLocked();
+  /// Record committed chunk `d`: merge it into its target's list, and keep
+  /// it for persistence unless it targets the WOS.
+  void AddCommittedDeletesLocked(const DeleteVectorChunkPtr& d);
+  /// Forget every delete of `target_id` (its container is gone).
+  void DropDeletesLocked(uint64_t target_id);
 
   FileSystem* fs_;
   std::string base_dir_;
@@ -276,7 +314,13 @@ class ProjectionStorage {
   std::vector<std::shared_ptr<RosContainer>> ros_;
   /// Replaced by mergeout but possibly still referenced by live snapshots.
   std::vector<std::shared_ptr<RosContainer>> retired_;
+  /// Committed container delete chunks: the DVWOS/DVROS persistence units.
   std::vector<DeleteVectorChunkPtr> deletes_;
+  /// Uncommitted delete chunks, visible only to their own transaction.
+  std::vector<DeleteVectorChunkPtr> pending_deletes_;
+  /// What readers use: one position-sorted list per target, swapped on
+  /// every change and never mutated, so snapshots share it.
+  std::map<uint64_t, DeleteListPtr> delete_lists_;
   uint64_t wos_next_pos_ = 0;
   Epoch lge_ = 0;
   std::atomic<uint64_t> next_container_id_{1};

@@ -4,8 +4,6 @@
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
-#include "common/hash.h"
-#include "common/retry.h"
 
 namespace stratica {
 
@@ -142,6 +140,18 @@ Status ReadRosContainer(const FileSystem* fs, const RosContainer& ros, RowBlock*
   return Status::OK();
 }
 
+void DeleteRosFiles(FileSystem* fs, const RosContainer& ros) {
+  for (const auto& col : ros.columns) {
+    (void)fs->Delete(col.data_path);
+    (void)fs->Delete(col.index_path);
+  }
+  if (!ros.epoch_data_path.empty()) {
+    (void)fs->Delete(ros.epoch_data_path);
+    (void)fs->Delete(ros.epoch_index_path);
+  }
+  (void)fs->Delete(ros.dir + "/meta");
+}
+
 std::string SerializeRosMeta(const RosContainer& ros) {
   std::ostringstream out;
   out << "ros_v1\n";
@@ -209,16 +219,6 @@ Status WriteRosMeta(FileSystem* fs, const RosContainer& ros,
 Result<RosContainer> ReadRosMeta(const FileSystem* fs, const std::string& meta_path) {
   STRATICA_ASSIGN_OR_RETURN(std::string data, ReadFileChecksummed(fs, meta_path));
   return ParseRosMeta(data);
-}
-
-Status StampRosEpoch(FileSystem* fs, RosContainer* ros, const std::string& meta_path,
-                     Epoch epoch, uint64_t* retries) {
-  ros->min_epoch = epoch;
-  ros->max_epoch = epoch;
-  RetryPolicy policy;
-  policy.jitter_seed = HashBytes(meta_path.data(), meta_path.size());
-  return RetryTransient(policy, retries,
-                        [&] { return WriteRosMeta(fs, *ros, meta_path); });
 }
 
 }  // namespace stratica

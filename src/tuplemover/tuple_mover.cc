@@ -10,25 +10,6 @@
 
 namespace stratica {
 
-namespace {
-
-// Remove a discarded mover output's files (the apply was rejected because
-// recovery mutated the storage mid-operation; some files may already have
-// been scrubbed, so failures are ignored).
-void DeleteDiscardedContainerFiles(FileSystem* fs, const RosContainer& c) {
-  for (const auto& col : c.columns) {
-    (void)fs->Delete(col.data_path);
-    (void)fs->Delete(col.index_path);
-  }
-  if (!c.epoch_data_path.empty()) {
-    (void)fs->Delete(c.epoch_data_path);
-    (void)fs->Delete(c.epoch_index_path);
-  }
-  (void)fs->Delete(c.dir + "/meta");
-}
-
-}  // namespace
-
 int TupleMover::Stratum(uint64_t bytes) const {
   // Stratum s covers (base * factor^(s-1), base * factor^s].
   if (bytes <= cfg_.strata_base_bytes) return 0;
@@ -48,11 +29,7 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
   // An uncommitted delete transaction may still be pointing at WOS
   // positions; moving them out from under it would corrupt its targets.
   // The paper serializes these cases with the T lock; we detect and defer.
-  for (const auto& d : ps->WosDeleteChunks()) {
-    for (Epoch e : d->epochs) {
-      if (e == kUncommittedEpoch) return Status::OK();  // retry later
-    }
-  }
+  if (ps->DeletesPending(kWosTargetId)) return Status::OK();  // retry later
 
   const auto& cfg = ps->config();
   std::vector<SortKey> sort_keys;
@@ -117,38 +94,18 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
     stats_.rows_moved_out += rows.size();
   }
 
-  // Translate committed WOS delete entries that point at moved rows.
-  std::map<uint64_t, DeleteVectorChunkPtr> new_dvs;
-  for (const auto& d : ps->WosDeleteChunks()) {
-    for (size_t i = 0; i < d->positions.size(); ++i) {
-      auto it = pos_map.find(d->positions[i]);
+  // Translate committed WOS deletes that point at moved rows, sorted by
+  // their new positions.
+  std::map<uint64_t, DeleteList> moved_deletes;
+  if (DeleteListPtr wos_deletes = ps->Deletes(kWosTargetId)) {
+    for (const DeleteEntry& e : *wos_deletes) {
+      auto it = pos_map.find(e.position);
       if (it == pos_map.end()) continue;  // row still in WOS
-      auto [cid, newpos] = it->second;
-      auto& chunk = new_dvs[cid];
-      if (!chunk) {
-        chunk = std::make_shared<DeleteVectorChunk>();
-        chunk->target_id = cid;
-      }
-      chunk->positions.push_back(newpos);
-      chunk->epochs.push_back(d->epochs[i]);
+      moved_deletes[it->second.first].push_back({it->second.second, e.epoch});
     }
   }
-  for (auto& [cid, chunk] : new_dvs) {
-    // Keep positions sorted within the chunk.
-    std::vector<size_t> order(chunk->positions.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return chunk->positions[a] < chunk->positions[b];
-    });
-    DeleteVectorChunk sorted_chunk;
-    sorted_chunk.target_id = cid;
-    for (size_t i : order) {
-      sorted_chunk.positions.push_back(chunk->positions[i]);
-      sorted_chunk.epochs.push_back(chunk->epochs[i]);
-    }
-    *chunk = std::move(sorted_chunk);
-    apply.new_dvs.push_back(chunk);
-  }
+  for (auto& [cid, list] : moved_deletes)
+    apply.new_dvs.push_back(MakeDeleteChunk(cid, std::move(list)));
 
   apply.base_generation = gen;
   Status st = ps->ApplyMoveout(apply);
@@ -156,7 +113,7 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
     // The node crashed / was recovered while this moveout ran; the consumed
     // WOS chunks no longer exist and the output must not be published.
     for (const auto& c : apply.new_containers) {
-      DeleteDiscardedContainerFiles(ps->fs(), *c);
+      DeleteRosFiles(ps->fs(), *c);
     }
     ++stats_.stale_applies;
     return Status::OK();
@@ -208,22 +165,17 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
   Epoch ahm = epochs_->ahm();
 
   // Load sources (each already sorted by the projection sort order) along
-  // with epochs and delete entries.
+  // with epochs and their delete lists.
   struct Source {
     RowBlock rows;
     std::vector<Epoch> epochs;
-    std::vector<std::pair<uint64_t, Epoch>> deletes;  // sorted by position
+    DeleteListPtr deletes;  // may be null
   };
   std::vector<Source> sources(inputs.size());
   for (size_t s = 0; s < inputs.size(); ++s) {
     STRATICA_RETURN_NOT_OK(
         ReadRosContainer(ps->fs(), *inputs[s], &sources[s].rows, &sources[s].epochs));
-    for (const auto& d : ps->ContainerDeleteChunks(inputs[s]->id)) {
-      for (size_t i = 0; i < d->positions.size(); ++i) {
-        sources[s].deletes.emplace_back(d->positions[i], d->epochs[i]);
-      }
-    }
-    std::sort(sources[s].deletes.begin(), sources[s].deletes.end());
+    sources[s].deletes = ps->Deletes(inputs[s]->id);
   }
 
   auto [new_id, dir] = ps->AllocateContainer();
@@ -235,16 +187,17 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
 
   // K-way merge through the shared kernel (DESIGN.md §8); batched appends to
   // the writer. Provenance maps each merged row back to (source, position)
-  // for its epoch and its deleted state, looked up in the source's sorted
-  // (position, epoch) delete list. Rows deleted at or before the AHM are
+  // for its epoch and its deleted state, looked up in the source's delete
+  // list (its earliest delete of a position wins). Rows deleted at or before the AHM are
   // purged (no one can query history there) by masking them out of the
   // batch in one Filter pass; surviving deletes are re-targeted at output
   // positions.
   auto delete_state = [&](size_t s, uint64_t pos, Epoch* del_epoch) {
-    const auto& dels = sources[s].deletes;
-    auto it = std::lower_bound(dels.begin(), dels.end(), std::make_pair(pos, Epoch{0}));
-    if (it == dels.end() || it->first != pos) return false;
-    *del_epoch = it->second;
+    if (!sources[s].deletes) return false;
+    const DeleteList& dels = *sources[s].deletes;
+    auto it = std::lower_bound(dels.begin(), dels.end(), DeleteEntry{pos, 0});
+    if (it == dels.end() || it->position != pos) return false;
+    *del_epoch = it->epoch;
     return true;
   };
   std::vector<SortKey> sort_keys;
@@ -309,7 +262,7 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
   if (st.code() == StatusCode::kTxnAborted) {
     // Recovery rewrote the storage under this mergeout; discard the output
     // (its inputs may be truncated and its files already scrubbed).
-    DeleteDiscardedContainerFiles(ps->fs(), *apply.new_container);
+    DeleteRosFiles(ps->fs(), *apply.new_container);
     ++stats_.stale_applies;
     return false;
   }
@@ -327,16 +280,14 @@ Status TupleMover::MergeoutAll(ProjectionStorage* ps) {
 
 Status TupleMover::MoveDeleteVectors(ProjectionStorage* ps) {
   const uint64_t gen = ps->generation();
-  // DVWOS -> DVROS: persist committed, unpersisted chunks using the same
+  // DVWOS -> DVROS: persist committed, unpersisted chunks (the only kind
+  // ContainerDeleteChunks returns) using the same
   // storage format as user data. WOS-target chunks stay in memory until
   // their rows move out.
   std::vector<RosContainerPtr> containers = ps->Containers();
   for (const auto& c : containers) {
     for (const auto& d : ps->ContainerDeleteChunks(c->id)) {
       if (d->persisted || d->size() == 0) continue;
-      bool committed = true;
-      for (Epoch e : d->epochs) committed &= (e != kUncommittedEpoch);
-      if (!committed) continue;
       // Recovery rewrote the storage: the chunk may no longer be in the
       // manifest and the target directory may be gone. Stop; the next pass
       // re-reads a consistent state.

@@ -8,6 +8,7 @@
 // mover vs. scans) from many threads at once.
 #include "api/database.h"
 #include "common/fault_fs.h"
+#include "exec/scan.h"
 
 #include <gtest/gtest.h>
 
@@ -249,9 +250,10 @@ TEST(ConcurrencyTest, CreateProjectionRefreshFailureRollsBack) {
   MustExec(db.get(), "INSERT INTO s VALUES (1, 10), (2, 20), (3, 30), (4, 40)");
   ASSERT_TRUE(db->RunTupleMover().ok());  // the rows now sit in ROS files
 
-  // Every read of one node's super-projection files fails for good. Refresh
-  // reads that node's ring slot from the node's own copy, so it cannot run;
-  // queries fail over to the buddy.
+  // Every read of one node's super-projection files fails for good, and so
+  // does every read of the buddy copies while the DDL runs. Refresh reads
+  // that node's ring slot from the node's own copy, then from the slot's
+  // buddy, so it cannot run; queries fail over to the buddy.
   uint32_t faulty = 0;
   for (; faulty < 3; ++faulty) {
     if (db->cluster()->node(faulty)->GetStorage("s_super")->NumContainers() > 0) break;
@@ -262,10 +264,17 @@ TEST(ConcurrencyTest, CreateProjectionRefreshFailureRollsBack) {
   unreadable.op_mask = kFaultRead;
   unreadable.kind = FaultKind::kPersistentError;
   size_t rule = fault_fs->AddRule(unreadable);
+  FaultRule buddies_unreadable = unreadable;
+  buddies_unreadable.path_pattern = "^node[0-9]+/s_super_b1/";
+  size_t buddy_rule = fault_fs->AddRule(buddies_unreadable);
   auto created = db->Execute(
       "CREATE PROJECTION p_ab (a, b) AS SELECT a, b FROM s ORDER BY b "
       "SEGMENTED BY HASH(b)");
   ASSERT_FALSE(created.ok()) << "refresh failure was swallowed";
+  // The buddies heal; the failed reads quarantined the copies they hit, and
+  // the repair pass (the tuple mover's tick) lifts that from the clean ones.
+  fault_fs->RemoveRule(buddy_rule);
+  ASSERT_TRUE(db->cluster()->RepairQuarantined().ok());
   // No trace left: catalog clean (primary and buddy), storage dropped.
   EXPECT_FALSE(db->catalog()->GetProjection("p_ab").ok());
   EXPECT_FALSE(db->catalog()->GetProjection("p_ab_b1").ok());
@@ -288,6 +297,46 @@ TEST(ConcurrencyTest, CreateProjectionRefreshFailureRollsBack) {
   EXPECT_TRUE(db->catalog()->GetProjection("p_ab").ok());
   auto r2 = MustExec(db.get(), "SELECT SUM(b) FROM s");
   EXPECT_EQ(r2.At(0, 0).i64(), 100);
+}
+
+// The copy path falls back per ring slot: with one copy of a slot
+// unreadable, refresh reads that slot from its buddy instead, so CREATE
+// PROJECTION succeeds and the new projection holds every row.
+TEST(ConcurrencyTest, CreateProjectionRefreshFallsBackToBuddyCopy) {
+  MemFileSystem base;
+  auto fault_fs = std::make_shared<FaultFs>(&base, 7);
+  DatabaseOptions opts;
+  opts.num_nodes = 3;
+  opts.k_safety = 1;
+  opts.fs = fault_fs;
+  auto db = std::make_unique<Database>(opts);
+  MustExec(db.get(), "CREATE TABLE s (a INT NOT NULL, b INT)");
+  MustExec(db.get(), "INSERT INTO s VALUES (1, 10), (2, 20), (3, 30), (4, 40)");
+  ASSERT_TRUE(db->RunTupleMover().ok());
+  uint32_t faulty = 0;
+  for (; faulty < 3; ++faulty) {
+    if (db->cluster()->node(faulty)->GetStorage("s_super")->NumContainers() > 0) break;
+  }
+  ASSERT_LT(faulty, 3u);
+  FaultRule unreadable;
+  unreadable.path_pattern = "^node" + std::to_string(faulty) + "/s_super/";
+  unreadable.op_mask = kFaultRead;
+  unreadable.kind = FaultKind::kPersistentError;
+  fault_fs->AddRule(unreadable);
+  MustExec(db.get(),
+           "CREATE PROJECTION p_ab (a, b) AS SELECT a, b FROM s ORDER BY b "
+           "SEGMENTED BY HASH(b)");
+  auto r = MustExec(db.get(), "SELECT SUM(b) FROM s");
+  EXPECT_EQ(r.At(0, 0).i64(), 100);
+  // Through the new projection itself: its copies on every node sum to 100.
+  Epoch now = db->cluster()->epochs()->LatestQueryableEpoch();
+  int64_t sum = 0;
+  for (uint32_t n = 0; n < 3; ++n) {
+    auto read = ScanCopy(db->fs(), db->cluster()->node(n)->GetStorage("p_ab"), now, {});
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    for (int64_t b : read.value().columns[1].ints) sum += b;
+  }
+  EXPECT_EQ(sum, 100);
 }
 
 // Each query gets private ExecStats; the cumulative totals equal the sum

@@ -21,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "common/fault_fs.h"
 #include "common/rng.h"
+#include "exec/scan.h"
 
 namespace stratica {
 namespace {
@@ -207,14 +208,14 @@ std::string FindPhysicalDups(FaultyDb& f, uint32_t nodes) {
         if (cols[c] == "id") id_col = static_cast<int>(c);
       }
       if (id_col < 0) continue;
-      RowBlock rows;
-      std::vector<Epoch> row_epochs, del_epochs;
-      std::vector<std::pair<uint64_t, uint64_t>> pos;
-      if (!ReadProjectionRows(f.fault_fs.get(), ps, Epoch{1} << 60, &rows,
-                              &row_epochs, &del_epochs, &pos)
-               .ok()) {
-        continue;
-      }
+      auto read = ScanCopy(f.fault_fs.get(), ps, Epoch{1} << 60,
+                           {kScanCommitEpoch, kScanDeleteEpoch, kScanTarget});
+      if (!read.ok()) continue;
+      const RowBlock& rows = read.value();
+      const size_t ncols = cols.size();
+      std::vector<Epoch> row_epochs(rows.columns[ncols].ints.begin(),
+                                    rows.columns[ncols].ints.end());
+      const std::vector<int64_t>& targets = rows.columns[ncols + 2].ints;
       std::map<std::pair<int64_t, Epoch>, std::vector<size_t>> occurrences;
       for (size_t r = 0; r < rows.NumRows(); ++r) {
         occurrences[{rows.columns[id_col].ints[r], row_epochs[r]}].push_back(r);
@@ -226,7 +227,7 @@ std::string FindPhysicalDups(FaultyDb& f, uint32_t nodes) {
         out += "  node" + std::to_string(n) + "/" + name + " id=" +
                std::to_string(key.first) + " epoch=" + std::to_string(key.second) +
                " in containers:";
-        for (size_t r : rs) out += " " + std::to_string(pos[r].first);
+        for (size_t r : rs) out += " " + std::to_string(static_cast<uint64_t>(targets[r]));
         out += "\n";
       }
       if (any) {
@@ -475,15 +476,17 @@ TEST(ChaosTest, MixedWorkloadSurvivesFaultPlan) {
             if (cols[c] == "id") id_col = static_cast<int>(c);
           }
           if (id_col < 0) continue;
-          RowBlock rows;
-          std::vector<Epoch> row_epochs, del_epochs;
-          Status rd = ReadProjectionRows(f.fault_fs.get(), ps, Epoch{1} << 60,
-                                         &rows, &row_epochs, &del_epochs, nullptr);
+          auto read = ScanCopy(f.fault_fs.get(), ps, Epoch{1} << 60,
+                               {kScanCommitEpoch, kScanDeleteEpoch});
+          Status rd = read.status();
           std::cerr << "  node" << n << "/" << name << " lge=" << ps->lge()
                     << " quarantined=" << ps->quarantined()
                     << " gutted=" << ps->repair_gutted() << "@" << ps->gutted_at()
                     << (rd.ok() ? "" : " READ-ERR " + rd.ToString()) << "\n";
           if (!rd.ok()) continue;
+          const RowBlock& rows = read.value();
+          const std::vector<int64_t>& row_epochs = rows.columns[cols.size()].ints;
+          const std::vector<int64_t>& del_epochs = rows.columns[cols.size() + 1].ints;
           for (size_t r = 0; r < rows.NumRows(); ++r) {
             int64_t id = rows.columns[id_col].ints[r];
             if (dup_ids.count(id) == 0) continue;

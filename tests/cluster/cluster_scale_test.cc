@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cluster/virtual_cluster.h"
+#include "exec/scan.h"
 
 namespace stratica {
 namespace {
@@ -47,13 +48,12 @@ std::string FindPhysicalDups(VirtualCluster& vc) {
         if (cols[c] == "id") id_col = static_cast<int>(c);
       }
       if (id_col < 0) continue;
-      RowBlock rows;
-      std::vector<Epoch> row_epochs;
-      if (!ReadProjectionRows(vc.db()->fs(), ps, Epoch{1} << 60, &rows, &row_epochs,
-                              nullptr, nullptr)
-               .ok()) {
-        continue;
-      }
+      auto read =
+          ScanCopy(vc.db()->fs(), ps, Epoch{1} << 60, {kScanCommitEpoch, kScanDeleteEpoch});
+      if (!read.ok()) continue;
+      const RowBlock& rows = read.value();
+      std::vector<Epoch> row_epochs(rows.columns[cols.size()].ints.begin(),
+                                    rows.columns[cols.size()].ints.end());
       std::map<std::pair<int64_t, Epoch>, int> seen;
       for (size_t r = 0; r < rows.NumRows(); ++r) {
         if (++seen[{rows.columns[id_col].ints[r], row_epochs[r]}] == 2) {

@@ -13,6 +13,7 @@
 #include "api/database.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "exec/scan.h"
 
 namespace stratica {
 namespace {
@@ -119,10 +120,11 @@ class ClusterFixture : public ::testing::Test {
     for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
       auto* ps = cluster_->node(n)->GetStorage(projection);
       if (!ps || !cluster_->node(n)->up()) continue;
-      RowBlock rows;
-      std::vector<Epoch> dels;
-      EXPECT_TRUE(
-          ReadProjectionRows(&fs_, ps, now, &rows, nullptr, &dels, nullptr).ok());
+      auto read = ScanCopy(&fs_, ps, now, {kScanDeleteEpoch});
+      EXPECT_TRUE(read.ok());
+      if (!read.ok()) continue;
+      const RowBlock& rows = read.value();
+      const std::vector<int64_t>& dels = rows.columns.back().ints;
       // Sum sale_id wherever the projection stores it.
       size_t id_col = 0;
       for (size_t c = 0; c < ps->config().column_names.size(); ++c) {
@@ -145,14 +147,15 @@ class ClusterFixture : public ::testing::Test {
       if (!cluster_->node(n)->up()) continue;
       for (const std::string& proj : {table + "_super", table + "_super_b1"}) {
         auto* ps = cluster_->node(n)->GetStorage(proj);
-        RowBlock rows;
-        std::vector<std::pair<uint64_t, uint64_t>> pos;
-        EXPECT_TRUE(
-            ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, &pos).ok());
+        auto read = ScanCopy(&fs_, ps, now, {kScanTarget, kScanPosition, kScanDeleteEpoch});
+        EXPECT_TRUE(read.ok());
+        if (!read.ok()) continue;
+        const RowBlock& rows = read.value();
+        const size_t ncols = ps->config().column_names.size();
         std::map<uint64_t, std::vector<uint64_t>> by_target;
         for (size_t r = 0; r < rows.NumRows(); ++r) {
           if (rows.columns[0].ints[r] < bound)
-            by_target[pos[r].first].push_back(pos[r].second);
+            by_target[rows.columns[ncols].ints[r]].push_back(rows.columns[ncols + 1].ints[r]);
         }
         for (auto& [target, positions] : by_target) {
           EXPECT_TRUE(ps->AddDeletes(target, positions, txn.get()).ok());
@@ -218,9 +221,9 @@ class ClusterFixture : public ::testing::Test {
       for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
         auto* ps = cluster_->node(n)->GetStorage(proj);
         ASSERT_NE(ps, nullptr);
-        RowBlock rows;
-        ASSERT_TRUE(
-            ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, nullptr).ok());
+        auto read = ScanCopy(&fs_, ps, now, {kScanDeleteEpoch});
+        ASSERT_TRUE(read.ok());
+        const RowBlock& rows = read.value();
         prejoin_rows += rows.NumRows();
         for (size_t r = 0; r < rows.NumRows(); ++r) {
           int64_t cust = rows.columns[1].ints[r];
@@ -257,14 +260,14 @@ TEST_F(ClusterFixture, LoadSegmentsAcrossNodesAndBuddiesDisjoint) {
   // No row is stored on the same node by both the primary and its buddy.
   Epoch now = cluster_->epochs()->LatestQueryableEpoch();
   for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-    RowBlock prim, bud;
-    ASSERT_TRUE(ReadProjectionRows(&fs_, cluster_->node(n)->GetStorage("sales_super"),
-                                   now, &prim, nullptr, nullptr, nullptr)
-                    .ok());
-    ASSERT_TRUE(
-        ReadProjectionRows(&fs_, cluster_->node(n)->GetStorage("sales_super_b1"), now,
-                           &bud, nullptr, nullptr, nullptr)
-            .ok());
+    auto prim_read =
+        ScanCopy(&fs_, cluster_->node(n)->GetStorage("sales_super"), now, {kScanDeleteEpoch});
+    ASSERT_TRUE(prim_read.ok());
+    auto bud_read = ScanCopy(&fs_, cluster_->node(n)->GetStorage("sales_super_b1"), now,
+                             {kScanDeleteEpoch});
+    ASSERT_TRUE(bud_read.ok());
+    const RowBlock& prim = prim_read.value();
+    const RowBlock& bud = bud_read.value();
     std::set<int64_t> prim_ids(prim.columns[0].ints.begin(),
                                prim.columns[0].ints.end());
     for (int64_t id : bud.columns[0].ints) {
@@ -303,11 +306,9 @@ TEST_F(ClusterFixture, CommitFailureEjectsNodeButCommitSucceeds) {
   for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
     if (!cluster_->node(n)->up()) continue;
     for (const std::string proj : {"sales_super", "sales_super_b1"}) {
-      RowBlock rows;
-      ASSERT_TRUE(ReadProjectionRows(&fs_, cluster_->node(n)->GetStorage(proj), now,
-                                     &rows, nullptr, nullptr, nullptr)
-                      .ok());
-      for (int64_t id : rows.columns[0].ints) ids.insert(id);
+      auto read = ScanCopy(&fs_, cluster_->node(n)->GetStorage(proj), now, {kScanDeleteEpoch});
+      ASSERT_TRUE(read.ok());
+      for (int64_t id : read.value().columns[0].ints) ids.insert(id);
     }
   }
   EXPECT_EQ(ids.size(), 400u) << "some rows lost despite K-safety";
@@ -416,11 +417,11 @@ TEST_F(ClusterFixture, RebalanceChargesEachMovedRowOnce) {
     Epoch now = cluster_->epochs()->LatestQueryableEpoch();
     for (const std::string proj : {"sales_super", "sales_super_b1"}) {
       for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-        RowBlock rows;
-        EXPECT_TRUE(ReadProjectionRows(&fs_, cluster_->node(n)->GetStorage(proj), now,
-                                       &rows, nullptr, nullptr, nullptr)
-                        .ok());
-        for (int64_t id : rows.columns[0].ints) where[{proj, id}] = n;
+        auto read =
+            ScanCopy(&fs_, cluster_->node(n)->GetStorage(proj), now, {kScanDeleteEpoch});
+        EXPECT_TRUE(read.ok());
+        if (!read.ok()) continue;
+        for (int64_t id : read.value().columns[0].ints) where[{proj, id}] = n;
       }
     }
     return where;
@@ -453,9 +454,9 @@ TEST_F(ClusterFixture, AddNodeRebalancePreservesContentAndPlacement) {
   Epoch now = cluster_->epochs()->LatestQueryableEpoch();
   for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
     auto* ps = cluster_->node(n)->GetStorage("sales_super");
-    RowBlock rows;
-    ASSERT_TRUE(
-        ReadProjectionRows(&fs_, ps, now, &rows, nullptr, nullptr, nullptr).ok());
+    auto read = ScanCopy(&fs_, ps, now, {kScanDeleteEpoch});
+    ASSERT_TRUE(read.ok());
+    const RowBlock& rows = read.value();
     ColumnVector hashes;
     ASSERT_TRUE(EvalExpr(*ps->config().segmentation_expr, rows, &hashes).ok());
     for (size_t r = 0; r < rows.NumRows(); ++r) {
@@ -623,10 +624,9 @@ TEST(ClusterLoadTest, RejectsAndSegmentsMatchOracle) {
         SCOPED_TRACE(n);
         ProjectionStorage* ps = cluster->node(n)->GetStorage(proj);
         ASSERT_NE(ps, nullptr);
-        RowBlock rows;
-        std::vector<Epoch> dels;
-        ASSERT_TRUE(ReadProjectionRows(db.fs(), ps, now, &rows, nullptr, &dels, nullptr)
-                        .ok());
+        auto read = ScanCopy(db.fs(), ps, now, {kScanDeleteEpoch});
+        ASSERT_TRUE(read.ok());
+        const RowBlock& rows = read.value();
         ASSERT_EQ(ps->config().column_names[0], "id");
         EXPECT_EQ(rows.NumRows(), want_ids[n].size());
         std::multiset<int64_t> got(rows.columns[0].ints.begin(),

@@ -3,11 +3,38 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "exec/scan.h"
 #include "storage/sort_util.h"
 #include "tuplemover/tuple_mover.h"
 
 namespace stratica {
 namespace {
+
+// Positions of `target` deleted as of the snapshot, in list order.
+std::vector<uint64_t> DeletedPositions(const StorageSnapshot& snap, uint64_t target) {
+  std::vector<uint64_t> out;
+  snap.ForEachDelete(target, 0, UINT64_MAX, [&](uint64_t p, Epoch) { out.push_back(p); });
+  return out;
+}
+
+bool IsDeleted(const StorageSnapshot& snap, uint64_t target, uint64_t position) {
+  bool hit = false;
+  snap.ForEachDelete(target, position, position + 1, [&](uint64_t, Epoch) { hit = true; });
+  return hit;
+}
+
+// Deletes visible in the snapshot over every target, own uncommitted ones
+// included.
+size_t TotalDeleted(const StorageSnapshot& snap) {
+  std::set<uint64_t> targets;
+  for (const auto& [target, list] : snap.deletes) targets.insert(target);
+  for (const auto& d : snap.own_deletes) targets.insert(d->target_id);
+  size_t n = 0;
+  for (uint64_t t : targets) n += DeletedPositions(snap, t).size();
+  return n;
+}
 
 class StorageFixture : public ::testing::Test {
  protected:
@@ -142,11 +169,11 @@ TEST_F(StorageFixture, DeleteVectorHidesRowsAtSnapshot) {
   ASSERT_TRUE(e_del.ok());
 
   auto before = ps_.GetSnapshot(e_ins);
-  EXPECT_EQ(before.deletes.TotalDeleted(), 0u);  // time travel: not yet deleted
+  EXPECT_EQ(TotalDeleted(before), 0u);  // time travel: not yet deleted
   auto after = ps_.GetSnapshot(e_del.value());
-  EXPECT_EQ(after.deletes.TotalDeleted(), 2u);
-  EXPECT_TRUE(after.deletes.IsDeleted(containers[0]->id, 0));
-  EXPECT_FALSE(after.deletes.IsDeleted(containers[0]->id, 5));
+  EXPECT_EQ(TotalDeleted(after), 2u);
+  EXPECT_TRUE(IsDeleted(after, containers[0]->id, 0));
+  EXPECT_FALSE(IsDeleted(after, containers[0]->id, 5));
 }
 
 TEST_F(StorageFixture, MoveoutTranslatesWosDeletes) {
@@ -160,17 +187,110 @@ TEST_F(StorageFixture, MoveoutTranslatesWosDeletes) {
   ASSERT_TRUE(mover_.Moveout(&ps_).ok());
   auto snap = ps_.GetSnapshot(epochs_.LatestQueryableEpoch());
   // Two rows still deleted after translation to container targets.
-  EXPECT_EQ(snap.deletes.TotalDeleted(), 2u);
+  EXPECT_EQ(TotalDeleted(snap), 2u);
   // And the deleted rows are sale_id 3 and 7: check by reading back.
   uint64_t deleted_ids = 0;
   for (const auto& c : ps_.Containers()) {
     RowBlock rows;
     ASSERT_TRUE(ReadRosContainer(&fs_, *c, &rows, nullptr).ok());
-    for (uint64_t pos : snap.deletes.DeletedPositions(c->id)) {
+    for (uint64_t pos : DeletedPositions(snap, c->id)) {
       deleted_ids += rows.columns[0].ints[pos];
     }
   }
   EXPECT_EQ(deleted_ids, 10u);  // 3 + 7
+}
+
+TEST_F(StorageFixture, UncommittedDeletesVisibleOnlyToTheirTransaction) {
+  InsertAndCommit(MakeRows(0, 10));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  uint64_t target = ps_.Containers()[0]->id;
+  auto txn = tm_.Begin();
+  ASSERT_TRUE(ps_.AddDeletes(target, {2, 4}, txn.get()).ok());
+  Epoch now = epochs_.LatestQueryableEpoch();
+  EXPECT_EQ(TotalDeleted(ps_.GetSnapshot(now)), 0u);
+  auto own = ps_.GetSnapshot(now, txn->id());
+  EXPECT_EQ(DeletedPositions(own, target), (std::vector<uint64_t>{2, 4}));
+  // A scan inside the transaction skips the rows; one outside sees all ten.
+  ExecContext ctx;
+  ctx.fs = &fs_;
+  ctx.epoch = now;
+  ctx.txn_id = txn->id();
+  ScanSpec spec;
+  spec.storage = &ps_;
+  spec.projection_columns = {0};
+  spec.output_names = {"sale_id"};
+  spec.output_types = {TypeId::kInt64};
+  ScanOperator scan(spec);
+  auto mine = DrainOperator(&scan, &ctx);
+  ASSERT_TRUE(mine.ok());
+  EXPECT_EQ(mine.value().NumRows(), 8u);
+  auto others = ScanCopy(&fs_, &ps_, now, {});
+  ASSERT_TRUE(others.ok());
+  EXPECT_EQ(others.value().NumRows(), 10u);
+
+  tm_.Rollback(txn);
+  EXPECT_TRUE(ps_.GetSnapshot(now, txn->id()).own_deletes.empty());
+  EXPECT_EQ(ps_.Deletes(target), nullptr);
+  EXPECT_FALSE(ps_.DeletesPending(target));
+}
+
+TEST_F(StorageFixture, SnapshotTakenBeforeCommitMissesTheDelete) {
+  InsertAndCommit(MakeRows(0, 10));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  uint64_t target = ps_.Containers()[0]->id;
+  Epoch before = epochs_.LatestQueryableEpoch();
+  auto snap = ps_.GetSnapshot(before);
+  auto txn = tm_.Begin();
+  ASSERT_TRUE(ps_.AddDeletes(target, {0, 1, 2}, txn.get()).ok());
+  ASSERT_TRUE(tm_.Commit(txn).ok());
+  // The old snapshot kept the list it shared; the new one sees the delete.
+  EXPECT_EQ(TotalDeleted(snap), 0u);
+  EXPECT_EQ(snap.deletes.count(target), 0u);
+  EXPECT_EQ(TotalDeleted(ps_.GetSnapshot(epochs_.LatestQueryableEpoch())), 3u);
+  // A scan at the old epoch still returns every row, a history scan shows
+  // nothing deleted there.
+  auto old_rows = ScanCopy(&fs_, &ps_, before, {kScanDeleteEpoch});
+  ASSERT_TRUE(old_rows.ok());
+  EXPECT_EQ(old_rows.value().NumRows(), 10u);
+  for (int64_t d : old_rows.value().columns.back().ints) EXPECT_EQ(d, 0);
+}
+
+TEST_F(StorageFixture, DeleteChunkSpanningBlocksHidesExactlyItsPositions) {
+  constexpr int kRows = 40000;  // three blocks of kDefaultRowsPerBlock
+  auto load = tm_.Begin();
+  ASSERT_TRUE(ps_.InsertDirectRos(MakeRows(0, kRows), load.get()).ok());
+  ASSERT_TRUE(tm_.Commit(load).ok());
+  ASSERT_EQ(ps_.Containers().size(), 1u);
+  uint64_t target = ps_.Containers()[0]->id;
+  const std::vector<uint64_t> doomed = {0, 1, 16383, 16384, 16385, 32767, 32768, 39999};
+  auto txn = tm_.Begin();
+  ASSERT_TRUE(ps_.AddDeletes(target, doomed, txn.get()).ok());
+  auto e_del = tm_.Commit(txn);
+  ASSERT_TRUE(e_del.ok());
+
+  auto live = ScanCopy(&fs_, &ps_, e_del.value(), {kScanPosition});
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live.value().NumRows(), kRows - doomed.size());
+  std::set<int64_t> seen(live.value().columns.back().ints.begin(),
+                         live.value().columns.back().ints.end());
+  for (uint64_t p = 0; p < kRows; ++p) {
+    bool is_doomed = std::find(doomed.begin(), doomed.end(), p) != doomed.end();
+    EXPECT_EQ(seen.count(static_cast<int64_t>(p)), is_doomed ? 0u : 1u) << p;
+  }
+  // A history read keeps every row and stamps exactly the doomed ones.
+  auto history = ScanCopy(&fs_, &ps_, e_del.value(), {kScanPosition, kScanDeleteEpoch});
+  ASSERT_TRUE(history.ok());
+  const RowBlock& h = history.value();
+  ASSERT_EQ(h.NumRows(), static_cast<size_t>(kRows));
+  std::vector<uint64_t> stamped;
+  for (size_t r = 0; r < h.NumRows(); ++r) {
+    if (h.columns[4].ints[r] != 0) {
+      EXPECT_EQ(static_cast<Epoch>(h.columns[4].ints[r]), e_del.value());
+      stamped.push_back(static_cast<uint64_t>(h.columns[3].ints[r]));
+    }
+  }
+  std::sort(stamped.begin(), stamped.end());
+  EXPECT_EQ(stamped, doomed);
 }
 
 TEST_F(StorageFixture, MergeoutCoalescesContainers) {
@@ -206,7 +326,7 @@ TEST_F(StorageFixture, MergeoutPurgesAhmHistoryAndRemapsDeletes) {
   // delete markers remapped.
   ASSERT_TRUE(mover_.MergeoutAll(&ps_).ok());
   auto snap = ps_.GetSnapshot(epochs_.LatestQueryableEpoch());
-  EXPECT_EQ(snap.deletes.TotalDeleted(), 3u);
+  EXPECT_EQ(TotalDeleted(snap), 3u);
   EXPECT_EQ(ps_.TotalRosRows(), 60u);
 
   // Case 2: advance AHM past the delete; next merge purges the rows.
@@ -216,7 +336,7 @@ TEST_F(StorageFixture, MergeoutPurgesAhmHistoryAndRemapsDeletes) {
   ASSERT_TRUE(mover_.MergeoutAll(&ps_).ok());
   EXPECT_EQ(ps_.TotalRosRows(), 87u);  // 90 loaded - 3 purged
   snap = ps_.GetSnapshot(epochs_.LatestQueryableEpoch());
-  EXPECT_EQ(snap.deletes.TotalDeleted(), 0u);
+  EXPECT_EQ(TotalDeleted(snap), 0u);
   EXPECT_EQ(snap.TotalRows(), 87u);
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Budget gate for two bench artifacts (CI `bench-smoke` job).
+"""Budget gate for three bench artifacts (CI `bench-smoke` job).
 
 Reads the Google Benchmark JSON files that bench-smoke writes into the
 current directory and checks the budgets DESIGN.md states for them:
@@ -7,6 +7,10 @@ current directory and checks the budgets DESIGN.md states for them:
   * BENCH_fault_overhead.json — `fault_overhead_pct` of BM_ScanOverheadPair
     (checksummed reads + FaultFs pass-through vs a raw scan, DESIGN.md §10)
     must stay below 3. Gated.
+  * BENCH_tuple_mover.json — `read_after_deletes_ratio` of
+    BM_ReadAfterDeletesPair (a point read after 1000 committed 288-position
+    delete chunks outside its blocks vs the same read with no deletes,
+    DESIGN.md §1) must stay below 1.5. Gated.
   * BENCH_cluster_scale.json — `hedged_p99_over_baseline` of every
     BM_HedgedTailPair node count (5% stragglers with hedging vs an
     all-healthy cluster, DESIGN.md §11) should stay below 2. Reported but
@@ -26,6 +30,8 @@ import sys
 # < budget; an ungated budget only reports.
 BUDGETS = [
     ("BENCH_fault_overhead.json", "BM_ScanOverheadPair", "fault_overhead_pct", 3.0, True),
+    ("BENCH_tuple_mover.json", "BM_ReadAfterDeletesPair", "read_after_deletes_ratio", 1.5,
+     True),
     ("BENCH_cluster_scale.json", "BM_HedgedTailPair", "hedged_p99_over_baseline", 2.0,
      False),
 ]
