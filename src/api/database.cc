@@ -389,31 +389,23 @@ Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
   // delete chunk each.
   for (const auto& proj : projections) {
     const bool is_super = proj.is_super && !proj.IsPrejoin();
-    ProjectionStorage* any = nullptr;
-    for (uint32_t n = 0; n < cluster_->num_nodes() && !any; ++n)
-      any = cluster_->node(n)->GetStorage(proj.name);
-    if (!any) continue;
-    const size_t ncols = any->config().column_names.size();
-    ExprPtr pred = where ? CloneExpr(where) : nullptr;
-    bool use_content_match = false;
-    if (pred) {
-      BindSchema schema;
-      for (size_t c = 0; c < ncols; ++c)
-        schema.Add(any->config().column_names[c], any->config().column_types[c]);
-      use_content_match = !BindExpr(pred, schema).ok();
+    const size_t ncols = proj.columns.size();
+    BindSchema schema;
+    std::vector<std::pair<size_t, size_t>> content_cols;  // (projection, table)
+    for (size_t c = 0; c < ncols; ++c) {
+      int tc = def.FindColumn(proj.columns[c].name);
+      schema.Add(proj.columns[c].name, tc >= 0 ? def.columns[tc].type : TypeId::kInt64);
+      if (tc >= 0) content_cols.emplace_back(c, static_cast<size_t>(tc));
     }
     // A projection lacking a predicate column deletes the rows the super
     // projections captured instead, each copy matching them by content over
     // the columns it shares with the table.
-    if (use_content_match && (!captured || !deleted_rows))
+    ExprPtr pred = where ? CloneExpr(where) : nullptr;
+    const bool use_content_match = pred && !BindExpr(pred, schema).ok();
+    if (use_content_match && !captured)
       return Status::NotImplemented(
           "DELETE predicate references columns missing from projection ", proj.name,
           " and no super capture is available");
-    std::vector<std::pair<size_t, size_t>> content_cols;  // (projection, table)
-    for (size_t c = 0; c < proj.columns.size(); ++c) {
-      int tc = def.FindColumn(proj.columns[c].name);
-      if (tc >= 0) content_cols.emplace_back(c, static_cast<size_t>(tc));
-    }
 
     for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
       Node* node = cluster_->node(n);
@@ -430,7 +422,7 @@ Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
         std::sort(hit.begin(), hit.end());  // back in target, position order
         rows = ApplyPermutation(rows, hit);
       }
-      if (is_super && deleted_rows && !captured) {
+      if (is_super && !captured) {
         // Capture table-ordered row content once (for UPDATE re-insert and
         // narrow-projection content matching).
         for (size_t tc = 0; tc < def.columns.size(); ++tc) {

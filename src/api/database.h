@@ -144,7 +144,8 @@ class Database {
   Result<QueryResult> RunUpdate(const UpdateStmt& stmt);
   /// Shared by DELETE and UPDATE: scan every up copy of the table's
   /// projections for the live rows matching `where` and register their
-  /// positions as delete vectors; `deleted_rows` receives their content.
+  /// positions as delete vectors; `deleted_rows` (required) receives their
+  /// content.
   Status ApplyDelete(const std::string& table, const ExprPtr& where, Transaction* txn,
                      RowBlock* deleted_rows);
 

@@ -268,26 +268,26 @@ class Cluster {
   };
   /// Slot source: the up copy in `def`'s buddy family that serves ring slot
   /// `slot` (any slot of a replicated projection) for history after
-  /// `needed_from`, never on node `exclude_node` (-1 = none) and never one
-  /// of `failed`. `def`'s own copy is preferred, then its buddies. Quarantined copies still holding
+  /// `needed_from`, never on a node in `exclude`. `def`'s own copy is
+  /// preferred, then its buddies. Quarantined copies still holding
   /// their data qualify (reads are checksum-verified); a copy a failed
   /// repair gutted qualifies only when gutted at or before `needed_from`,
   /// since it is complete after the gut point only. Null when K-safety is
   /// exhausted for the slot; `*host` receives the serving node.
   ProjectionStorage* SlotSource(const ProjectionDef& def, uint32_t slot,
-                                Epoch needed_from, int exclude_node,
-                                const std::vector<ProjectionStorage*>& failed,
+                                Epoch needed_from, const std::vector<uint32_t>& exclude,
                                 uint32_t* host);
   /// Gather: read ring slot `slot` of `src` (every slot when unset) at
   /// `at`, each through SlotSource, into one block in the order of
-  /// `columns` (matched to `src`'s by table column, else by name). Each
-  /// slot is a history scan of one copy; a copy whose read fails is
-  /// excluded and the slot retried on the next, until none is left.
+  /// `columns` (matched to `src`'s by table column, else by name), never
+  /// from a node in `exclude`. Each slot is a history scan of one copy; a
+  /// copy whose read fails has its node excluded for the slot, and the slot
+  /// is retried on the next copy until none is left.
   Result<CopyRows> Gather(const ProjectionDef& src,
                           const std::vector<ProjectionColumnDef>& columns,
                           Epoch needed_from, Epoch at,
                           std::optional<uint32_t> slot = std::nullopt,
-                          int exclude_node = -1);
+                          const std::vector<uint32_t>& exclude = {});
   /// Route: split `rows` of `proj` (projection column order, segmentation
   /// bound in `cfg`) into per-node row index lists under `ring`. Counts
   /// come first so each list is allocated once; a node that gets every row

@@ -113,8 +113,8 @@ Cluster::CopyRows Cluster::CopyRows::Select(const std::vector<uint32_t>& idx) co
 }
 
 ProjectionStorage* Cluster::SlotSource(const ProjectionDef& def, uint32_t slot,
-                                       Epoch needed_from, int exclude_node,
-                                       const std::vector<ProjectionStorage*>& failed,
+                                       Epoch needed_from,
+                                       const std::vector<uint32_t>& exclude,
                                        uint32_t* host) {
   uint32_t n = num_nodes();
   std::string family = def.buddy_of.empty() ? def.name : def.buddy_of;
@@ -128,11 +128,9 @@ ProjectionStorage* Cluster::SlotSource(const ProjectionDef& def, uint32_t slot,
     bool replicated = copy.segmentation.replicated;
     for (uint32_t i = 0; i < (replicated ? n : 1); ++i) {
       uint32_t h = replicated ? i : (slot + copy.segmentation.node_offset) % n;
-      if (static_cast<int>(h) == exclude_node || !nodes_[h]->up()) continue;
+      if (std::count(exclude.begin(), exclude.end(), h) || !nodes_[h]->up()) continue;
       auto* cand = nodes_[h]->GetStorage(copy.name);
-      if (!UsableAsSource(cand, needed_from) ||
-          std::find(failed.begin(), failed.end(), cand) != failed.end())
-        continue;
+      if (!UsableAsSource(cand, needed_from)) continue;
       *host = h;
       return cand;
     }
@@ -144,7 +142,7 @@ Result<Cluster::CopyRows> Cluster::Gather(const ProjectionDef& src,
                                           const std::vector<ProjectionColumnDef>& columns,
                                           Epoch needed_from, Epoch at,
                                           std::optional<uint32_t> slot,
-                                          int exclude_node) {
+                                          const std::vector<uint32_t>& exclude) {
   // Map the caller's columns onto the source's once: every copy in a buddy
   // family shares one column layout.
   std::vector<size_t> src_cols;
@@ -161,19 +159,18 @@ Result<Cluster::CopyRows> Cluster::Gather(const ProjectionDef& src,
   uint32_t num_slots = src.segmentation.replicated ? 1 : num_nodes();
   CopyRows out;
   for (uint32_t s = slot.value_or(0); s < (slot ? *slot + 1 : num_slots); ++s) {
-    std::vector<ProjectionStorage*> failed;
+    std::vector<uint32_t> skip = exclude;  // and each node whose copy failed to read
     Result<RowBlock> part = RowBlock();
     uint32_t host = 0;
-    for (;;) {
-      ProjectionStorage* ps = SlotSource(src, s, needed_from, exclude_node, failed, &host);
+    for (;; skip.push_back(host)) {
+      ProjectionStorage* ps = SlotSource(src, s, needed_from, skip, &host);
       if (!ps) {
         return Status::ClusterUnavailable(
             "no live copy of ", src.name, " serves ring slot ", s,
-            failed.empty() ? "" : " (last read error: " + part.status().ToString() + ")");
+            part.ok() ? "" : " (last read error: " + part.status().ToString() + ")");
       }
       part = ScanCopy(fs_, ps, at, {kScanCommitEpoch, kScanDeleteEpoch});
       if (part.ok()) break;
-      failed.push_back(ps);
     }
     const RowBlock& rows = part.value();
     const size_t ncols = rows.columns.size() - 2;  // then the two epoch columns
@@ -275,7 +272,7 @@ Status Cluster::RecoverProjectionOnNode(const ProjectionDef& def, uint32_t node_
                       ? 0
                       : ring.SlotStoredBy(node_id, def.segmentation.node_offset);
   STRATICA_ASSIGN_OR_RETURN(
-      CopyRows rows, Gather(def, def.columns, start, up_to, slot, static_cast<int>(node_id)));
+      CopyRows rows, Gather(def, def.columns, start, up_to, slot, {node_id}));
   if (full_rebuild) {
     // Only now — with the source's full view safely in memory — destroy
     // the damaged copy. Ordering the read before the wipe means a source

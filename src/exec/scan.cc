@@ -242,9 +242,10 @@ Status ScanOperator::Open(ExecContext* ctx) {
   // MarkNodeDown clears the flag before crashing volatile state, so a true
   // read here proves the snapshot predates any crash. A false read means the
   // WOS may have been wiped under us — fail over to a buddy instead of
-  // silently returning a partial snapshot. Everything at or before a copy's
-  // LGE is in ROS, which a crash keeps, so a down copy still reads whole up
-  // to its LGE; recovery reads the copy it is rebuilding that way.
+  // silently returning a partial snapshot. A crash keeps the ROS and the
+  // persisted deletes and lowers the LGE below any delete it loses, so a
+  // down copy still reads whole up to its LGE; recovery reads the copy it
+  // is rebuilding that way.
   if (!spec_.storage->HostUp() && ctx->epoch > spec_.storage->lge()) {
     return Status::TransientIoError("host node of ", spec_.storage->config().projection,
                                     " went down after planning; replan");

@@ -126,7 +126,13 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
   if (host_down) {
     // Registration raced a node crash. The files were written before the
     // check; drop them rather than leaving orphans for the scrub to chase.
-    for (const auto& c : created) DeleteRosFiles(fs_, *c);
+    for (const auto& c : created) {
+      for (const auto& col : c->columns) {
+        (void)fs_->Delete(col.data_path);
+        (void)fs_->Delete(col.index_path);
+      }
+      (void)fs_->Delete(c->dir + "/meta");
+    }
     return Status::ClusterUnavailable("host node is down");
   }
   txn->MarkDml();
@@ -166,7 +172,11 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
     std::lock_guard lock(mu_);
     for (const auto& c : created) {
       ros_.erase(std::remove(ros_.begin(), ros_.end(), c), ros_.end());
-      DeleteRosFiles(fs_, *c);
+      for (const auto& col : c->columns) {
+        (void)fs_->Delete(col.data_path);
+        (void)fs_->Delete(col.index_path);
+      }
+      (void)fs_->Delete(c->dir + "/meta");
     }
   });
   return Status::OK();
@@ -343,8 +353,20 @@ Status ProjectionStorage::ApplyMergeout(const MergeoutApply& apply) {
   // them drains (with no concurrent readers this deletes immediately, as
   // before), and the deletion itself runs off the mutex so scans never
   // stall behind it. Hard-linked backups keep the bytes alive (§5.2).
-  for (const auto& c : gc) DeleteRosFiles(fs_, *c);
+  for (const auto& c : gc) DeleteContainerFiles(*c);
   return Status::OK();
+}
+
+void ProjectionStorage::DeleteContainerFiles(const RosContainer& c) {
+  for (const auto& col : c.columns) {
+    (void)fs_->Delete(col.data_path);
+    (void)fs_->Delete(col.index_path);
+  }
+  if (!c.epoch_data_path.empty()) {
+    (void)fs_->Delete(c.epoch_data_path);
+    (void)fs_->Delete(c.epoch_index_path);
+  }
+  (void)fs_->Delete(c.dir + "/meta");
 }
 
 void ProjectionStorage::CollectRetiredLocked(
@@ -368,7 +390,7 @@ void ProjectionStorage::GcRetired() {
     std::lock_guard lock(mu_);
     CollectRetiredLocked(&gc);
   }
-  for (const auto& c : gc) DeleteRosFiles(fs_, *c);
+  for (const auto& c : gc) DeleteContainerFiles(*c);
 }
 
 void ProjectionStorage::AdoptContainer(std::shared_ptr<RosContainer> container,
@@ -459,7 +481,17 @@ Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
     RebuildDeleteListsLocked();
     lge_ = std::min(lge_, trunc);
   }
-  for (const auto& c : dropped) DeleteRosFiles(fs_, *c);
+  for (const auto& c : dropped) {
+    for (const auto& col : c->columns) {
+      (void)fs_->Delete(col.data_path);
+      (void)fs_->Delete(col.index_path);
+    }
+    if (!c->epoch_data_path.empty()) {
+      (void)fs_->Delete(c->epoch_data_path);
+      (void)fs_->Delete(c->epoch_index_path);
+    }
+    (void)fs_->Delete(c->dir + "/meta");
+  }
   return trunc;
 }
 
@@ -525,7 +557,15 @@ Result<uint64_t> ProjectionStorage::DropPartition(int64_t partition_key) {
   uint64_t rows = 0;
   for (const auto& c : dropped) {
     rows += c->row_count;
-    DeleteRosFiles(fs_, *c);
+    for (const auto& col : c->columns) {
+      (void)fs_->Delete(col.data_path);
+      (void)fs_->Delete(col.index_path);
+    }
+    if (!c->epoch_data_path.empty()) {
+      (void)fs_->Delete(c->epoch_data_path);
+      (void)fs_->Delete(c->epoch_index_path);
+    }
+    (void)fs_->Delete(c->dir + "/meta");
   }
   return rows;
 }
@@ -534,8 +574,8 @@ void ProjectionStorage::Clear(bool delete_files) {
   std::lock_guard lock(mu_);
   generation_.fetch_add(1, std::memory_order_acq_rel);
   if (delete_files) {
-    for (const auto& c : ros_) DeleteRosFiles(fs_, *c);
-    for (const auto& c : retired_) DeleteRosFiles(fs_, *c);
+    for (const auto& c : ros_) DeleteContainerFiles(*c);
+    for (const auto& c : retired_) DeleteContainerFiles(*c);
   }
   wos_.clear();
   ros_.clear();
@@ -558,6 +598,13 @@ void ProjectionStorage::CrashVolatileState() {
                               return c->min_epoch == kUncommittedEpoch;
                             }),
              ros_.end());
+  // Moveout and direct loads advance the LGE past deletes not yet persisted,
+  // so back it off to just before the oldest one lost: the copy stays whole
+  // up to its LGE, and recovery replays every delete after it.
+  for (const auto& d : deletes_) {
+    if (d->persisted) continue;
+    for (Epoch e : d->epochs) lge_ = std::min(lge_, e - 1);
+  }
   deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
                                 [](const DeleteVectorChunkPtr& d) {
                                   return !d->persisted;
@@ -681,6 +728,10 @@ uint64_t ProjectionStorage::WosRowCount() const {
   return n;
 }
 
+bool ProjectionStorage::WosSaturated() const {
+  return WosRowCount() >= cfg_.wos_capacity_rows;
+}
+
 Epoch ProjectionStorage::lge() const {
   std::lock_guard lock(mu_);
   return lge_;
@@ -695,6 +746,13 @@ uint64_t ProjectionStorage::TotalRosBytes() const {
   std::lock_guard lock(mu_);
   uint64_t n = 0;
   for (const auto& c : ros_) n += c->total_bytes;
+  return n;
+}
+
+uint64_t ProjectionStorage::TotalRosRawBytes() const {
+  std::lock_guard lock(mu_);
+  uint64_t n = 0;
+  for (const auto& c : ros_) n += c->raw_bytes;
   return n;
 }
 

@@ -203,7 +203,9 @@ class ProjectionStorage {
   void Clear(bool delete_files);
 
   /// Wipe volatile state only (what a node loses on failure: WOS content,
-  /// uncommitted artifacts, in-memory DVWOS entries).
+  /// uncommitted artifacts, in-memory DVWOS entries), and lower the LGE to
+  /// just before the oldest DVWOS entry lost, so the copy stays whole up
+  /// to its LGE.
   void CrashVolatileState();
 
   /// Delete the files of retired (mergeout-replaced) containers no query
@@ -273,9 +275,11 @@ class ProjectionStorage {
 
   // --- stats ----------------------------------------------------------------
   uint64_t WosRowCount() const;
+  bool WosSaturated() const;
   Epoch lge() const;
   size_t NumContainers() const;
   uint64_t TotalRosBytes() const;
+  uint64_t TotalRosRawBytes() const;
   uint64_t TotalRosRows() const;
 
   /// Allocate a container id + directory (also used by the tuple mover).
@@ -296,6 +300,7 @@ class ProjectionStorage {
   /// containers while scans may still be reading the old ones; deleting
   /// eagerly would fail those scans). File deletion happens off-mutex.
   void CollectRetiredLocked(std::vector<std::shared_ptr<RosContainer>>* out);
+  void DeleteContainerFiles(const RosContainer& c);
   /// Rebuild every target's delete list from the committed chunks in
   /// `deletes_` (after a crash or truncation dropped some of them).
   void RebuildDeleteListsLocked();

@@ -4,6 +4,8 @@
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
+#include "common/hash.h"
+#include "common/retry.h"
 
 namespace stratica {
 
@@ -140,18 +142,6 @@ Status ReadRosContainer(const FileSystem* fs, const RosContainer& ros, RowBlock*
   return Status::OK();
 }
 
-void DeleteRosFiles(FileSystem* fs, const RosContainer& ros) {
-  for (const auto& col : ros.columns) {
-    (void)fs->Delete(col.data_path);
-    (void)fs->Delete(col.index_path);
-  }
-  if (!ros.epoch_data_path.empty()) {
-    (void)fs->Delete(ros.epoch_data_path);
-    (void)fs->Delete(ros.epoch_index_path);
-  }
-  (void)fs->Delete(ros.dir + "/meta");
-}
-
 std::string SerializeRosMeta(const RosContainer& ros) {
   std::ostringstream out;
   out << "ros_v1\n";
@@ -219,6 +209,16 @@ Status WriteRosMeta(FileSystem* fs, const RosContainer& ros,
 Result<RosContainer> ReadRosMeta(const FileSystem* fs, const std::string& meta_path) {
   STRATICA_ASSIGN_OR_RETURN(std::string data, ReadFileChecksummed(fs, meta_path));
   return ParseRosMeta(data);
+}
+
+Status StampRosEpoch(FileSystem* fs, RosContainer* ros, const std::string& meta_path,
+                     Epoch epoch, uint64_t* retries) {
+  ros->min_epoch = epoch;
+  ros->max_epoch = epoch;
+  RetryPolicy policy;
+  policy.jitter_seed = HashBytes(meta_path.data(), meta_path.size());
+  return RetryTransient(policy, retries,
+                        [&] { return WriteRosMeta(fs, *ros, meta_path); });
 }
 
 }  // namespace stratica

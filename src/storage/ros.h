@@ -122,10 +122,6 @@ Result<ColumnReader> OpenRosColumn(const FileSystem* fs, const RosContainer& ros
 Status ReadRosContainer(const FileSystem* fs, const RosContainer& ros,
                         RowBlock* out, std::vector<Epoch>* epochs);
 
-/// Delete every file of a container (data, index, epoch column, meta),
-/// ignoring failures: the files may already be gone.
-void DeleteRosFiles(FileSystem* fs, const RosContainer& ros);
-
 /// Serialize container metadata to its meta file / parse it back (used by
 /// backup and by catalog-less container discovery in tests).
 std::string SerializeRosMeta(const RosContainer& ros);
@@ -137,6 +133,14 @@ Result<RosContainer> ParseRosMeta(const std::string& data);
 Status WriteRosMeta(FileSystem* fs, const RosContainer& ros,
                     const std::string& meta_path);
 Result<RosContainer> ReadRosMeta(const FileSystem* fs, const std::string& meta_path);
+
+/// Stamp an uncommitted container with its commit epoch (commit callback).
+/// Containers are immutable *after commit*; stamping rewrites the meta file.
+/// Transient write failures are retried with backoff (the commit-meta write
+/// path must not eject a node over a blip); `retries` (optional)
+/// accumulates the retry count.
+Status StampRosEpoch(FileSystem* fs, RosContainer* ros, const std::string& meta_path,
+                     Epoch epoch, uint64_t* retries = nullptr);
 
 }  // namespace stratica
 

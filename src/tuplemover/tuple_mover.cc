@@ -10,6 +10,25 @@
 
 namespace stratica {
 
+namespace {
+
+// Remove a discarded mover output's files (the apply was rejected because
+// recovery mutated the storage mid-operation; some files may already have
+// been scrubbed, so failures are ignored).
+void DeleteDiscardedContainerFiles(FileSystem* fs, const RosContainer& c) {
+  for (const auto& col : c.columns) {
+    (void)fs->Delete(col.data_path);
+    (void)fs->Delete(col.index_path);
+  }
+  if (!c.epoch_data_path.empty()) {
+    (void)fs->Delete(c.epoch_data_path);
+    (void)fs->Delete(c.epoch_index_path);
+  }
+  (void)fs->Delete(c.dir + "/meta");
+}
+
+}  // namespace
+
 int TupleMover::Stratum(uint64_t bytes) const {
   // Stratum s covers (base * factor^(s-1), base * factor^s].
   if (bytes <= cfg_.strata_base_bytes) return 0;
@@ -113,7 +132,7 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
     // The node crashed / was recovered while this moveout ran; the consumed
     // WOS chunks no longer exist and the output must not be published.
     for (const auto& c : apply.new_containers) {
-      DeleteRosFiles(ps->fs(), *c);
+      DeleteDiscardedContainerFiles(ps->fs(), *c);
     }
     ++stats_.stale_applies;
     return Status::OK();
@@ -262,7 +281,7 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
   if (st.code() == StatusCode::kTxnAborted) {
     // Recovery rewrote the storage under this mergeout; discard the output
     // (its inputs may be truncated and its files already scrubbed).
-    DeleteRosFiles(ps->fs(), *apply.new_container);
+    DeleteDiscardedContainerFiles(ps->fs(), *apply.new_container);
     ++stats_.stale_applies;
     return false;
   }

@@ -369,6 +369,35 @@ TEST_F(ClusterFixture, RecoveryReplaysMissedDeletes) {
   EXPECT_EQ(Fingerprint("sales_super_b1"), expected);
 }
 
+// A crash loses committed deletes not yet persisted, and a direct load after
+// them advanced the LGE past them. The down copy must not serve those rows as
+// live at the latest epoch (its scan fails over instead), and recovery must
+// replay the lost deletes.
+TEST_F(ClusterFixture, CrashLostDeletesNeverReappear) {
+  auto direct_load = [&](int start, int count) {
+    auto txn = cluster_->txns()->Begin();
+    ASSERT_TRUE(cluster_->Load("sales", MakeRows(start, count), txn.get(), true).ok());
+    ASSERT_TRUE(cluster_->Commit(txn).ok());
+  };
+  direct_load(0, 100);
+  ASSERT_GT(DeleteIdsBelow(40), 0u);
+  direct_load(100, 100);
+  Epoch now = cluster_->epochs()->LatestQueryableEpoch();
+  auto* ps = cluster_->node(1)->GetStorage("sales_super");
+  ASSERT_EQ(ps->lge(), now);
+
+  ASSERT_TRUE(cluster_->MarkNodeDown(1).ok());
+  EXPECT_LT(ps->lge(), now);
+  auto read = ScanCopy(&fs_, ps, now, {});
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsTransient()) << read.status().ToString();
+
+  ASSERT_TRUE(cluster_->RecoverNode(1).ok());
+  int64_t expected = 199 * 200 / 2 - 39 * 40 / 2;  // sum 0..199 minus deleted 0..39
+  EXPECT_EQ(Fingerprint("sales_super"), expected);
+  EXPECT_EQ(Fingerprint("sales_super_b1"), expected);
+}
+
 TEST_F(ClusterFixture, RefreshPopulatesLateProjection) {
   LoadAndCommit(0, 300);
   // Deletes committed before the refresh must survive it with their epochs.

@@ -377,6 +377,35 @@ TEST_F(StorageFixture, CrashLosesWosKeepsRos) {
   EXPECT_EQ(ps_.WosRowCount(), 0u);
 }
 
+// Moveout advances the LGE past a committed delete not yet in DVROS. A crash
+// loses that delete, so it backs the LGE off to just before it; a delete the
+// tuple mover persisted survives the crash and leaves the LGE alone.
+TEST_F(StorageFixture, CrashLowersLgeBelowLostDeletes) {
+  InsertAndCommit(MakeRows(0, 50));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  uint64_t target = ps_.Containers().front()->id;
+  auto txn = tm_.Begin();
+  ASSERT_TRUE(ps_.AddDeletes(target, {1, 2}, txn.get()).ok());
+  auto lost = tm_.Commit(txn);
+  ASSERT_TRUE(lost.ok());
+  InsertAndCommit(MakeRows(50, 10));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  ASSERT_GT(ps_.lge(), lost.value());
+
+  ps_.CrashVolatileState();
+  EXPECT_EQ(ps_.lge(), lost.value() - 1);
+  EXPECT_EQ(TotalDeleted(ps_.GetSnapshot(epochs_.LatestQueryableEpoch())), 0u);
+
+  txn = tm_.Begin();
+  ASSERT_TRUE(ps_.AddDeletes(target, {3}, txn.get()).ok());
+  ASSERT_TRUE(tm_.Commit(txn).ok());
+  ASSERT_TRUE(mover_.MoveDeleteVectors(&ps_).ok());
+  Epoch kept = ps_.lge();
+  ps_.CrashVolatileState();
+  EXPECT_EQ(ps_.lge(), kept);
+  EXPECT_EQ(TotalDeleted(ps_.GetSnapshot(epochs_.LatestQueryableEpoch())), 1u);
+}
+
 class PartitionedStorageFixture : public StorageFixture {
  protected:
   PartitionedStorageFixture() : pps_(&fs_, "node0/p_part", MakePartitionedConfig()) {}
