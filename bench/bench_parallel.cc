@@ -24,8 +24,15 @@
 //   BM_JoinGroupByIoBound / BM_JoinGroupByCpuBound — fact-dim hash join
 //       feeding a group-by, exercising the shared build path (one
 //       SharedJoinBuild per join, built once, probed by every fragment).
+//   BM_SelectiveScanPair — one selective query on the leading sort column
+//       of a 70-block container (it keeps 2 blocks), at fan-out 1 and 4 in
+//       turn, each database behind a FileSystem wrapper that counts read
+//       calls. Reports read_ops_ratio = fan-out-4 reads / serial reads, a
+//       deterministic count since every morsel opens exactly once;
+//       tools/check_bench_budgets.py gates it below 2 (DESIGN.md §6).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -142,6 +149,110 @@ void BM_JoinGroupByCpuBound(benchmark::State& state) {
   RunQuerySweep(state, /*io_bound=*/false, kJoinQuery);
 }
 
+/// Counts the storage read calls (whole files and ranges) that reach `base`;
+/// every other call passes straight through.
+class ReadCountingFs : public FileSystem {
+ public:
+  explicit ReadCountingFs(std::shared_ptr<FileSystem> base) : base_(std::move(base)) {}
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+
+  Status WriteFile(const std::string& path, const std::string& data) override {
+    return base_->WriteFile(path, data);
+  }
+  Result<std::string> ReadFile(const std::string& path) const override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return base_->ReadFile(path);
+  }
+  Result<std::string> ReadRange(const std::string& path, uint64_t offset,
+                                uint64_t length) const override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return base_->ReadRange(path, offset, length);
+  }
+  Status ReadRangeInto(const std::string& path, uint64_t offset, uint64_t length,
+                       std::string* out) const override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return base_->ReadRangeInto(path, offset, length, out);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
+  }
+  bool Exists(const std::string& path) const override { return base_->Exists(path); }
+  Status Delete(const std::string& path) override { return base_->Delete(path); }
+  Result<std::vector<std::string>> List(const std::string& prefix) const override {
+    return base_->List(prefix);
+  }
+  Status HardLink(const std::string& source, const std::string& target) override {
+    return base_->HardLink(source, target);
+  }
+
+ private:
+  std::shared_ptr<FileSystem> base_;
+  mutable std::atomic<uint64_t> reads_{0};
+};
+
+/// 70 full blocks, sorted by id in one container (one local segment).
+constexpr int64_t kSelectiveRows = 70 * 16384;
+
+struct CountedDb {
+  std::shared_ptr<ReadCountingFs> fs;
+  std::unique_ptr<Database> db;
+};
+
+CountedDb MakeSelectiveDb(size_t fanout) {
+  CountedDb out;
+  out.fs = std::make_shared<ReadCountingFs>(std::make_shared<MemFileSystem>());
+  DatabaseOptions opts;
+  opts.num_nodes = 1;
+  opts.k_safety = 0;
+  opts.local_segments_per_node = 1;
+  opts.intra_node_parallelism = fanout;
+  opts.worker_threads = fanout;
+  opts.fs = out.fs;
+  out.db = std::make_unique<Database>(std::move(opts));
+  if (!out.db->Execute("CREATE TABLE readings (id INT NOT NULL, grp INT, v FLOAT)").ok())
+    std::exit(1);
+  RowBlock rows({TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64});
+  for (int64_t i = 0; i < kSelectiveRows; ++i) {
+    rows.columns[0].ints.push_back(i);
+    rows.columns[1].ints.push_back(i % 7);
+    rows.columns[2].doubles.push_back((i % 97) * 0.25);
+  }
+  if (!out.db->Load("readings", rows, /*direct=*/true).ok()) std::exit(1);
+  if (!out.db->RunTupleMover().ok()) std::exit(1);
+  return out;
+}
+
+/// Keeps blocks 30 and 31 ([491520, 524288)) of the 70.
+constexpr const char* kSelectiveQuery =
+    "SELECT COUNT(*), SUM(v) FROM readings WHERE id >= 500000 AND id < 520000";
+
+void BM_SelectiveScanPair(benchmark::State& state) {
+  static CountedDb serial = MakeSelectiveDb(1);
+  static CountedDb parallel = MakeSelectiveDb(4);
+  uint64_t serial_reads = 0, parallel_reads = 0, queries = 0;
+  for (auto _ : state) {
+    uint64_t s0 = serial.fs->reads();
+    auto a = serial.db->Execute(kSelectiveQuery);
+    uint64_t p0 = parallel.fs->reads();
+    auto b = parallel.db->Execute(kSelectiveQuery);
+    if (!a.ok() || !b.ok() || a.value().rows.ToString() != b.value().rows.ToString()) {
+      state.SkipWithError("selective scan failed or answers differ");
+      return;
+    }
+    serial_reads += serial.fs->reads() - s0;
+    parallel_reads += parallel.fs->reads() - p0;
+    ++queries;
+  }
+  if (serial_reads > 0) {
+    state.counters["read_ops_ratio"] =
+        static_cast<double>(parallel_reads) / static_cast<double>(serial_reads);
+  }
+  state.counters["serial_reads_per_query"] =
+      static_cast<double>(serial_reads) / static_cast<double>(queries);
+  state.counters["fanout4_reads_per_query"] =
+      static_cast<double>(parallel_reads) / static_cast<double>(queries);
+}
+
 BENCHMARK(BM_ScanGroupByIoBound)
     ->RangeMultiplier(2)->Range(1, 8)
     ->UseRealTime()
@@ -158,6 +269,7 @@ BENCHMARK(BM_JoinGroupByCpuBound)
     ->RangeMultiplier(2)->Range(1, 8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SelectiveScanPair)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace stratica

@@ -387,8 +387,10 @@ Status Cluster::RouteAndInsert(const ProjectionDef& proj, RowBlock rows,
                     : whole    ? rows
                                : ApplyPermutation(rows, split.rows[n]);
     if (n != 0) AddNetworkBytes(whole ? block_bytes : part.MemoryBytes());
-    Status st = direct_ros ? ps->InsertDirectRos(std::move(part), txn)
-                           : ps->InsertWos(std::move(part), txn);
+    // A saturated WOS takes no more rows: the load goes direct to ROS on
+    // this copy (Section 4).
+    Status st = direct_ros || ps->WosSaturated() ? ps->InsertDirectRos(std::move(part), txn)
+                                                 : ps->InsertWos(std::move(part), txn);
     // A node crashing between the up() check above and the insert is the
     // same case as failing the check: skip it, the buddy recovers the rows.
     if (st.code() == StatusCode::kClusterUnavailable) continue;

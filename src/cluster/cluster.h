@@ -37,6 +37,8 @@ struct ClusterConfig {
   uint32_t num_nodes = 1;
   uint32_t k_safety = 0;  ///< Buddy copies per projection (Section 5.2).
   uint32_t local_segments_per_node = 3;
+  /// Rows a projection copy's WOS holds before loads into it go direct to
+  /// ROS (ProjectionStorage::WosSaturated).
   uint64_t wos_capacity_rows = 1 << 20;
   TupleMoverConfig tuple_mover;
   /// Loads at least this large bypass the WOS ("Direct Loading to the
@@ -151,8 +153,9 @@ class Cluster {
   // --- load path ---------------------------------------------------------------
 
   /// Route `rows` of `table` to every projection copy on every up node.
-  /// `direct_ros` forces the WOS bypass; by default large loads bypass
-  /// automatically per config. Non-conforming rows (NULL in a non-nullable
+  /// `direct_ros` forces the WOS bypass; by default large loads, and loads
+  /// into a copy whose WOS is saturated, bypass automatically per config.
+  /// Non-conforming rows (NULL in a non-nullable
   /// column, missing prejoin dimension match) are rejected, not loaded.
   Result<LoadResult> Load(const std::string& table, const RowBlock& rows,
                           Transaction* txn, bool direct_ros = false);

@@ -35,35 +35,84 @@ void RemapColumnRefs(Expr* e, const std::vector<int>& pos) {
   for (auto& c : e->children) RemapColumnRefs(c.get(), pos);
 }
 
-/// Carve a snapshot's containers into `k` balanced lists of block-range
-/// morsels for the MorselDispenser. Each container is split into up to `k`
-/// contiguous block ranges (never fewer than one block per range — a
-/// single-block container is one indivisible morsel), and the ranges are
-/// dealt round-robin so every list holds a similar share of every container
-/// — one large container still spreads across all workers (Section 3.5:
-/// runtime division into logical regions, no physical sub-partitioning).
-std::vector<std::vector<ScanRegion>> PlanScanRegions(const StorageSnapshot& snap,
-                                                     size_t k) {
+/// The block-level prune rule: a block whose non-NULL values all lie
+/// outside `bound` cannot match. An all-NULL block has no min/max and is
+/// kept (NULL stats never prune).
+bool BlockPruned(const BlockMeta& bm, const PruneBound& bound) {
+  return bm.row_count > bm.null_count && !RangeMayMatch(bm.min, bm.max, bound.op, bound.value);
+}
+
+/// Carve a snapshot's containers into block-range regions for `k` workers,
+/// keeping only blocks the scan's prune bounds may match (DESIGN.md §6).
+/// Bounds are read from the block min/max every in-memory container carries,
+/// so no pruned block range ever costs a reader open. A container whose
+/// column min/max excludes a bound yields nothing and counts as
+/// container-pruned; otherwise its kept blocks are split into up to `k`
+/// contiguous ranges (never fewer than one kept block per range; pruned
+/// blocks between two kept ones stay inside the range, where AdvanceRos
+/// prunes and counts them), and every block left outside all ranges counts
+/// as pruned here. A container without block metadata is one whole region.
+/// Ranges are dealt round-robin into `k` lists that are concatenated, so
+/// consecutive claims spread across containers and one large container
+/// still spreads across all workers (Section 3.5: runtime division into
+/// logical regions, no physical sub-partitioning). At k = 1 each container
+/// with a kept block is one region, in snapshot order.
+std::vector<ScanRegion> PlanScanRegions(const StorageSnapshot& snap, const ScanSpec& spec,
+                                        size_t k, ExecStats* stats) {
   if (k == 0) k = 1;
   std::vector<ScanRegion> all;
+  std::vector<size_t> kept;
+  uint64_t blocks_pruned = 0, containers_pruned = 0;
   for (const auto& c : snap.ros) {
+    // The bounds that address a stored column of this container.
+    std::vector<std::pair<const ColumnFileMeta*, const PruneBound*>> bounds;
+    bool container_pruned = false;
+    for (const auto& bound : spec.prune_bounds) {
+      int proj_col = spec.projection_columns[bound.output_column];
+      if (proj_col < 0 || proj_col >= static_cast<int>(c->columns.size())) continue;
+      const ColumnFileMeta& meta = c->columns[proj_col].meta;
+      // Container-level pruning (includes partition pruning: partition-
+      // separated containers have tight bounds).
+      container_pruned |=
+          meta.num_rows > 0 && !RangeMayMatch(meta.min, meta.max, bound.op, bound.value);
+      bounds.push_back({&meta, &bound});
+    }
+    if (container_pruned) {
+      ++containers_pruned;
+      continue;
+    }
     size_t num_blocks = c->columns.empty() ? 0 : c->columns[0].meta.blocks.size();
-    if (num_blocks <= 1 || k == 1) {
+    if (num_blocks == 0) {
       all.push_back({c, 0, SIZE_MAX});
       continue;
     }
-    size_t pieces = std::min(k, num_blocks);
-    size_t per = num_blocks / pieces, extra = num_blocks % pieces;
-    size_t lo = 0;
-    for (size_t p = 0; p < pieces; ++p) {
-      size_t take = per + (p < extra ? 1 : 0);
-      all.push_back({c, lo, lo + take});
+    kept.clear();
+    for (size_t b = 0; b < num_blocks; ++b) {
+      bool pruned = false;
+      for (const auto& [meta, bound] : bounds) pruned |= BlockPruned(meta->blocks[b], *bound);
+      if (!pruned) kept.push_back(b);
+    }
+    size_t pieces = std::min(k, kept.size());
+    size_t carved = 0;
+    for (size_t p = 0, lo = 0; p < pieces; ++p) {
+      size_t take = kept.size() / pieces + (p < kept.size() % pieces ? 1 : 0);
+      size_t block_lo = kept[lo], block_hi = kept[lo + take - 1] + 1;
+      all.push_back({c, block_lo, block_hi});
+      carved += block_hi - block_lo;
       lo += take;
     }
+    blocks_pruned += num_blocks - carved;
   }
-  std::vector<std::vector<ScanRegion>> out(k);
-  for (size_t i = 0; i < all.size(); ++i) out[i % k].push_back(all[i]);
-  return out;
+  if (stats != nullptr) {
+    stats->blocks_pruned.fetch_add(blocks_pruned);
+    stats->containers_pruned.fetch_add(containers_pruned);
+  }
+  std::vector<ScanRegion> order;
+  order.reserve(all.size());
+  for (size_t w = 0; w < k; ++w) {
+    for (size_t i = w; i < all.size(); i += k) order.push_back(all[i]);
+  }
+  return order;
 }
 
 }  // namespace
@@ -115,18 +164,12 @@ ScanOperator::ScanOperator(ScanSpec spec) : spec_(std::move(spec)) {
 }
 ScanOperator::~ScanOperator() = default;
 
-const StorageSnapshot& MorselDispenser::EnsureSnapshot(ProjectionStorage* storage,
-                                                       Epoch epoch, uint64_t txn_id) {
+const StorageSnapshot& MorselDispenser::EnsureSnapshot(const ScanSpec& spec, Epoch epoch,
+                                                       uint64_t txn_id, ExecStats* stats) {
   std::lock_guard lock(mu_);
   if (!snapped_) {
-    snap_ = storage->GetSnapshot(epoch, txn_id);
-    auto lists = PlanScanRegions(snap_, fanout_ * kMorselsPerWorker);
-    // Flatten the per-worker lists into one claim queue; the round-robin
-    // deal already interleaved containers, so consecutive claims spread
-    // across containers instead of serializing on one.
-    for (auto& list : lists) {
-      for (auto& r : list) morsels_.push_back(std::move(r));
-    }
+    snap_ = spec.storage->GetSnapshot(epoch, txn_id);
+    morsels_ = PlanScanRegions(snap_, spec, fanout_ * kMorselsPerWorker, stats);
     snapped_ = true;
   }
   return snap_;
@@ -154,17 +197,6 @@ Status ScanOperator::NoteRosFailure(const Source* src, Status st) {
 
 Status ScanOperator::OpenContainerSource(const ScanRegion& region) {
   const RosContainer& c = *region.container;
-  // Container-level pruning from column min/max (includes partition
-  // pruning: partition-separated containers have tight bounds).
-  for (const auto& bound : spec_.prune_bounds) {
-    int proj_col = spec_.projection_columns[bound.output_column];
-    if (proj_col < 0 || proj_col >= static_cast<int>(c.columns.size())) continue;
-    const ColumnFileMeta& meta = c.columns[proj_col].meta;
-    if (meta.num_rows > 0 && !RangeMayMatch(meta.min, meta.max, bound.op, bound.value)) {
-      if (ctx_->stats) ctx_->stats->containers_pruned.fetch_add(1);
-      return Status::OK();  // whole container pruned
-    }
-  }
   auto src = std::make_unique<Source>();
   src->container = region.container;
   for (size_t i = 0; i < num_stored_; ++i) {
@@ -234,7 +266,8 @@ Status ScanOperator::Open(ExecContext* ctx) {
     }
     // All sibling fragments share the dispenser's snapshot, so every morsel
     // is scanned exactly once against one consistent epoch/container set.
-    snap_ = spec_.morsels->EnsureSnapshot(spec_.storage, ctx->epoch, ctx->txn_id);
+    // The fragment that carves counts the pruning the carve did.
+    snap_ = spec_.morsels->EnsureSnapshot(spec_, ctx->epoch, ctx->txn_id, ctx->stats);
   } else {
     snap_ = spec_.storage->GetSnapshot(ctx->epoch, ctx->txn_id);
   }
@@ -261,9 +294,9 @@ Status ScanOperator::Open(ExecContext* ctx) {
       STRATICA_RETURN_NOT_OK(OpenWosSource());
     }
   } else {
-    for (const auto& c : snap_.ros) {
+    for (const ScanRegion& region : PlanScanRegions(snap_, spec_, 1, ctx->stats)) {
       if (Abandoned()) break;
-      STRATICA_RETURN_NOT_OK(OpenContainerSource({c, 0, SIZE_MAX}));
+      STRATICA_RETURN_NOT_OK(OpenContainerSource(region));
     }
     if (!Abandoned()) STRATICA_RETURN_NOT_OK(OpenWosSource());
   }
@@ -516,16 +549,11 @@ Status ScanOperator::AdvanceRos(Source* src) {
     }
     size_t b = src->next_block;
     const BlockMeta& bm0 = src->readers[0].meta().blocks[b];
-    // Block-level pruning from the position index.
+    // Block-level pruning from the position index, for pruned blocks the
+    // carve left between two kept ones.
     bool pruned = false;
     for (const auto& bound : spec_.prune_bounds) {
-      const auto& meta = src->readers[bound.output_column].meta();
-      const BlockMeta& bm = meta.blocks[b];
-      if (bm.row_count > bm.null_count &&
-          !RangeMayMatch(bm.min, bm.max, bound.op, bound.value)) {
-        pruned = true;
-        break;
-      }
+      pruned |= BlockPruned(src->readers[bound.output_column].meta().blocks[b], bound);
     }
     ++src->next_block;
     if (pruned) {
@@ -677,8 +705,8 @@ Status ScanOperator::GetNext(RowBlock* out) {
         return Status::OK();
       }
       if (!morsel_mode_ || Abandoned()) return Status::OK();  // EOF
-      // Claim the next morsel and open it as a fresh source. A pruned or
-      // abandoned open appends nothing — loop and claim again.
+      // Claim the next morsel and open it as a fresh source. An abandoned
+      // open appends nothing — loop and claim again.
       ScanRegion region;
       if (!spec_.morsels->Next(&region)) return Status::OK();  // drained
       STRATICA_RETURN_NOT_OK(OpenContainerSource(region));

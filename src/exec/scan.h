@@ -40,7 +40,8 @@ struct SipFilter {
 };
 
 /// Pruning bound `column <op> literal`, applied to container and block
-/// min/max statistics before any data is read.
+/// min/max statistics before any data is read: the region carve drops
+/// pruned containers and block ranges before any reader opens.
 struct PruneBound {
   int output_column;
   CompareOp op;
@@ -66,11 +67,14 @@ struct ScanRegion {
   size_t block_hi = SIZE_MAX;  // exclusive
 };
 
+struct ScanSpec;
+
 /// \brief Shared morsel dispenser for one parallel scan (DESIGN.md §12).
 ///
 /// Every sibling fragment scan of a unit holds the same dispenser. The
 /// first fragment to Open snapshots the storage and carves the snapshot
-/// into block-range morsels (ScanRegions) under the lock; later fragments
+/// into block-range morsels (ScanRegions) under the lock, from the blocks
+/// the scan's prune bounds keep (DESIGN.md §6); later fragments
 /// reuse that snapshot, so all fragments see one consistent
 /// epoch/container set. Fragments then claim morsels one at a
 /// time — dynamic self-scheduling, so a fragment stuck on an expensive
@@ -83,18 +87,20 @@ class MorselDispenser {
   /// fragment so claim-order imbalance can even out.
   explicit MorselDispenser(size_t fanout) : fanout_(fanout == 0 ? 1 : fanout) {}
 
-  /// Snapshot + carve on first call (thread-safe); returns the shared
-  /// snapshot all fragments must scan against.
-  const StorageSnapshot& EnsureSnapshot(ProjectionStorage* storage, Epoch epoch,
-                                        uint64_t txn_id);
+  /// Snapshot `spec.storage` and carve it by `spec.prune_bounds` on first
+  /// call (thread-safe), counting the blocks and containers the carve
+  /// pruned into `stats` once; returns the shared snapshot all fragments
+  /// must scan against.
+  const StorageSnapshot& EnsureSnapshot(const ScanSpec& spec, Epoch epoch, uint64_t txn_id,
+                                        ExecStats* stats);
   /// Claim the next morsel; false = dispenser drained.
   bool Next(ScanRegion* out);
   /// True exactly once: the claiming fragment scans the WOS.
   bool ClaimWos() { return !wos_claimed_.exchange(true, std::memory_order_relaxed); }
 
   /// Morsel granularity: enough claims per fragment that work-stealing by
-  /// claim order absorbs skewed per-morsel costs without making each claim
-  /// (a reader re-open per column) dominate.
+  /// claim order absorbs skewed per-morsel costs. Each claim re-opens a
+  /// reader per column, so the carve never makes a morsel of pruned blocks.
   static constexpr size_t kMorselsPerWorker = 4;
 
  private:
@@ -111,8 +117,8 @@ class MorselDispenser {
 /// projection columns to emit (and as what), and the filter/shape knobs —
 /// predicate + prune bounds + SIP filters, sorted or encoded output, and
 /// an optional shared morsel dispenser (else the scan reads every container
-/// plus the WOS). Every block takes the same late-materializing route
-/// (DESIGN.md §7); no field switches it off.
+/// the prune bounds keep, plus the WOS). Every block takes the same
+/// late-materializing route (DESIGN.md §7); no field switches it off.
 struct ScanSpec {
   ProjectionStorage* storage = nullptr;
   /// Projection column indexes in output order, then any virtual columns

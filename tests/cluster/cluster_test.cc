@@ -76,12 +76,15 @@ TEST(SegmentationRingTest, RoughlyBalanced) {
 
 class ClusterFixture : public ::testing::Test {
  protected:
-  ClusterFixture() { Init(4, 1); }
+  explicit ClusterFixture(uint64_t wos_capacity_rows = ClusterConfig().wos_capacity_rows) {
+    Init(4, 1, wos_capacity_rows);
+  }
 
-  void Init(uint32_t nodes, uint32_t k) {
+  void Init(uint32_t nodes, uint32_t k, uint64_t wos_capacity_rows) {
     ClusterConfig cfg;
     cfg.num_nodes = nodes;
     cfg.k_safety = k;
+    cfg.wos_capacity_rows = wos_capacity_rows;
     cfg.direct_ros_row_threshold = 1000000;  // default through WOS in tests
     cluster_ = std::make_unique<Cluster>(cfg, &fs_, &catalog_);
 
@@ -585,6 +588,53 @@ TEST_F(ClusterFixture, PrejoinRefreshOverExistingRows) {
   refreshed = cluster_->RefreshProjection("sales_prejoin_b1");
   ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
   ExpectPrejoinRows(80);
+}
+
+// A small WOS capacity: once a copy's WOS is saturated, loads into it go
+// direct to ROS, so the WOS stays bounded and no answer changes.
+class SmallWosClusterTest : public ClusterFixture {
+ protected:
+  static constexpr uint64_t kWosCapacity = 64;
+  SmallWosClusterTest() : ClusterFixture(kWosCapacity) {}
+};
+
+TEST_F(SmallWosClusterTest, SaturatedWosSendsLoadsToRos) {
+  // 25 loads of 40 rows, about 10 per copy each: every copy's WOS fills
+  // within a few loads, and every load after that goes direct to ROS.
+  constexpr int kLoads = 25, kRowsPerLoad = 40;
+  for (int i = 0; i < kLoads; ++i) {
+    LoadAndCommit(i * kRowsPerLoad, kRowsPerLoad);
+    for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+      for (const char* proj : {"sales_super", "sales_super_b1"}) {
+        EXPECT_LE(cluster_->node(n)->GetStorage(proj)->WosRowCount(),
+                  kWosCapacity + kRowsPerLoad)
+            << proj << " on node " << n << " after load " << i;
+      }
+    }
+  }
+  size_t containers = 0;
+  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+    containers += cluster_->node(n)->GetStorage("sales_super")->NumContainers();
+  }
+  EXPECT_GT(containers, 0u);
+  // Every row is visible exactly once, through WOS or ROS, on both copies
+  // and with a predicate that prunes by the sort column.
+  constexpr int64_t kRows = kLoads * kRowsPerLoad;
+  EXPECT_EQ(Fingerprint("sales_super"), kRows * (kRows - 1) / 2);
+  EXPECT_EQ(Fingerprint("sales_super_b1"), kRows * (kRows - 1) / 2);
+  Epoch now = cluster_->epochs()->LatestQueryableEpoch();
+  int64_t low = 0;
+  for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
+    auto read = ScanCopy(&fs_, cluster_->node(n)->GetStorage("sales_super"), now, {},
+                         Cmp(CompareOp::kLt, ColIdx(0, TypeId::kInt64),
+                             Lit(Value::Int64(100))));
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    low += static_cast<int64_t>(read.value().NumRows());
+  }
+  EXPECT_EQ(low, 100);
+  // The tuple mover folds the rest of the WOS in; nothing changes.
+  ASSERT_TRUE(cluster_->RunTupleMover().ok());
+  EXPECT_EQ(Fingerprint("sales_super"), kRows * (kRows - 1) / 2);
 }
 
 // Loads with rejected rows through both the WOS and direct-to-ROS on 4 nodes

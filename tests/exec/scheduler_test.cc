@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "api/database.h"
@@ -147,10 +148,15 @@ TEST(AllowedFanoutTest, AdmissionClampScalesRealQueriesDown) {
 // ---------------------------------------------------------------------------
 // End-to-end: parallel morsel plans vs serial plans on identical data.
 
-std::unique_ptr<Database> MakeDb(size_t fanout, size_t workers) {
+// With the default three local segments, `fact` is three one-block
+// containers that each span every id. With one local segment it is one
+// container of 40000 rows sorted by id in 3 blocks: [0, 16384),
+// [16384, 32768) and [32768, 40000).
+std::unique_ptr<Database> MakeDb(size_t fanout, size_t workers, uint32_t local_segments = 3) {
   DatabaseOptions opts;
   opts.num_nodes = 1;
   opts.k_safety = 0;
+  opts.local_segments_per_node = local_segments;
   opts.intra_node_parallelism = fanout;
   opts.worker_threads = workers;
   auto db = std::make_unique<Database>(opts);
@@ -188,6 +194,29 @@ std::string RunSorted(Database* db, const std::string& sql) {
   return r.value().rows.ToString(1 << 20);
 }
 
+/// The pruning counters one statement adds to a database's totals.
+struct ScanCounts {
+  uint64_t rows_scanned, blocks_pruned, containers_pruned;
+};
+
+ScanCounts RunCounted(Database* db, const std::string& sql) {
+  const ExecStats& s = *db->stats();
+  ScanCounts before{s.rows_scanned.load(), s.blocks_pruned.load(),
+                    s.containers_pruned.load()};
+  auto r = db->Execute(sql);
+  EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
+  return {s.rows_scanned.load() - before.rows_scanned,
+          s.blocks_pruned.load() - before.blocks_pruned,
+          s.containers_pruned.load() - before.containers_pruned};
+}
+
+void ExpectSameCounts(const ScanCounts& serial, const ScanCounts& parallel,
+                      const std::string& sql) {
+  EXPECT_EQ(serial.rows_scanned, parallel.rows_scanned) << sql;
+  EXPECT_EQ(serial.blocks_pruned, parallel.blocks_pruned) << sql;
+  EXPECT_EQ(serial.containers_pruned, parallel.containers_pruned) << sql;
+}
+
 TEST(ParallelPlanTest, ExplainShowsParallelUnion) {
   auto db = MakeDb(4, 4);
   auto r = db->Execute("EXPLAIN SELECT COUNT(*) FROM fact WHERE grp = 3");
@@ -203,30 +232,197 @@ TEST(ParallelPlanTest, SmallTablesStaySerial) {
 }
 
 TEST(ParallelPlanTest, MatchesSerialResults) {
-  auto serial = MakeDb(1, 1);
-  auto parallel = MakeDb(8, 4);
+  for (uint32_t segments : {3u, 1u}) {
+    SCOPED_TRACE("local segments " + std::to_string(segments));
+    auto serial = MakeDb(1, 1, segments);
+    auto parallel = MakeDb(8, 4, segments);
+    const char* queries[] = {
+        // Aggregation sweep over every row (morsel scan + per-fragment partial).
+        "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM fact",
+        // Grouped aggregation with a filter.
+        "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM fact WHERE k < 400 "
+        "GROUP BY grp ORDER BY grp",
+        // Join probing a shared build, then grouped.
+        "SELECT d.bucket, COUNT(*) AS n FROM fact f JOIN dim d ON f.k = d.k "
+        "GROUP BY d.bucket ORDER BY d.bucket",
+        // Plain filtered scan, deterministic order.
+        "SELECT id, v FROM fact WHERE k = 123 ORDER BY id",
+        // DISTINCT on top of the parallel union.
+        "SELECT DISTINCT grp FROM fact ORDER BY grp",
+        // Partial AVG/MIN per fragment, combined after the gather; v is a
+        // multiple of 0.25, so every partial sum is exact in any order.
+        "SELECT grp, AVG(v), MIN(k) FROM fact GROUP BY grp ORDER BY grp",
+        // Not partialable: raw rows cross the gather into one aggregation.
+        "SELECT grp, COUNT(DISTINCT k) FROM fact GROUP BY grp ORDER BY grp",
+        // Pruned morsel scans on the leading sort column: a point, a range
+        // inside the middle block, a range across the first block boundary.
+        "SELECT id, k, v FROM fact WHERE id = 20000",
+        "SELECT COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact "
+        "WHERE id >= 20000 AND id < 21000",
+        "SELECT id, v FROM fact WHERE id >= 20000 AND id < 21000 ORDER BY id",
+        "SELECT COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact "
+        "WHERE id >= 16000 AND id < 17000",
+        "SELECT id, grp FROM fact WHERE id >= 16000 AND id < 17000 ORDER BY id",
+    };
+    for (const char* q : queries) {
+      EXPECT_EQ(RunSorted(serial.get(), q), RunSorted(parallel.get(), q)) << q;
+    }
+    // A bound that prunes every block: no morsel, no rows, at either fan-out.
+    for (Database* db : {serial.get(), parallel.get()}) {
+      auto count = db->Execute("SELECT COUNT(*) FROM fact WHERE id > 100000");
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      ASSERT_EQ(count.value().NumRows(), 1u);
+      EXPECT_EQ(count.value().At(0, 0).i64(), 0);
+      auto rows = db->Execute("SELECT id, v FROM fact WHERE id > 100000");
+      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+      EXPECT_EQ(rows.value().NumRows(), 0u);
+    }
+  }
+}
+
+TEST(ParallelPlanTest, PruningCountersMatchSerial) {
+  // The morsel carve drops pruned containers and block ranges before any
+  // fragment opens them. It must count them as a serial scan does: once
+  // per container or block, however many morsels it would have made.
   const char* queries[] = {
-      // Aggregation sweep over every row (morsel scan + per-fragment partial).
-      "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM fact",
-      // Grouped aggregation with a filter.
-      "SELECT grp, COUNT(*) AS n, SUM(v) AS s FROM fact WHERE k < 400 "
-      "GROUP BY grp ORDER BY grp",
-      // Join probing a shared build, then grouped.
-      "SELECT d.bucket, COUNT(*) AS n FROM fact f JOIN dim d ON f.k = d.k "
-      "GROUP BY d.bucket ORDER BY d.bucket",
-      // Plain filtered scan, deterministic order.
-      "SELECT id, v FROM fact WHERE k = 123 ORDER BY id",
-      // DISTINCT on top of the parallel union.
-      "SELECT DISTINCT grp FROM fact ORDER BY grp",
-      // Partial AVG/MIN per fragment, combined after the gather; v is a
-      // multiple of 0.25, so every partial sum is exact in any order.
-      "SELECT grp, AVG(v), MIN(k) FROM fact GROUP BY grp ORDER BY grp",
-      // Not partialable: raw rows cross the gather into one aggregation.
-      "SELECT grp, COUNT(DISTINCT k) FROM fact GROUP BY grp ORDER BY grp",
+      "SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 21000",
+      "SELECT SUM(v) FROM fact WHERE id >= 16000 AND id < 17000",
+      "SELECT COUNT(*) FROM fact WHERE id > 100000",
+      "SELECT id FROM fact WHERE id = 20000 AND k < 100",
+      "SELECT COUNT(*) FROM fact WHERE k = 7",
+  };
+  for (uint32_t segments : {3u, 1u}) {
+    SCOPED_TRACE("local segments " + std::to_string(segments));
+    auto serial = MakeDb(1, 1, segments);
+    auto parallel = MakeDb(8, 4, segments);
+    for (const char* q : queries) {
+      ExpectSameCounts(RunCounted(serial.get(), q), RunCounted(parallel.get(), q), q);
+    }
+  }
+  // On the sorted 3-block container the figures are known exactly.
+  auto parallel = MakeDb(8, 4, 1);
+  ScanCounts middle =
+      RunCounted(parallel.get(), "SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 21000");
+  EXPECT_EQ(middle.rows_scanned, 16384u);
+  EXPECT_EQ(middle.blocks_pruned, 2u);
+  EXPECT_EQ(middle.containers_pruned, 0u);
+  ScanCounts none = RunCounted(parallel.get(), "SELECT COUNT(*) FROM fact WHERE id > 100000");
+  EXPECT_EQ(none.rows_scanned, 0u);
+  EXPECT_EQ(none.blocks_pruned, 0u);
+  EXPECT_EQ(none.containers_pruned, 1u);
+}
+
+TEST(ParallelPlanTest, WosScannedOnceWhenEveryRosBlockIsPruned) {
+  // ROS holds ids 0..39999; the WOS holds committed ids 100000.., this
+  // transaction's uncommitted ids 200000.. and another open transaction's
+  // ids 300000... A bound above every ROS id leaves no morsel, and the WOS
+  // is still read once: committed rows and own writes, nothing else.
+  auto db = MakeDb(8, 4, 1);
+  auto fact_rows = [](int64_t first, int n) {
+    RowBlock rows({TypeId::kInt64, TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64});
+    for (int64_t i = first; i < first + n; ++i) {
+      rows.columns[0].ints.push_back(i);
+      rows.columns[1].ints.push_back(i % 500);
+      rows.columns[2].ints.push_back(i % 7);
+      rows.columns[3].doubles.push_back(0.5);
+    }
+    return rows;
+  };
+  ASSERT_TRUE(db->Load("fact", fact_rows(100000, 10)).ok());
+  Cluster* cluster = db->cluster();
+  auto own = cluster->txns()->Begin();
+  ASSERT_TRUE(cluster->Load("fact", fact_rows(200000, 5), own.get()).ok());
+  auto other = cluster->txns()->Begin();
+  ASSERT_TRUE(cluster->Load("fact", fact_rows(300000, 7), other.get()).ok());
+  ProjectionStorage* ps = cluster->node(0)->GetStorage("fact_super");
+  ASSERT_NE(ps, nullptr);
+  ASSERT_EQ(ps->WosRowCount(), 22u);
+  ASSERT_EQ(ps->NumContainers(), 1u);
+
+  std::multiset<int64_t> want;
+  for (int64_t i = 0; i < 10; ++i) want.insert(100000 + i);
+  for (int64_t i = 0; i < 5; ++i) want.insert(200000 + i);
+  ScanSpec spec;
+  spec.storage = ps;
+  spec.projection_columns = {0};
+  spec.output_names = {"id"};
+  spec.output_types = {TypeId::kInt64};
+  AddScanConjunct(&spec, Cmp(CompareOp::kGt, ColIdx(0, TypeId::kInt64),
+                             Lit(Value::Int64(50000))));
+  for (size_t fanout : {1u, 8u}) {
+    SCOPED_TRACE("fan-out " + std::to_string(fanout));
+    auto morsels = fanout > 1 ? std::make_shared<MorselDispenser>(fanout) : nullptr;
+    std::vector<OperatorPtr> fragments;
+    for (size_t f = 0; f < fanout; ++f) {
+      ScanSpec fragment = spec;
+      fragment.morsels = morsels;
+      fragments.push_back(std::make_unique<ScanOperator>(fragment));
+    }
+    OperatorPtr root = MakeUnionExchange(std::move(fragments), "ParallelUnion",
+                                         /*count_network=*/false);
+    ExecStats stats;
+    ExecContext ctx = db->MakeExecContext();
+    ctx.stats = &stats;
+    ctx.txn_id = own->id();
+    auto out = DrainOperator(root.get(), &ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const std::vector<int64_t>& ids = out.value().columns[0].ints;
+    EXPECT_EQ(std::multiset<int64_t>(ids.begin(), ids.end()), want);
+    EXPECT_EQ(stats.rows_scanned.load(), want.size());  // WOS rows only
+    EXPECT_EQ(stats.containers_pruned.load(), 1u);
+    EXPECT_EQ(stats.bytes_read.load(), 0u);  // no ROS reader opened a block
+  }
+  cluster->txns()->Rollback(own);
+  cluster->txns()->Rollback(other);
+}
+
+TEST(ParallelPlanTest, AllNullBlockOfLeadingSortColumnNeverPrunes) {
+  // `n` is sorted by the nullable `a`: 20000 NULLs, then a = 0..19999, so
+  // its first block (16384 rows) is all NULL and has no min/max. A bound on
+  // `a` must keep that block — NULL stats never prune — at every fan-out,
+  // even though none of its rows can match.
+  auto make_db = [](size_t fanout, size_t workers) {
+    DatabaseOptions opts;
+    opts.num_nodes = 1;
+    opts.k_safety = 0;
+    opts.local_segments_per_node = 1;
+    opts.intra_node_parallelism = fanout;
+    opts.worker_threads = workers;
+    auto db = std::make_unique<Database>(opts);
+    EXPECT_TRUE(db->Execute("CREATE TABLE n (a INT, b INT NOT NULL)").ok());
+    RowBlock rows({TypeId::kInt64, TypeId::kInt64});
+    for (int64_t i = 0; i < 40000; ++i) {
+      rows.columns[0].Append(i < 20000 ? Value::Null(TypeId::kInt64)
+                                       : Value::Int64(i - 20000));
+      rows.columns[1].ints.push_back(i);
+    }
+    EXPECT_TRUE(db->Load("n", rows).ok());
+    EXPECT_TRUE(db->RunTupleMover().ok());
+    return db;
+  };
+  auto serial = make_db(1, 1);
+  auto parallel = make_db(8, 4);
+  auto explain = parallel->Execute("EXPLAIN SELECT COUNT(*) FROM n WHERE a < 100");
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain.value().message.find("ParallelUnion"), std::string::npos);
+  const char* queries[] = {
+      "SELECT COUNT(*), SUM(b) FROM n WHERE a < 100",
+      "SELECT a, b FROM n WHERE a >= 19990 ORDER BY a",
+      "SELECT COUNT(*) FROM n WHERE a IS NULL",
+      "SELECT COUNT(*) FROM n WHERE a > 100000",
   };
   for (const char* q : queries) {
     EXPECT_EQ(RunSorted(serial.get(), q), RunSorted(parallel.get(), q)) << q;
+    ExpectSameCounts(RunCounted(serial.get(), q), RunCounted(parallel.get(), q), q);
   }
+  // a < 100: the all-NULL block and the block holding a = 0..12767 are
+  // read; only the last block (a >= 12768) is pruned.
+  ScanCounts low = RunCounted(parallel.get(), "SELECT COUNT(*) FROM n WHERE a < 100");
+  EXPECT_EQ(low.rows_scanned, 32768u);
+  EXPECT_EQ(low.blocks_pruned, 1u);
+  auto count = parallel->Execute("SELECT COUNT(*) FROM n WHERE a < 100");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value().At(0, 0).i64(), 100);
 }
 
 TEST(ParallelPlanTest, StatsMergeExactAt16Workers) {

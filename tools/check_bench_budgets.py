@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Budget gate for three bench artifacts (CI `bench-smoke` job).
+"""Budget gate for four bench artifacts (CI `bench-smoke` job).
 
 Reads the Google Benchmark JSON files that bench-smoke writes into the
 current directory and checks the budgets DESIGN.md states for them:
@@ -11,6 +11,11 @@ current directory and checks the budgets DESIGN.md states for them:
     BM_ReadAfterDeletesPair (a point read after 1000 committed 288-position
     delete chunks outside its blocks vs the same read with no deletes,
     DESIGN.md §1) must stay below 1.5. Gated.
+  * BENCH_parallel.json — `read_ops_ratio` of BM_SelectiveScanPair (storage
+    read calls of a query that keeps 2 of 70 blocks at fan-out 4 vs the
+    same query serial, DESIGN.md §6) must stay below 2: the morsel carve
+    opens no reader for a pruned block range. The count is deterministic.
+    Gated.
   * BENCH_cluster_scale.json — `hedged_p99_over_baseline` of every
     BM_HedgedTailPair node count (5% stragglers with hedging vs an
     all-healthy cluster, DESIGN.md §11) should stay below 2. Reported but
@@ -32,6 +37,7 @@ BUDGETS = [
     ("BENCH_fault_overhead.json", "BM_ScanOverheadPair", "fault_overhead_pct", 3.0, True),
     ("BENCH_tuple_mover.json", "BM_ReadAfterDeletesPair", "read_after_deletes_ratio", 1.5,
      True),
+    ("BENCH_parallel.json", "BM_SelectiveScanPair", "read_ops_ratio", 2.0, True),
     ("BENCH_cluster_scale.json", "BM_HedgedTailPair", "hedged_p99_over_baseline", 2.0,
      False),
 ]
