@@ -546,13 +546,18 @@ Status Cluster::RunTupleMover() {
         Node* node = nodes_[i].get();
         if (!node->up()) continue;
         auto* ps = node->GetStorage(proj.name);
-        if (ps == nullptr) continue;  // dropped concurrently
+        // Dropped concurrently, or quarantined: the repair below rebuilds a
+        // damaged copy before the mover touches it again.
+        if (ps == nullptr || ps->quarantined()) continue;
         st = node->mover()->Moveout(ps);
         if (st.ok()) st = node->mover()->MergeoutAll(ps);
         if (st.ok()) st = node->mover()->MoveDeleteVectors(ps);
         // Reclaim mergeout-replaced files whose snapshots have drained —
         // every tick, not only when new merge work exists.
         ps->GcRetired();
+        // A mover read that quarantined the copy, as a query's would, ends
+        // only this copy's work for the pass.
+        if (!st.ok() && ps->quarantined()) st = Status::OK();
         if (!st.ok()) break;
       }
       if (!st.ok()) break;

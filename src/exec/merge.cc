@@ -15,7 +15,6 @@ LoserTreeMerger::LoserTreeMerger(std::vector<std::unique_ptr<MergeInput>> inputs
 
 Status LoserTreeMerger::Refill(size_t c) {
   Cursor& cur = cursors_[c];
-  cur.base += cur.block.NumRows();
   cur.block.Clear();
   STRATICA_RETURN_NOT_OK(cur.input->NextBlock(&cur.block));
   cur.block.DecodeAll();
@@ -59,7 +58,6 @@ size_t LoserTreeMerger::InitNode(size_t node) {
 
 Status LoserTreeMerger::Init() {
   for (size_t i = 0; i < k_; ++i) {
-    // First fill: base must stay 0.
     Cursor& cur = cursors_[i];
     STRATICA_RETURN_NOT_OK(cur.input->NextBlock(&cur.block));
     cur.block.DecodeAll();
@@ -88,24 +86,17 @@ bool LoserTreeMerger::Done() const {
   return cursors_[tree_[0]].exhausted;
 }
 
-size_t LoserTreeMerger::EmitRows(size_t leaf, size_t take_end, RowBlock* out,
-                                 std::vector<MergeSourceRef>* provenance) {
+size_t LoserTreeMerger::EmitRows(size_t leaf, size_t take_end, RowBlock* out) {
   Cursor& cur = cursors_[leaf];
   size_t count = take_end - cur.pos;
   for (size_t c = 0; c < out->columns.size(); ++c) {
     out->columns[c].AppendRange(cur.block.columns[c], cur.pos, count);
   }
-  if (provenance != nullptr) {
-    for (size_t r = cur.pos; r < take_end; ++r) {
-      provenance->push_back({static_cast<uint32_t>(leaf), cur.base + r});
-    }
-  }
   cur.pos = take_end;
   return count;
 }
 
-Status LoserTreeMerger::Next(RowBlock* out, size_t max_rows,
-                             std::vector<MergeSourceRef>* provenance) {
+Status LoserTreeMerger::Next(RowBlock* out, size_t max_rows) {
   size_t appended = 0;
   if (k_ == 2) {
     // Two-way merges (mergeout's minimum fan-in, ROS+WOS scans) skip the
@@ -128,7 +119,7 @@ Status LoserTreeMerger::Next(RowBlock* out, size_t max_rows,
         take_end = cw.pos + 1;
         while (take_end < limit && RowBeats(w, take_end, o)) ++take_end;
       }
-      appended += EmitRows(w, take_end, out, provenance);
+      appended += EmitRows(w, take_end, out);
       if (cw.pos >= cw.block.NumRows()) {
         STRATICA_RETURN_NOT_OK(Refill(w));
         tree_[0] = LeafBeats(0, 1) ? 0 : 1;
@@ -178,7 +169,7 @@ Status LoserTreeMerger::Next(RowBlock* out, size_t max_rows,
       }
     }
 
-    appended += EmitRows(w, take_end, out, provenance);
+    appended += EmitRows(w, take_end, out);
     if (cw.pos >= cw.block.NumRows()) STRATICA_RETURN_NOT_OK(Refill(w));
     if (k_ > 1) {
       Replay(w);

@@ -1,5 +1,5 @@
-// K-way merge kernel shared by the Sort operator (spilled runs), the tuple
-// mover (mergeout, moveout) and sorted merge scans (DESIGN.md §8).
+// K-way merge kernel shared by the Sort operator (spilled runs) and sorted
+// merge scans, which the tuple mover reads through (DESIGN.md §8).
 //
 // A loser tree over k sorted inputs: each advance costs exactly one
 // root-to-leaf replay (⌈log2 k⌉ comparisons) instead of the k-1
@@ -29,8 +29,8 @@ class MergeInput {
   virtual Status NextBlock(RowBlock* out) = 0;
 };
 
-/// A single in-memory sorted block (tuple mover sources, the Sort
-/// operator's final in-memory run).
+/// A single in-memory sorted block (the Sort operator's final in-memory
+/// run).
 class BlockMergeInput : public MergeInput {
  public:
   explicit BlockMergeInput(RowBlock block) : block_(std::move(block)) {}
@@ -67,14 +67,6 @@ class SpillMergeInput : public MergeInput {
   bool opened_ = false;
 };
 
-/// Provenance of one merged row: which input it came from and its global
-/// row index within that input (the tuple mover maps these to per-source
-/// epochs and delete positions).
-struct MergeSourceRef {
-  uint32_t input = 0;
-  uint64_t row = 0;
-};
-
 /// \brief Streaming k-way merge of sorted inputs under directed sort keys.
 ///
 /// Ties break toward the lower input index, so the merge is stable when
@@ -92,26 +84,22 @@ class LoserTreeMerger {
   bool Done() const;
 
   /// Append up to `max_rows` merged rows to *out (a flat block typed like
-  /// the inputs). `provenance`, when non-null, receives one entry per
-  /// appended row. Appending zero rows means the merge is exhausted.
-  Status Next(RowBlock* out, size_t max_rows,
-              std::vector<MergeSourceRef>* provenance = nullptr);
+  /// the inputs). Appending zero rows means the merge is exhausted.
+  Status Next(RowBlock* out, size_t max_rows);
 
  private:
   struct Cursor {
     std::unique_ptr<MergeInput> input;
     RowBlock block;
     NormalizedKeys keys;
-    size_t pos = 0;       ///< current row within block
-    uint64_t base = 0;    ///< global row index of block's first row
+    size_t pos = 0;  ///< current row within block
     bool exhausted = false;
   };
 
   Status Refill(size_t c);
-  /// Append rows [cursor, take_end) of `leaf` to *out (+ provenance),
-  /// advance the cursor, and return the row count.
-  size_t EmitRows(size_t leaf, size_t take_end, RowBlock* out,
-                  std::vector<MergeSourceRef>* provenance);
+  /// Append rows [cursor, take_end) of `leaf` to *out, advance the cursor,
+  /// and return the row count.
+  size_t EmitRows(size_t leaf, size_t take_end, RowBlock* out);
   /// Winner of the subtree rooted at `node`, recording losers on the way.
   size_t InitNode(size_t node);
   /// Re-seat leaf `leaf` after its cursor advanced (one root path).

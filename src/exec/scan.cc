@@ -268,6 +268,8 @@ Status ScanOperator::Open(ExecContext* ctx) {
     // is scanned exactly once against one consistent epoch/container set.
     // The fragment that carves counts the pruning the carve did.
     snap_ = spec_.morsels->EnsureSnapshot(spec_, ctx->epoch, ctx->txn_id, ctx->stats);
+  } else if (spec_.snapshot) {
+    snap_ = *spec_.snapshot;
   } else {
     snap_ = spec_.storage->GetSnapshot(ctx->epoch, ctx->txn_id);
   }
@@ -750,8 +752,8 @@ void AddScanConjunct(ScanSpec* spec, ExprPtr pred) {
   spec->predicate = spec->predicate ? And(spec->predicate, pred) : pred;
 }
 
-Result<RowBlock> ScanCopy(FileSystem* fs, ProjectionStorage* storage, Epoch epoch,
-                          const std::vector<int>& virtuals, const ExprPtr& where) {
+ScanSpec ScanCopySpec(ProjectionStorage* storage, const std::vector<int>& virtuals,
+                      const ExprPtr& where) {
   static const char* const kVirtualNames[] = {"$target", "$position", "$commit_epoch",
                                               "$delete_epoch"};
   const ProjectionStorageConfig& cfg = storage->config();
@@ -770,7 +772,12 @@ Result<RowBlock> ScanCopy(FileSystem* fs, ProjectionStorage* storage, Epoch epoc
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(where, &conjuncts);
   for (auto& c : conjuncts) AddScanConjunct(&spec, std::move(c));
-  ScanOperator scan(std::move(spec));
+  return spec;
+}
+
+Result<RowBlock> ScanCopy(FileSystem* fs, ProjectionStorage* storage, Epoch epoch,
+                          const std::vector<int>& virtuals, const ExprPtr& where) {
+  ScanOperator scan(ScanCopySpec(storage, virtuals, where));
   ExecContext ctx;
   ctx.fs = fs;
   ctx.epoch = epoch;

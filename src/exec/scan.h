@@ -18,6 +18,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "exec/hash_table.h"
 #include "exec/merge.h"
@@ -148,6 +149,12 @@ struct ScanSpec {
   /// wins MorselDispenser::ClaimWos scans the WOS. Incompatible with
   /// sorted_output (a morsel stream has no global order).
   std::shared_ptr<MorselDispenser> morsels;
+
+  /// A snapshot the caller prepared, scanned in place of the one Open would
+  /// take: the tuple mover narrows it to its inputs, in merge order
+  /// (DESIGN.md §7). Its epoch bounds the deletes the scan sees, the
+  /// context's epoch the rows.
+  std::optional<StorageSnapshot> snapshot;
 };
 
 /// Add the bound conjunct `pred` (scan output schema) to `spec`: AND it into
@@ -264,10 +271,15 @@ class ScanOperator : public Operator {
   std::vector<uint8_t> null_buf_;
 };
 
-/// Drain a serial scan of one projection copy at `epoch` into one block:
-/// every projection column, then the virtual columns `virtuals`. `where`,
-/// bound against the copy's columns, filters and prunes as a planned scan's
-/// WHERE does. DML, the copy path and tests read copies through this.
+/// The spec of a serial scan of one projection copy: every projection
+/// column, then the virtual columns `virtuals`. `where`, bound against the
+/// copy's columns, filters and prunes as a planned scan's WHERE does.
+ScanSpec ScanCopySpec(ProjectionStorage* storage, const std::vector<int>& virtuals,
+                      const ExprPtr& where = nullptr);
+
+/// Drain a serial scan of one projection copy at `epoch` into one block, as
+/// ScanCopySpec describes it. DML, the copy path and tests read copies
+/// through this; the tuple mover scans its inputs through the same spec.
 Result<RowBlock> ScanCopy(FileSystem* fs, ProjectionStorage* storage, Epoch epoch,
                           const std::vector<int>& virtuals,
                           const ExprPtr& where = nullptr);

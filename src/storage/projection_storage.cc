@@ -253,21 +253,6 @@ StorageSnapshot ProjectionStorage::GetSnapshot(Epoch epoch, uint64_t txn_id) con
   return snap;
 }
 
-std::vector<WosChunkPtr> ProjectionStorage::CommittedWosChunks(Epoch up_to) const {
-  std::lock_guard lock(mu_);
-  std::vector<WosChunkPtr> out;
-  for (const auto& w : wos_) {
-    if (w->epoch != kUncommittedEpoch && w->epoch <= up_to) out.push_back(w);
-  }
-  return out;
-}
-
-DeleteListPtr ProjectionStorage::Deletes(uint64_t target_id) const {
-  std::lock_guard lock(mu_);
-  auto it = delete_lists_.find(target_id);
-  return it == delete_lists_.end() ? nullptr : it->second;
-}
-
 bool ProjectionStorage::DeletesPending(uint64_t target_id) const {
   std::lock_guard lock(mu_);
   return std::any_of(pending_deletes_.begin(), pending_deletes_.end(),
@@ -300,6 +285,9 @@ Status ProjectionStorage::ApplyMoveout(const MoveoutApply& apply) {
     // scrubbed. Registering the result would resurrect crashed rows or
     // point the manifest at deleted files.
     return Status::TxnAborted("storage generation changed during moveout");
+  }
+  if (DeletesChangedLocked(apply.read_deletes, kWosTargetId)) {
+    return Status::TxnAborted("a delete committed against the WOS during moveout");
   }
   // Ranges of WOS positions consumed by the moveout.
   std::vector<std::pair<uint64_t, uint64_t>> consumed;
@@ -334,6 +322,11 @@ Status ProjectionStorage::ApplyMergeout(const MergeoutApply& apply) {
     std::lock_guard lock(mu_);
     if (apply.base_generation != generation_.load(std::memory_order_relaxed)) {
       return Status::TxnAborted("storage generation changed during mergeout");
+    }
+    for (uint64_t id : apply.removed_container_ids) {
+      if (DeletesChangedLocked(apply.read_deletes, id)) {
+        return Status::TxnAborted("a delete committed against an input during mergeout");
+      }
     }
     for (uint64_t id : apply.removed_container_ids) {
       for (auto it = ros_.begin(); it != ros_.end(); ++it) {
@@ -414,6 +407,14 @@ void ProjectionStorage::DropDeletesLocked(uint64_t target_id) {
                                 }),
                  deletes_.end());
   delete_lists_.erase(target_id);
+}
+
+bool ProjectionStorage::DeletesChangedLocked(const std::map<uint64_t, DeleteListPtr>& read,
+                                             uint64_t target) const {
+  auto was = read.find(target);
+  auto now = delete_lists_.find(target);
+  return (was == read.end() ? nullptr : was->second) !=
+         (now == delete_lists_.end() ? nullptr : now->second);
 }
 
 void ProjectionStorage::RebuildDeleteListsLocked() {

@@ -106,15 +106,18 @@ struct StorageSnapshot {
   }
 };
 
-/// Result of a moveout or WOS-spill computation, applied atomically.
+/// Result of one moveout, applied atomically.
 struct MoveoutApply {
-  std::vector<WosChunkPtr> consumed_chunks;
+  std::vector<std::shared_ptr<const WosChunk>> consumed_chunks;
   std::vector<std::shared_ptr<RosContainer>> new_containers;
   std::vector<DeleteVectorChunkPtr> new_dvs;  // re-targeted at new containers
   Epoch new_lge = 0;
   /// Storage generation sampled before the moveout read its inputs; the
   /// apply is rejected (TxnAborted) if recovery mutated the storage since.
   uint64_t base_generation = 0;
+  /// The delete lists the moveout read. The apply is rejected (TxnAborted)
+  /// if the WOS's changed meanwhile: the output would lose a delete.
+  std::map<uint64_t, DeleteListPtr> read_deletes;
 };
 
 /// Result of one mergeout operation, applied atomically.
@@ -123,6 +126,8 @@ struct MergeoutApply {
   std::shared_ptr<RosContainer> new_container;
   std::vector<DeleteVectorChunkPtr> new_dvs;
   uint64_t base_generation = 0;  ///< See MoveoutApply::base_generation.
+  /// The delete lists the mergeout read; rejected if an input's changed.
+  std::map<uint64_t, DeleteListPtr> read_deletes;
 };
 
 /// \brief Storage state and operations for one projection on one node.
@@ -158,17 +163,11 @@ class ProjectionStorage {
 
   // --- tuple mover interface ------------------------------------------------
 
-  /// Committed WOS chunks with epoch <= up_to (moveout input).
-  std::vector<WosChunkPtr> CommittedWosChunks(Epoch up_to) const;
-
-  /// Committed delete list of `target_id` (null when it has none): moveout
-  /// translates the WOS's, mergeout remaps its inputs'.
-  DeleteListPtr Deletes(uint64_t target_id) const;
   /// True while an uncommitted delete chunk targets `target_id`.
   bool DeletesPending(uint64_t target_id) const;
 
-  /// Committed containers (mergeout input), plus their committed delete
-  /// chunks (the DVWOS/DVROS persistence units).
+  /// Every container, committed or not, and one container's committed
+  /// delete chunks (the DVWOS/DVROS persistence units).
   std::vector<RosContainerPtr> Containers() const;
   std::vector<DeleteVectorChunkPtr> ContainerDeleteChunks(uint64_t container_id) const;
 
@@ -309,6 +308,9 @@ class ProjectionStorage {
   void AddCommittedDeletesLocked(const DeleteVectorChunkPtr& d);
   /// Forget every delete of `target_id` (its container is gone).
   void DropDeletesLocked(uint64_t target_id);
+  /// True if `target`'s list differs from the one `read` holds (none = null).
+  bool DeletesChangedLocked(const std::map<uint64_t, DeleteListPtr>& read,
+                            uint64_t target) const;
 
   FileSystem* fs_;
   std::string base_dir_;

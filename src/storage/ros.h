@@ -117,8 +117,8 @@ class RosWriter {
 Result<ColumnReader> OpenRosColumn(const FileSystem* fs, const RosContainer& ros,
                                    size_t column_idx);
 
-/// Read every row of a container into a block (tests, recovery, C-Store
-/// comparisons). Per-row epochs are returned when present.
+/// Read every row of a container into a block: the tests' reference reader,
+/// independent of the scan. Per-row epochs are returned when present.
 Status ReadRosContainer(const FileSystem* fs, const RosContainer& ros,
                         RowBlock* out, std::vector<Epoch>* epochs);
 

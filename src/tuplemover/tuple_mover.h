@@ -14,6 +14,10 @@
 // Both operations preserve partition and local-segment boundaries and are
 // planned per node with no cross-cluster coordination (container layouts
 // are private to every node).
+//
+// Each drains one serial sorted history scan (DESIGN.md §7) of a snapshot of
+// its inputs; the scan merges them and supplies every row's commit and
+// delete epoch, and a read fault quarantines the copy as a query's does.
 #ifndef STRATICA_TUPLEMOVER_TUPLE_MOVER_H_
 #define STRATICA_TUPLEMOVER_TUPLE_MOVER_H_
 
@@ -45,7 +49,8 @@ struct TupleMoverStats {
   uint64_t rows_purged = 0;        ///< Deleted-before-AHM rows elided.
   uint64_t dv_chunks_persisted = 0;
   /// Moveout/mergeout results discarded because recovery (crash, truncate,
-  /// clear, scrub) mutated the storage while the operation ran.
+  /// clear, scrub) mutated the storage, its host went down, or a delete
+  /// committed against an input while the operation ran.
   uint64_t stale_applies = 0;
 };
 
@@ -57,9 +62,9 @@ class TupleMover {
       : epochs_(epochs), cfg_(cfg) {}
 
   /// Move all committed WOS data (epoch <= latest queryable) to new ROS
-  /// containers; translates WOS delete vectors to container targets and
-  /// advances the projection's LGE. Skipped (OK) when an in-flight delete
-  /// transaction still targets the WOS.
+  /// containers; re-targets the WOS deletes of moved rows at the containers
+  /// and advances the projection's LGE. Skipped (OK) when an in-flight
+  /// delete transaction still targets the WOS.
   Status Moveout(ProjectionStorage* ps);
 
   /// One mergeout operation: pick the lowest-stratum candidate group and
@@ -79,6 +84,11 @@ class TupleMover {
   const TupleMoverConfig& config() const { return cfg_; }
 
  private:
+  /// The outcome of an input read that failed with `st`: OK (stale) when
+  /// the storage generation moved past `gen` or the host went down, else
+  /// `st`.
+  Status ReadFailed(ProjectionStorage* ps, uint64_t gen, Status st);
+
   EpochManager* epochs_;
   TupleMoverConfig cfg_;
   TupleMoverStats stats_;

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "api/database.h"
+#include "common/fault_fs.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "exec/scan.h"
@@ -773,6 +774,76 @@ TEST(ClusterLoadTest, RejectsAndSegmentsMatchOracle) {
   ASSERT_TRUE(db.RunTupleMover().ok());
   expect_placement(/*check_containers=*/true);
   expect_answers();
+}
+
+// A persistent read fault on one mergeout input of one node's copy. The
+// mover reads through the scan, so the failed read quarantines that copy as
+// a query's would and ends only that copy's work for the pass; the same
+// tick's repair rebuilds the copy from its buddy. SELECT answers never change.
+TEST(ClusterMoverFaultTest, MergeoutReadFaultQuarantinesAndRepairsTheCopy) {
+  MemFileSystem base;
+  auto fault_fs = std::make_shared<FaultFs>(&base, 11);
+  DatabaseOptions opts;
+  opts.num_nodes = 3;
+  opts.k_safety = 1;
+  opts.local_segments_per_node = 1;
+  opts.fs = fault_fs;
+  Database db(opts);
+  ASSERT_TRUE(db.Execute("CREATE TABLE s (a INT NOT NULL, b INT)").ok());
+  auto insert = [&](int start) {
+    std::string sql = "INSERT INTO s VALUES ";
+    for (int i = start; i < start + 60; ++i) {
+      sql += (i > start ? ", (" : "(") + std::to_string(i) + ", " + std::to_string(i % 7) + ")";
+    }
+    auto r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  };
+  const std::vector<std::string> queries = {
+      "SELECT COUNT(*), SUM(a), SUM(b) FROM s",
+      "SELECT b, COUNT(*), MIN(a), MAX(a) FROM s GROUP BY b ORDER BY b"};
+  auto answers = [&] {
+    std::vector<std::string> out;
+    for (const auto& q : queries) {
+      auto r = db.Execute(q);
+      EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      out.push_back(r.ok() ? r.value().rows.ToString(100) : "");
+    }
+    return out;
+  };
+  insert(0);
+  ASSERT_TRUE(db.RunTupleMover().ok());
+  insert(60);
+  const std::vector<std::string> want = answers();
+
+  // Node 0's super-projection copy holds one container, and the second
+  // insert waits in its WOS: this tick's mergeout reads both.
+  ProjectionStorage* ps = db.cluster()->node(0)->GetStorage("s_super");
+  auto containers = ps->Containers();
+  ASSERT_EQ(containers.size(), 1u);
+  ASSERT_GT(ps->WosRowCount(), 0u);
+  FaultRule unreadable;
+  unreadable.path_pattern = "^" + containers[0]->columns[0].data_path + "$";
+  unreadable.op_mask = kFaultRead;
+  unreadable.kind = FaultKind::kPersistentError;
+  fault_fs->AddRule(unreadable);
+  const uint64_t generation = ps->generation();
+
+  auto tick = db.RunTupleMover();
+  ASSERT_TRUE(tick.ok()) << tick.ToString();
+  EXPECT_GT(fault_fs->stats().persistent_errors.load(), 0u);
+  // Quarantined, then rebuilt from the buddy by the same tick: only
+  // recovery moves a copy's generation, and the damaged file is gone.
+  EXPECT_FALSE(ps->quarantined()) << ps->quarantine_reason();
+  EXPECT_GT(ps->generation(), generation);
+  for (const auto& c : ps->Containers()) EXPECT_NE(c->id, containers[0]->id);
+  EXPECT_FALSE(fault_fs->Exists(containers[0]->columns[0].data_path));
+  EXPECT_EQ(answers(), want);
+  // The rebuilt copy reads whole, and the next tick runs clean.
+  auto read = ScanCopy(db.fs(), ps, db.cluster()->epochs()->LatestQueryableEpoch(), {});
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_TRUE(db.RunTupleMover().ok());
+  EXPECT_FALSE(ps->quarantined());
+  EXPECT_EQ(answers(), want);
 }
 
 }  // namespace

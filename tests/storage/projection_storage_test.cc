@@ -229,8 +229,9 @@ TEST_F(StorageFixture, UncommittedDeletesVisibleOnlyToTheirTransaction) {
   EXPECT_EQ(others.value().NumRows(), 10u);
 
   tm_.Rollback(txn);
-  EXPECT_TRUE(ps_.GetSnapshot(now, txn->id()).own_deletes.empty());
-  EXPECT_EQ(ps_.Deletes(target), nullptr);
+  auto after = ps_.GetSnapshot(now, txn->id());
+  EXPECT_TRUE(after.own_deletes.empty());
+  EXPECT_EQ(after.deletes.count(target), 0u);
   EXPECT_FALSE(ps_.DeletesPending(target));
 }
 

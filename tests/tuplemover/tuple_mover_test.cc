@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
 #include <map>
 #include <set>
 
 #include "common/rng.h"
+#include "exec/scan.h"
 #include "storage/projection_storage.h"
 #include "storage/sort_util.h"
 #include "tuplemover/tuple_mover.h"
@@ -155,27 +158,208 @@ TEST(TupleMoverMergePathTest, MergeoutMatchesDataOracle) {
 TEST(TupleMoverMergePathTest, MoveoutProducesSortedContainers) {
   MoverWorld world;
   Rng rng(5);
-  // Several committed chunks in one moveout: the per-chunk-sort + k-way
-  // merge path must still produce a fully sorted container.
+  // Several committed chunks in one moveout, every row with a unique
+  // payload v = chunk * 1000 + i. Its global WOS position is chunk * 300 + i.
+  std::vector<Epoch> chunk_epochs;
   for (int chunk = 0; chunk < 4; ++chunk) {
     RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
     for (int i = 0; i < 300; ++i) {
       rows.columns[0].ints.push_back(rng.Range(0, 25));
       rows.columns[1].strings.push_back(rng.RandomString(3));
-      rows.columns[2].ints.push_back(i);
+      rows.columns[2].ints.push_back(chunk * 1000 + i);
     }
     auto txn = world.tm->Begin();
     ASSERT_TRUE(world.ps->InsertWos(std::move(rows), txn.get()).ok());
-    ASSERT_TRUE(world.tm->Commit(txn).ok());
+    auto epoch = world.tm->Commit(txn);
+    ASSERT_TRUE(epoch.ok());
+    chunk_epochs.push_back(epoch.value());
   }
+  // Committed WOS deletes on known rows, spread over every chunk.
+  std::set<int64_t> deleted_v;
+  std::vector<uint64_t> positions;
+  for (uint64_t p = 3; p < 1200; p += 41) {
+    positions.push_back(p);
+    deleted_v.insert(static_cast<int64_t>(p / 300 * 1000 + p % 300));
+  }
+  auto del = world.tm->Begin();
+  ASSERT_TRUE(world.ps->AddDeletes(kWosTargetId, std::move(positions), del.get()).ok());
+  auto del_epoch = world.tm->Commit(del);
+  ASSERT_TRUE(del_epoch.ok());
+
   ASSERT_TRUE(world.mover->Moveout(world.ps.get()).ok());
   EXPECT_EQ(world.ps->WosRowCount(), 0u);
+  size_t moved = 0;
+  std::multiset<int64_t> moved_deleted_v;
   for (const auto& c : world.ps->Containers()) {
     RowBlock rows;
     std::vector<Epoch> epochs;
     ASSERT_TRUE(ReadRosContainer(&world.fs, *c, &rows, &epochs).ok());
+    rows.DecodeAll();
+    ASSERT_EQ(epochs.size(), rows.NumRows());
     EXPECT_TRUE(IsSorted(rows, {0, 1}));
+    const std::vector<int64_t>& v = rows.columns[2].ints;
+    for (size_t r = 0; r < rows.NumRows(); ++r) {
+      ASSERT_EQ(epochs[r], chunk_epochs[v[r] / 1000]) << "row " << r;
+      // Equal keys keep chunk order, then row order: ascending v.
+      if (r > 0 && CompareRows(rows, r - 1, rows, r, {0, 1}, {0, 1}) == 0) {
+        ASSERT_LT(v[r - 1], v[r]) << "row " << r;
+      }
+    }
+    moved += rows.NumRows();
+    // The moved delete chunks point exactly at the deleted rows.
+    for (const auto& d : world.ps->ContainerDeleteChunks(c->id)) {
+      for (size_t i = 0; i < d->size(); ++i) {
+        ASSERT_LT(d->positions[i], rows.NumRows());
+        EXPECT_EQ(d->epochs[i], del_epoch.value());
+        moved_deleted_v.insert(v[d->positions[i]]);
+      }
+    }
   }
+  EXPECT_EQ(moved, 1200u);
+  EXPECT_EQ(moved_deleted_v, std::multiset<int64_t>(deleted_v.begin(), deleted_v.end()));
+}
+
+TEST(TupleMoverMergePathTest, HostDownMidPassEndsStale) {
+  MoverWorld world;
+  std::atomic<bool> up{true};
+  world.ps->SetHostUpFlag(&up);
+  for (int batch = 0; batch < 3; ++batch) {
+    RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
+    for (int i = 0; i < 50; ++i) {
+      rows.columns[0].ints.push_back(i % 7);
+      rows.columns[1].strings.push_back("x");
+      rows.columns[2].ints.push_back(batch * 1000 + i);
+    }
+    auto txn = world.tm->Begin();
+    ASSERT_TRUE(world.ps->InsertWos(std::move(rows), txn.get()).ok());
+    ASSERT_TRUE(world.tm->Commit(txn).ok());
+    if (batch < 2) ASSERT_TRUE(world.mover->Moveout(world.ps.get()).ok());
+  }
+  // The host goes down after the mover sampled the storage: MarkNodeDown
+  // clears the flag before its crash wipe, so the scans fail. Both
+  // operations end stale, not in an error, and publish nothing.
+  up = false;
+  ASSERT_TRUE(world.mover->Moveout(world.ps.get()).ok());
+  auto merged = world.mover->MergeoutOnce(world.ps.get());
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_FALSE(merged.value());
+  EXPECT_EQ(world.mover->stats().stale_applies, 2u);
+  EXPECT_EQ(world.mover->stats().moveouts, 2u);
+  EXPECT_EQ(world.mover->stats().mergeouts, 0u);
+  EXPECT_EQ(world.ps->NumContainers(), 2u);
+  EXPECT_EQ(world.ps->WosRowCount(), 50u);
+}
+
+/// Forwards to `base`, and calls `on_read` once, before the first read of a
+/// path under `trigger_dir`.
+class TriggerFs : public FileSystem {
+ public:
+  explicit TriggerFs(FileSystem* base) : base_(base) {}
+
+  std::string trigger_dir;
+  mutable std::function<void()> on_read;
+
+  Status WriteFile(const std::string& path, const std::string& data) override {
+    return base_->WriteFile(path, data);
+  }
+  Result<std::string> ReadFile(const std::string& path) const override {
+    Fire(path);
+    return base_->ReadFile(path);
+  }
+  Result<std::string> ReadRange(const std::string& path, uint64_t offset,
+                                uint64_t length) const override {
+    Fire(path);
+    return base_->ReadRange(path, offset, length);
+  }
+  Status ReadRangeInto(const std::string& path, uint64_t offset, uint64_t length,
+                       std::string* out) const override {
+    Fire(path);
+    return base_->ReadRangeInto(path, offset, length, out);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return base_->FileSize(path);
+  }
+  bool Exists(const std::string& path) const override { return base_->Exists(path); }
+  Status Delete(const std::string& path) override { return base_->Delete(path); }
+  Result<std::vector<std::string>> List(const std::string& prefix) const override {
+    return base_->List(prefix);
+  }
+  Status HardLink(const std::string& source, const std::string& target) override {
+    return base_->HardLink(source, target);
+  }
+
+ private:
+  void Fire(const std::string& path) const {
+    if (!on_read || path.compare(0, trigger_dir.size(), trigger_dir) != 0) return;
+    auto fn = std::move(on_read);
+    on_read = nullptr;
+    fn();
+  }
+
+  FileSystem* base_;
+};
+
+TEST(TupleMoverMergePathTest, DeleteCommittedDuringMergeoutStaysDeleted) {
+  MoverWorld world;
+  TriggerFs fs(&world.fs);
+  ProjectionStorage ps(&fs, "node0/q", world.ps->config());
+  // Three containers of distinct sizes: the merge reads them smallest
+  // first, so the first input is the first batch's, the last the third's.
+  Rng rng(9);
+  for (int batch = 0; batch < 3; ++batch) {
+    RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
+    for (int i = 0; i < 100 * (batch + 1); ++i) {
+      rows.columns[0].ints.push_back(rng.Range(0, 40));
+      rows.columns[1].strings.push_back(rng.RandomString(3));
+      rows.columns[2].ints.push_back(batch * 1000 + i);
+    }
+    auto txn = world.tm->Begin();
+    ASSERT_TRUE(ps.InsertWos(std::move(rows), txn.get()).ok());
+    ASSERT_TRUE(world.tm->Commit(txn).ok());
+    ASSERT_TRUE(world.mover->Moveout(&ps).ok());
+  }
+  auto containers = ps.Containers();
+  ASSERT_EQ(containers.size(), 3u);
+  const RosContainerPtr first = containers[0];
+  ASSERT_LT(first->total_bytes, containers[1]->total_bytes);
+  ASSERT_LT(containers[1]->total_bytes, containers[2]->total_bytes);
+  RowBlock first_rows;
+  ASSERT_TRUE(ReadRosContainer(&world.fs, *first, &first_rows, nullptr).ok());
+  first_rows.DecodeAll();
+  const int64_t doomed_v = first_rows.columns[2].ints[5];
+
+  // A DELETE against the first input commits when the mergeout first reads
+  // a file of its last input, long after it read the first input's deletes.
+  // No T lock keeps it out, as a direct MergeoutOnce takes none.
+  fs.trigger_dir = containers[2]->dir + "/";
+  fs.on_read = [&] {
+    auto txn = world.tm->Begin();
+    ASSERT_TRUE(ps.AddDeletes(first->id, {5}, txn.get()).ok());
+    ASSERT_TRUE(world.tm->Commit(txn).ok());
+  };
+  auto live_v = [&] {
+    std::multiset<int64_t> v;
+    auto read = ScanCopy(&fs, &ps, world.epochs.LatestQueryableEpoch(), {});
+    EXPECT_TRUE(read.ok());
+    if (read.ok()) v.insert(read.value().columns[2].ints.begin(), read.value().columns[2].ints.end());
+    return v;
+  };
+  auto merged = world.mover->MergeoutOnce(&ps);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  ASSERT_FALSE(fs.on_read) << "the mergeout never read its last input";
+  // Its output would lose the delete: the apply is stale, the inputs stay.
+  EXPECT_FALSE(merged.value());
+  EXPECT_EQ(world.mover->stats().stale_applies, 1u);
+  std::multiset<int64_t> live = live_v();
+  EXPECT_EQ(live.size(), 599u);
+  EXPECT_EQ(live.count(doomed_v), 0u);
+
+  // The next pass merges with the delete re-targeted at the output.
+  ASSERT_TRUE(world.mover->MergeoutAll(&ps).ok());
+  EXPECT_EQ(ps.NumContainers(), 1u);
+  live = live_v();
+  EXPECT_EQ(live.size(), 599u);
+  EXPECT_EQ(live.count(doomed_v), 0u);
 }
 
 }  // namespace
