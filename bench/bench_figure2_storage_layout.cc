@@ -4,6 +4,8 @@
 // and two files per column per container.
 #include <cstdio>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "api/database.h"
 #include "common/rng.h"
@@ -66,6 +68,8 @@ int main() {
 
   // Fast bulk drop (Section 3.5): dropping March = deleting files.
   uint64_t before = census.containers;
+  std::vector<std::string> march_dirs;
+  for (const auto& [segment, container] : layout[201203]) march_dirs.push_back(container->dir);
   auto dropped = ps->DropPartition(201203);
   std::printf("\nDROP PARTITION 2012-03: %s, %lu rows reclaimed immediately, "
               "containers %lu -> %zu\n",
@@ -73,5 +77,17 @@ int main() {
               dropped.ok() ? static_cast<unsigned long>(dropped.value()) : 0ul,
               static_cast<unsigned long>(before),
               db.cluster()->Census("txns_super").containers);
+  size_t left = 0;
+  for (const auto& dir : march_dirs) {
+    auto files = db.fs()->List(dir + "/");
+    left += files.ok() ? files.value().size() : 1;
+  }
+  std::printf("files left in the %zu dropped container directories: %zu\n",
+              march_dirs.size(), left);
+  // The figure's layout, and a drop that is nothing but file deletion.
+  if (census.containers != 12 || !dropped.ok() || march_dirs.empty() || left != 0) {
+    std::fprintf(stderr, "FAILED: expected 12 containers and no file left after the drop\n");
+    return 1;
+  }
   return 0;
 }

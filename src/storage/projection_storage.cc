@@ -93,25 +93,73 @@ Status ProjectionStorage::InsertWos(RowBlock rows, Transaction* txn) {
   return Status::OK();
 }
 
-Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
+std::vector<uint32_t> ProjectionStorage::SortRows(RowBlock* rows) const {
+  std::vector<uint32_t> perm = ComputeSortPermutation(*rows, cfg_.sort_columns);
+  if (std::is_sorted(perm.begin(), perm.end())) return {};
+  *rows = ApplyPermutation(*rows, perm);
+  return perm;
+}
+
+Result<std::vector<StoredContainer>> ProjectionStorage::WriteSorted(
+    const RowBlock& sorted, const std::vector<Epoch>& epochs,
+    const std::vector<Epoch>& deletes, Epoch uniform_epoch) {
   std::map<std::pair<int64_t, uint32_t>, std::vector<uint32_t>> groups;
   STRATICA_RETURN_NOT_OK(SplitForStorage(sorted, &groups));
-  std::vector<std::shared_ptr<RosContainer>> created;
-  for (const auto& [key, row_indexes] : groups) {
-    auto [id, dir] = AllocateContainer();
-    RosWriter writer(fs_, dir, id, cfg_.projection, cfg_.column_names,
-                     cfg_.column_types, cfg_.encodings);
-    // A single group is every row in order: write `sorted` itself.
-    if (groups.size() == 1) {
-      STRATICA_RETURN_NOT_OK(writer.Append(sorted, {}));
-    } else {
-      STRATICA_RETURN_NOT_OK(writer.Append(ApplyPermutation(sorted, row_indexes), {}));
+  std::vector<StoredContainer> written;
+  auto write = [&]() -> Status {
+    for (const auto& [key, rows] : groups) {
+      auto [id, dir] = AllocateContainer();
+      // A single group is every row in order: write `sorted` itself, else
+      // gather the group's rows and epochs.
+      const bool whole = groups.size() == 1;
+      RowBlock gathered;
+      std::vector<Epoch> group_epochs;
+      if (!whole) {
+        gathered = ApplyPermutation(sorted, rows);
+        if (!epochs.empty()) {
+          group_epochs.reserve(rows.size());
+          for (uint32_t r : rows) group_epochs.push_back(epochs[r]);
+        }
+      }
+      DeleteList group_deletes;
+      if (!deletes.empty()) {
+        for (size_t i = 0; i < rows.size(); ++i) {
+          if (deletes[rows[i]] != 0) group_deletes.push_back({i, deletes[rows[i]]});
+        }
+      }
+      RosWriter writer(fs_, dir, id, cfg_.projection, cfg_.column_names,
+                       cfg_.column_types, cfg_.encodings);
+      STRATICA_RETURN_NOT_OK(
+          writer.Append(whole ? sorted : gathered, whole ? epochs : group_epochs));
+      STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros,
+                                writer.Finish(key.first, key.second, uniform_epoch));
+      StoredContainer& out = written.emplace_back();
+      out.container = std::const_pointer_cast<RosContainer>(ros);
+      if (!group_deletes.empty())
+        out.dvs.push_back(MakeDeleteChunk(id, std::move(group_deletes)));
     }
-    STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros,
-                              writer.Finish(key.first, key.second, kUncommittedEpoch));
-    auto mutable_ros = std::const_pointer_cast<RosContainer>(ros);
-    mutable_ros->creating_txn = txn->id();
-    created.push_back(mutable_ros);
+    return Status::OK();
+  };
+  Status st = write();
+  if (!st.ok()) {
+    for (const auto& w : written) DeleteContainerFiles(*w.container, {});
+    return st;
+  }
+  return written;
+}
+
+Status ProjectionStorage::InsertDirectRos(RowBlock rows, Transaction* txn) {
+  rows.DecodeAll();
+  // Input already in sort order (say, time-ordered readings) is written as
+  // is, sparing a full copy. Otherwise the unsorted rows and the permutation
+  // are released once applied, before encoding.
+  SortRows(&rows);
+  STRATICA_ASSIGN_OR_RETURN(std::vector<StoredContainer> written,
+                            WriteSorted(rows, {}, {}, kUncommittedEpoch));
+  std::vector<std::shared_ptr<RosContainer>> created;
+  for (auto& w : written) {
+    w.container->creating_txn = txn->id();
+    created.push_back(std::move(w.container));
   }
   bool host_down = false;
   {
@@ -126,13 +174,7 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
   if (host_down) {
     // Registration raced a node crash. The files were written before the
     // check; drop them rather than leaving orphans for the scrub to chase.
-    for (const auto& c : created) {
-      for (const auto& col : c->columns) {
-        (void)fs_->Delete(col.data_path);
-        (void)fs_->Delete(col.index_path);
-      }
-      (void)fs_->Delete(c->dir + "/meta");
-    }
+    for (const auto& c : created) DeleteContainerFiles(*c, {});
     return Status::ClusterUnavailable("host node is down");
   }
   txn->MarkDml();
@@ -172,29 +214,10 @@ Status ProjectionStorage::WriteContainers(RowBlock sorted, Transaction* txn) {
     std::lock_guard lock(mu_);
     for (const auto& c : created) {
       ros_.erase(std::remove(ros_.begin(), ros_.end(), c), ros_.end());
-      for (const auto& col : c->columns) {
-        (void)fs_->Delete(col.data_path);
-        (void)fs_->Delete(col.index_path);
-      }
-      (void)fs_->Delete(c->dir + "/meta");
+      DeleteContainerFiles(*c, {});
     }
   });
   return Status::OK();
-}
-
-Status ProjectionStorage::InsertDirectRos(RowBlock rows, Transaction* txn) {
-  rows.DecodeAll();
-  // Input already in sort order (say, time-ordered readings) is written as
-  // is, sparing a full copy. Otherwise the unsorted rows and the permutation
-  // are released once applied, before encoding.
-  RowBlock sorted;
-  {
-    auto perm = ComputeSortPermutation(rows, cfg_.sort_columns);
-    sorted = std::is_sorted(perm.begin(), perm.end()) ? std::move(rows)
-                                                      : ApplyPermutation(rows, perm);
-  }
-  rows = RowBlock();
-  return WriteContainers(std::move(sorted), txn);
 }
 
 Status ProjectionStorage::AddDeletes(uint64_t target_id, std::vector<uint64_t> positions,
@@ -310,14 +333,16 @@ Status ProjectionStorage::ApplyMoveout(const MoveoutApply& apply) {
     }
     wos->second = std::move(kept);
   }
-  for (const auto& c : apply.new_containers) ros_.push_back(c);
-  for (const auto& d : apply.new_dvs) AddCommittedDeletesLocked(d);
+  for (const auto& c : apply.new_containers) {
+    ros_.push_back(c.container);
+    for (const auto& d : c.dvs) AddCommittedDeletesLocked(d);
+  }
   lge_ = std::max(lge_, apply.new_lge);
   return Status::OK();
 }
 
 Status ProjectionStorage::ApplyMergeout(const MergeoutApply& apply) {
-  std::vector<std::shared_ptr<RosContainer>> gc;
+  std::vector<StoredContainer> gc;
   {
     std::lock_guard lock(mu_);
     if (apply.base_generation != generation_.load(std::memory_order_relaxed)) {
@@ -329,14 +354,12 @@ Status ProjectionStorage::ApplyMergeout(const MergeoutApply& apply) {
       }
     }
     for (uint64_t id : apply.removed_container_ids) {
-      for (auto it = ros_.begin(); it != ros_.end(); ++it) {
-        if ((*it)->id == id) {
-          retired_.push_back(*it);
-          ros_.erase(it);
-          break;
-        }
-      }
-      DropDeletesLocked(id);
+      auto it = std::find_if(ros_.begin(), ros_.end(),
+                             [id](const auto& c) { return c->id == id; });
+      std::vector<DeleteVectorChunkPtr> dvs = DropDeletesLocked(id);
+      if (it == ros_.end()) continue;
+      retired_.push_back({*it, std::move(dvs)});
+      ros_.erase(it);
     }
     if (apply.new_container) ros_.push_back(apply.new_container);
     for (const auto& d : apply.new_dvs) AddCommittedDeletesLocked(d);
@@ -346,11 +369,12 @@ Status ProjectionStorage::ApplyMergeout(const MergeoutApply& apply) {
   // them drains (with no concurrent readers this deletes immediately, as
   // before), and the deletion itself runs off the mutex so scans never
   // stall behind it. Hard-linked backups keep the bytes alive (§5.2).
-  for (const auto& c : gc) DeleteContainerFiles(*c);
+  for (const auto& r : gc) DeleteContainerFiles(*r.container, r.dvs);
   return Status::OK();
 }
 
-void ProjectionStorage::DeleteContainerFiles(const RosContainer& c) {
+void ProjectionStorage::DeleteContainerFiles(
+    const RosContainer& c, const std::vector<DeleteVectorChunkPtr>& dvs) const {
   for (const auto& col : c.columns) {
     (void)fs_->Delete(col.data_path);
     (void)fs_->Delete(col.index_path);
@@ -360,15 +384,17 @@ void ProjectionStorage::DeleteContainerFiles(const RosContainer& c) {
     (void)fs_->Delete(c.epoch_index_path);
   }
   (void)fs_->Delete(c.dir + "/meta");
+  for (const auto& d : dvs) {
+    if (d->persisted) (void)fs_->Delete(d->dv_path);
+  }
 }
 
-void ProjectionStorage::CollectRetiredLocked(
-    std::vector<std::shared_ptr<RosContainer>>* out) {
+void ProjectionStorage::CollectRetiredLocked(std::vector<StoredContainer>* out) {
   for (auto it = retired_.begin(); it != retired_.end();) {
     // use_count()==1 means `retired_` holds the last reference: no snapshot
     // can still be scanning the container, and none can re-acquire it since
     // it left ros_ under this same mutex.
-    if (it->use_count() == 1) {
+    if (it->container.use_count() == 1) {
       out->push_back(std::move(*it));
       it = retired_.erase(it);
     } else {
@@ -378,12 +404,12 @@ void ProjectionStorage::CollectRetiredLocked(
 }
 
 void ProjectionStorage::GcRetired() {
-  std::vector<std::shared_ptr<RosContainer>> gc;
+  std::vector<StoredContainer> gc;
   {
     std::lock_guard lock(mu_);
     CollectRetiredLocked(&gc);
   }
-  for (const auto& c : gc) DeleteContainerFiles(*c);
+  for (const auto& r : gc) DeleteContainerFiles(*r.container, r.dvs);
 }
 
 void ProjectionStorage::AdoptContainer(std::shared_ptr<RosContainer> container,
@@ -400,13 +426,15 @@ void ProjectionStorage::AddCommittedDeletesLocked(const DeleteVectorChunkPtr& d)
   delete_lists_[d->target_id] = MergeDeletes(delete_lists_[d->target_id], *d);
 }
 
-void ProjectionStorage::DropDeletesLocked(uint64_t target_id) {
-  deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
-                                [target_id](const DeleteVectorChunkPtr& d) {
-                                  return d->target_id == target_id;
-                                }),
-                 deletes_.end());
+std::vector<DeleteVectorChunkPtr> ProjectionStorage::DropDeletesLocked(uint64_t target_id) {
+  auto mine = std::stable_partition(deletes_.begin(), deletes_.end(),
+                                    [target_id](const DeleteVectorChunkPtr& d) {
+                                      return d->target_id != target_id;
+                                    });
+  std::vector<DeleteVectorChunkPtr> dropped(mine, deletes_.end());
+  deletes_.erase(mine, deletes_.end());
   delete_lists_.erase(target_id);
+  return dropped;
 }
 
 bool ProjectionStorage::DeletesChangedLocked(const std::map<uint64_t, DeleteListPtr>& read,
@@ -432,7 +460,8 @@ void ProjectionStorage::RebuildDeleteListsLocked() {
 }
 
 Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
-  std::vector<std::shared_ptr<RosContainer>> dropped;
+  std::vector<StoredContainer> dropped;
+  std::vector<DeleteVectorChunkPtr> emptied;
   Epoch trunc = lge;
   {
     std::lock_guard lock(mu_);
@@ -449,49 +478,38 @@ Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
             trunc = (*it)->min_epoch - 1;
             changed = true;
           }
-          dropped.push_back(*it);
+          dropped.push_back({*it, DropDeletesLocked((*it)->id)});
           it = ros_.erase(it);
         } else {
           ++it;
         }
       }
     }
-    // Drop delete entries newer than the truncation point and all entries
-    // targeting dropped containers.
+    // Drop the surviving containers' delete entries newer than the
+    // truncation point. A chunk left empty goes, its DVROS file with it.
     for (auto& d : deletes_) {
-      bool target_dropped = false;
-      for (const auto& c : dropped) target_dropped |= (c->id == d->target_id);
       std::vector<uint64_t> keep_pos;
       std::vector<Epoch> keep_ep;
-      if (!target_dropped) {
-        for (size_t i = 0; i < d->positions.size(); ++i) {
-          if (d->epochs[i] <= trunc) {
-            keep_pos.push_back(d->positions[i]);
-            keep_ep.push_back(d->epochs[i]);
-          }
+      for (size_t i = 0; i < d->positions.size(); ++i) {
+        if (d->epochs[i] <= trunc) {
+          keep_pos.push_back(d->positions[i]);
+          keep_ep.push_back(d->epochs[i]);
         }
       }
       d->positions = std::move(keep_pos);
       d->epochs = std::move(keep_ep);
     }
-    deletes_.erase(std::remove_if(deletes_.begin(), deletes_.end(),
-                                  [](const DeleteVectorChunkPtr& d) {
-                                    return d->size() == 0;
-                                  }),
-                   deletes_.end());
+    auto empty = std::stable_partition(
+        deletes_.begin(), deletes_.end(),
+        [](const DeleteVectorChunkPtr& d) { return d->size() != 0; });
+    emptied.assign(empty, deletes_.end());
+    deletes_.erase(empty, deletes_.end());
     RebuildDeleteListsLocked();
     lge_ = std::min(lge_, trunc);
   }
-  for (const auto& c : dropped) {
-    for (const auto& col : c->columns) {
-      (void)fs_->Delete(col.data_path);
-      (void)fs_->Delete(col.index_path);
-    }
-    if (!c->epoch_data_path.empty()) {
-      (void)fs_->Delete(c->epoch_data_path);
-      (void)fs_->Delete(c->epoch_index_path);
-    }
-    (void)fs_->Delete(c->dir + "/meta");
+  for (const auto& d : dropped) DeleteContainerFiles(*d.container, d.dvs);
+  for (const auto& d : emptied) {
+    if (d->persisted) (void)fs_->Delete(d->dv_path);
   }
   return trunc;
 }
@@ -500,41 +518,22 @@ Status ProjectionStorage::IngestRecovered(RowBlock rows, std::vector<Epoch> row_
                                           std::vector<Epoch> delete_epochs,
                                           Epoch new_lge) {
   rows.DecodeAll();
-  size_t n = rows.NumRows();
+  const size_t n = rows.NumRows();
   if (row_epochs.size() != n || delete_epochs.size() != n)
     return Status::Internal("IngestRecovered: vector size mismatch");
   if (n > 0) {
-    std::vector<uint32_t> perm = ComputeSortPermutation(rows, cfg_.sort_columns);
-    RowBlock sorted = ApplyPermutation(rows, perm);
-    std::vector<Epoch> sorted_epochs(n), sorted_dels(n);
-    for (size_t i = 0; i < n; ++i) {
-      sorted_epochs[i] = row_epochs[perm[i]];
-      sorted_dels[i] = delete_epochs[perm[i]];
-    }
-    std::map<std::pair<int64_t, uint32_t>, std::vector<uint32_t>> groups;
-    STRATICA_RETURN_NOT_OK(SplitForStorage(sorted, &groups));
-    for (const auto& [key, idxs] : groups) {
-      auto [id, dir] = AllocateContainer();
-      RosWriter writer(fs_, dir, id, cfg_.projection, cfg_.column_names,
-                       cfg_.column_types, cfg_.encodings);
-      std::vector<Epoch> group_epochs;
-      group_epochs.reserve(idxs.size());
-      auto dv = std::make_shared<DeleteVectorChunk>();
-      dv->target_id = id;
-      for (uint32_t r : idxs) {
-        group_epochs.push_back(sorted_epochs[r]);
-        if (sorted_dels[r] != 0) {
-          dv->positions.push_back(group_epochs.size() - 1);
-          dv->epochs.push_back(sorted_dels[r]);
-        }
+    // Sorted as a direct load is; the epochs follow their rows.
+    std::vector<uint32_t> perm = SortRows(&rows);
+    if (!perm.empty()) {
+      for (std::vector<Epoch>* v : {&row_epochs, &delete_epochs}) {
+        std::vector<Epoch> sorted(n);
+        for (size_t i = 0; i < n; ++i) sorted[i] = (*v)[perm[i]];
+        *v = std::move(sorted);
       }
-      STRATICA_RETURN_NOT_OK(
-          writer.Append(ApplyPermutation(sorted, idxs), group_epochs));
-      STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros, writer.Finish(key.first, key.second, 0));
-      std::vector<DeleteVectorChunkPtr> dvs;
-      if (!dv->positions.empty()) dvs.push_back(dv);
-      AdoptContainer(std::const_pointer_cast<RosContainer>(ros), std::move(dvs));
     }
+    STRATICA_ASSIGN_OR_RETURN(std::vector<StoredContainer> written,
+                              WriteSorted(rows, row_epochs, delete_epochs, 0));
+    for (auto& w : written) AdoptContainer(std::move(w.container), std::move(w.dvs));
   }
   std::lock_guard lock(mu_);
   lge_ = std::max(lge_, new_lge);
@@ -542,31 +541,22 @@ Status ProjectionStorage::IngestRecovered(RowBlock rows, std::vector<Epoch> row_
 }
 
 Result<uint64_t> ProjectionStorage::DropPartition(int64_t partition_key) {
-  std::vector<std::shared_ptr<RosContainer>> dropped;
+  std::vector<StoredContainer> dropped;
   {
     std::lock_guard lock(mu_);
     for (auto it = ros_.begin(); it != ros_.end();) {
       if ((*it)->partition_key == partition_key) {
-        dropped.push_back(*it);
+        dropped.push_back({*it, DropDeletesLocked((*it)->id)});
         it = ros_.erase(it);
       } else {
         ++it;
       }
     }
-    for (const auto& c : dropped) DropDeletesLocked(c->id);
   }
   uint64_t rows = 0;
-  for (const auto& c : dropped) {
-    rows += c->row_count;
-    for (const auto& col : c->columns) {
-      (void)fs_->Delete(col.data_path);
-      (void)fs_->Delete(col.index_path);
-    }
-    if (!c->epoch_data_path.empty()) {
-      (void)fs_->Delete(c->epoch_data_path);
-      (void)fs_->Delete(c->epoch_index_path);
-    }
-    (void)fs_->Delete(c->dir + "/meta");
+  for (const auto& d : dropped) {
+    rows += d.container->row_count;
+    DeleteContainerFiles(*d.container, d.dvs);
   }
   return rows;
 }
@@ -575,8 +565,8 @@ void ProjectionStorage::Clear(bool delete_files) {
   std::lock_guard lock(mu_);
   generation_.fetch_add(1, std::memory_order_acq_rel);
   if (delete_files) {
-    for (const auto& c : ros_) DeleteContainerFiles(*c);
-    for (const auto& c : retired_) DeleteContainerFiles(*c);
+    for (const auto& c : ros_) DeleteContainerFiles(*c, DropDeletesLocked(c->id));
+    for (const auto& r : retired_) DeleteContainerFiles(*r.container, r.dvs);
   }
   wos_.clear();
   ros_.clear();
@@ -662,10 +652,16 @@ Result<uint64_t> ProjectionStorage::ScrubFiles() {
       add(*c);
       live.push_back(c);
     }
-    for (const auto& c : retired_) add(*c);
-    for (const auto& d : deletes_) {
-      if (d->persisted && !d->dv_path.empty()) referenced.insert(d->dv_path);
+    auto add_dvs = [&](const std::vector<DeleteVectorChunkPtr>& dvs) {
+      for (const auto& d : dvs) {
+        if (d->persisted && !d->dv_path.empty()) referenced.insert(d->dv_path);
+      }
+    };
+    for (const auto& r : retired_) {
+      add(*r.container);
+      add_dvs(r.dvs);
     }
+    add_dvs(deletes_);
   }
   // Heal referenced meta files that are missing or fail their checksum:
   // after replay the in-memory manifest is the source of truth, so a torn
@@ -747,13 +743,6 @@ uint64_t ProjectionStorage::TotalRosBytes() const {
   std::lock_guard lock(mu_);
   uint64_t n = 0;
   for (const auto& c : ros_) n += c->total_bytes;
-  return n;
-}
-
-uint64_t ProjectionStorage::TotalRosRawBytes() const {
-  std::lock_guard lock(mu_);
-  uint64_t n = 0;
-  for (const auto& c : ros_) n += c->raw_bytes;
   return n;
 }
 

@@ -106,11 +106,18 @@ struct StorageSnapshot {
   }
 };
 
+/// A ROS container with its committed delete chunks: what the container
+/// writer produces, and what the container removal deletes the files of.
+struct StoredContainer {
+  std::shared_ptr<RosContainer> container;
+  std::vector<DeleteVectorChunkPtr> dvs;
+};
+
 /// Result of one moveout, applied atomically.
 struct MoveoutApply {
   std::vector<std::shared_ptr<const WosChunk>> consumed_chunks;
-  std::vector<std::shared_ptr<RosContainer>> new_containers;
-  std::vector<DeleteVectorChunkPtr> new_dvs;  // re-targeted at new containers
+  /// With the moved rows' WOS deletes, re-targeted at them.
+  std::vector<StoredContainer> new_containers;
   Epoch new_lge = 0;
   /// Storage generation sampled before the moveout read its inputs; the
   /// apply is rejected (TxnAborted) if recovery mutated the storage since.
@@ -174,6 +181,25 @@ class ProjectionStorage {
   Status ApplyMoveout(const MoveoutApply& apply);
   Status ApplyMergeout(const MergeoutApply& apply);
 
+  /// The one container writer (direct load, moveout, recovery ingest).
+  /// Splits `sorted` (rows in sort order) by (partition, local segment) and
+  /// writes one container per group, in key order. `epochs`, one per row,
+  /// are the rows' commit epochs and go into an epoch column; empty means
+  /// every row gets `uniform_epoch` and there is no epoch file. A non-zero
+  /// `deletes` entry (empty = none) deletes its row at that epoch, in a
+  /// chunk targeting the row's container. All or nothing: on an error no
+  /// written container's files remain. Registers nothing.
+  Result<std::vector<StoredContainer>> WriteSorted(const RowBlock& sorted,
+                                                   const std::vector<Epoch>& epochs,
+                                                   const std::vector<Epoch>& deletes,
+                                                   Epoch uniform_epoch);
+
+  /// The one container removal: delete every file `c` owns (column, index,
+  /// epoch and meta files) and the DVROS files of its delete chunks `dvs`.
+  /// Failures are ignored: a crash or a scrub may have removed some already.
+  void DeleteContainerFiles(const RosContainer& c,
+                            const std::vector<DeleteVectorChunkPtr>& dvs) const;
+
   /// Register a container built externally (recovery, refresh, rebalance).
   void AdoptContainer(std::shared_ptr<RosContainer> container,
                       std::vector<DeleteVectorChunkPtr> dvs);
@@ -186,8 +212,8 @@ class ProjectionStorage {
   Epoch TruncateForRecovery(Epoch lge);
 
   /// Ingest rows copied from a buddy during recovery/refresh/rebalance:
-  /// sorts, splits by (partition, segment), writes committed containers
-  /// carrying the original per-row epochs, and rebuilds delete vectors from
+  /// sorts them and writes them through WriteSorted as committed containers
+  /// carrying the original per-row epochs, with delete vectors rebuilt from
   /// `delete_epochs` (0 = row is live). Advances the LGE to `new_lge`.
   Status IngestRecovered(RowBlock rows, std::vector<Epoch> row_epochs,
                          std::vector<Epoch> delete_epochs, Epoch new_lge);
@@ -278,36 +304,35 @@ class ProjectionStorage {
   Epoch lge() const;
   size_t NumContainers() const;
   uint64_t TotalRosBytes() const;
-  uint64_t TotalRosRawBytes() const;
   uint64_t TotalRosRows() const;
 
   /// Allocate a container id + directory (also used by the tuple mover).
   std::pair<uint64_t, std::string> AllocateContainer();
 
-  /// Split rows into (partition_key, local_segment) groups; exposed for the
-  /// tuple mover, which must preserve both boundaries.
-  Status SplitForStorage(
-      const RowBlock& rows,
-      std::map<std::pair<int64_t, uint32_t>, std::vector<uint32_t>>* groups) const;
-
   /// Local segment of a segmentation-hash value within this node's range.
   uint32_t LocalSegmentOf(uint64_t hash) const;
 
  private:
-  Status WriteContainers(RowBlock sorted, Transaction* txn);
+  /// Split rows into (partition_key, local_segment) groups.
+  Status SplitForStorage(
+      const RowBlock& rows,
+      std::map<std::pair<int64_t, uint32_t>, std::vector<uint32_t>>* groups) const;
+  /// Put `rows` in sort order. Returns the permutation applied, or nothing
+  /// when the rows already were in order (they are then left as they are).
+  std::vector<uint32_t> SortRows(RowBlock* rows) const;
   /// Move unreferenced retired containers into `out` (mergeout replaces
   /// containers while scans may still be reading the old ones; deleting
   /// eagerly would fail those scans). File deletion happens off-mutex.
-  void CollectRetiredLocked(std::vector<std::shared_ptr<RosContainer>>* out);
-  void DeleteContainerFiles(const RosContainer& c);
+  void CollectRetiredLocked(std::vector<StoredContainer>* out);
   /// Rebuild every target's delete list from the committed chunks in
   /// `deletes_` (after a crash or truncation dropped some of them).
   void RebuildDeleteListsLocked();
   /// Record committed chunk `d`: merge it into its target's list, and keep
   /// it for persistence unless it targets the WOS.
   void AddCommittedDeletesLocked(const DeleteVectorChunkPtr& d);
-  /// Forget every delete of `target_id` (its container is gone).
-  void DropDeletesLocked(uint64_t target_id);
+  /// Forget every delete of `target_id` (its container is gone); returns
+  /// the chunks dropped, whose DVROS files go with the container.
+  std::vector<DeleteVectorChunkPtr> DropDeletesLocked(uint64_t target_id);
   /// True if `target`'s list differs from the one `read` holds (none = null).
   bool DeletesChangedLocked(const std::map<uint64_t, DeleteListPtr>& read,
                             uint64_t target) const;
@@ -319,8 +344,9 @@ class ProjectionStorage {
   mutable std::mutex mu_;
   std::vector<WosChunkPtr> wos_;
   std::vector<std::shared_ptr<RosContainer>> ros_;
-  /// Replaced by mergeout but possibly still referenced by live snapshots.
-  std::vector<std::shared_ptr<RosContainer>> retired_;
+  /// Replaced by mergeout but possibly still referenced by live snapshots;
+  /// each keeps its delete chunks, whose DVROS files go with it.
+  std::vector<StoredContainer> retired_;
   /// Committed container delete chunks: the DVWOS/DVROS persistence units.
   std::vector<DeleteVectorChunkPtr> deletes_;
   /// Uncommitted delete chunks, visible only to their own transaction.

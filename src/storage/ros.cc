@@ -4,8 +4,6 @@
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
-#include "common/hash.h"
-#include "common/retry.h"
 
 namespace stratica {
 
@@ -31,6 +29,9 @@ RosWriter::RosWriter(FileSystem* fs, std::string dir, uint64_t container_id,
 Status RosWriter::Append(const RowBlock& rows, const std::vector<Epoch>& epochs) {
   if (rows.NumColumns() != writers_.size())
     return Status::Internal("RosWriter column count mismatch");
+  // Every batch carries per-row epochs, or none does.
+  if (rows_written_ > 0 && epochs.empty() == (epoch_writer_ != nullptr))
+    return Status::Internal("RosWriter: batches mix rows with and without epochs");
   size_t n = rows.NumRows();
   for (size_t c = 0; c < writers_.size(); ++c) {
     const ColumnVector& col = rows.columns[c];
@@ -46,12 +47,6 @@ Status RosWriter::Append(const RowBlock& rows, const std::vector<Epoch>& epochs)
       // Epochs are long runs of equal values in commit order; RLE them.
       epoch_writer_ = std::make_unique<ColumnWriter>(TypeId::kInt64, EncodingId::kRle,
                                                      rows_per_block_);
-      has_per_row_epochs_ = true;
-      // Backfill epoch 0 for rows appended before the first epoch batch
-      // (not expected in practice; guarded for robustness).
-      ColumnVector zeros(TypeId::kInt64);
-      zeros.ints.assign(rows_written_, 0);
-      STRATICA_RETURN_NOT_OK(epoch_writer_->Append(zeros));
     }
     ColumnVector ev(TypeId::kInt64);
     ev.ints.reserve(n);
@@ -91,7 +86,7 @@ Result<RosContainerPtr> RosWriter::Finish(int64_t partition_key, uint32_t local_
     ros->raw_bytes += info.meta.raw_bytes;
     ros->columns.push_back(std::move(info));
   }
-  if (has_per_row_epochs_) {
+  if (epoch_writer_) {
     ros->epoch_data_path = dir_ + "/__epoch.dat";
     ros->epoch_index_path = dir_ + "/__epoch.idx";
     STRATICA_ASSIGN_OR_RETURN(
@@ -209,16 +204,6 @@ Status WriteRosMeta(FileSystem* fs, const RosContainer& ros,
 Result<RosContainer> ReadRosMeta(const FileSystem* fs, const std::string& meta_path) {
   STRATICA_ASSIGN_OR_RETURN(std::string data, ReadFileChecksummed(fs, meta_path));
   return ParseRosMeta(data);
-}
-
-Status StampRosEpoch(FileSystem* fs, RosContainer* ros, const std::string& meta_path,
-                     Epoch epoch, uint64_t* retries) {
-  ros->min_epoch = epoch;
-  ros->max_epoch = epoch;
-  RetryPolicy policy;
-  policy.jitter_seed = HashBytes(meta_path.data(), meta_path.size());
-  return RetryTransient(policy, retries,
-                        [&] { return WriteRosMeta(fs, *ros, meta_path); });
 }
 
 }  // namespace stratica

@@ -6,10 +6,11 @@
 // tuple mover replaces sets of containers wholesale. Each container belongs
 // to exactly one (partition key, local segment) pair (Sections 3.5, 3.6).
 //
-// Epochs: all rows of a load/moveout container share one commit epoch
-// (stamped at commit); mergeout outputs carry a per-row implicit epoch
-// column (Section 5: "implemented as implicit 64-bit integral columns"),
-// which RLE collapses to almost nothing.
+// Epochs: a direct load's container has no epoch file; all its rows share
+// the one commit epoch stamped into its meta at commit. Moveout, mergeout
+// and recovery output carry a per-row implicit epoch column (Section 5:
+// "implemented as implicit 64-bit integral columns"), even when every row
+// has the same epoch; RLE collapses it to almost nothing.
 #ifndef STRATICA_STORAGE_ROS_H_
 #define STRATICA_STORAGE_ROS_H_
 
@@ -52,11 +53,12 @@ struct RosContainer {
 
   std::vector<RosColumnInfo> columns;  // projection column order
 
-  /// Epoch range of contained rows. min==max for load/moveout output;
-  /// mergeout output spans and additionally has an epoch column file.
+  /// Epoch range of contained rows. A direct load's is one epoch, stamped
+  /// at commit; moveout, mergeout and recovery output has an epoch column
+  /// file giving each row's.
   Epoch min_epoch = kUncommittedEpoch;
   Epoch max_epoch = kUncommittedEpoch;
-  std::string epoch_data_path;   // empty when min_epoch == max_epoch
+  std::string epoch_data_path;   // empty for a direct load's container
   std::string epoch_index_path;
 
   uint64_t total_bytes = 0;  ///< Encoded bytes across all files (strata input).
@@ -86,7 +88,8 @@ class RosWriter {
             size_t rows_per_block = kDefaultRowsPerBlock);
 
   /// Append a batch. `epochs` must be empty (all rows get the epoch passed
-  /// to Finish) or have one entry per row.
+  /// to Finish) or have one entry per row; every batch of a container
+  /// carries epochs or none does.
   Status Append(const RowBlock& rows, const std::vector<Epoch>& epochs);
 
   uint64_t rows_written() const { return rows_written_; }
@@ -107,7 +110,6 @@ class RosWriter {
   std::vector<EncodingId> encodings_;
   std::vector<std::unique_ptr<ColumnWriter>> writers_;
   std::unique_ptr<ColumnWriter> epoch_writer_;
-  bool has_per_row_epochs_ = false;
   Epoch min_epoch_ = kUncommittedEpoch, max_epoch_ = 0;
   uint64_t rows_written_ = 0;
   size_t rows_per_block_;
@@ -133,14 +135,6 @@ Result<RosContainer> ParseRosMeta(const std::string& data);
 Status WriteRosMeta(FileSystem* fs, const RosContainer& ros,
                     const std::string& meta_path);
 Result<RosContainer> ReadRosMeta(const FileSystem* fs, const std::string& meta_path);
-
-/// Stamp an uncommitted container with its commit epoch (commit callback).
-/// Containers are immutable *after commit*; stamping rewrites the meta file.
-/// Transient write failures are retried with backoff (the commit-meta write
-/// path must not eject a node over a blip); `retries` (optional)
-/// accumulates the retry count.
-Status StampRosEpoch(FileSystem* fs, RosContainer* ros, const std::string& meta_path,
-                     Epoch epoch, uint64_t* retries = nullptr);
 
 }  // namespace stratica
 

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "exec/scan.h"
-#include "storage/sort_util.h"
 
 namespace stratica {
 
@@ -14,20 +13,6 @@ namespace {
 // The mover reads every committed row and delete of its inputs, one whose
 // commit epoch is not yet queryable included.
 constexpr Epoch kAllCommitted = kUncommittedEpoch - 1;
-
-// Remove a discarded mover output's files (the apply was rejected as stale;
-// recovery may already have scrubbed some, so failures are ignored).
-void DeleteDiscardedContainerFiles(FileSystem* fs, const RosContainer& c) {
-  for (const auto& col : c.columns) {
-    (void)fs->Delete(col.data_path);
-    (void)fs->Delete(col.index_path);
-  }
-  if (!c.epoch_data_path.empty()) {
-    (void)fs->Delete(c.epoch_data_path);
-    (void)fs->Delete(c.epoch_index_path);
-  }
-  (void)fs->Delete(c.dir + "/meta");
-}
 
 // The mover's one read (DESIGN.md §7): a serial sorted history scan of
 // `snap`, whose containers or WOS chunks are the operation's inputs. Rows
@@ -87,43 +72,26 @@ Status TupleMover::Moveout(ProjectionStorage* ps) {
   ctx.epoch = kAllCommitted;
   Result<RowBlock> read = DrainOperator(MoverScan(ps, std::move(snap)).get(), &ctx);
   if (!read.ok()) return ReadFailed(ps, gen, read.status());
-  const RowBlock& sorted = read.value();
+  RowBlock sorted = std::move(read).value();
 
-  // Split by (partition key, local segment) — moveout never mixes them.
-  std::map<std::pair<int64_t, uint32_t>, std::vector<uint32_t>> groups;
-  STRATICA_RETURN_NOT_OK(ps->SplitForStorage(sorted, &groups));
-  const auto& cfg = ps->config();
-  const size_t ncols = cfg.column_types.size();
-  for (const auto& [key, rows] : groups) {
-    auto [id, dir] = ps->AllocateContainer();
-    RosWriter writer(ps->fs(), dir, id, cfg.projection, cfg.column_names,
-                     cfg.column_types, cfg.encodings);
-    RowBlock group = ApplyPermutation(sorted, rows);
-    // The two epoch columns give each row its epoch and, for a deleted
-    // row, a delete at its new position.
-    const std::vector<int64_t>& commit = group.columns[ncols].ints;
-    const std::vector<int64_t>& del = group.columns[ncols + 1].ints;
-    std::vector<Epoch> epochs(commit.begin(), commit.end());
-    DeleteList deletes;
-    for (size_t r = 0; r < del.size(); ++r) {
-      if (del[r] != 0) deletes.push_back({r, static_cast<Epoch>(del[r])});
-    }
-    group.columns.resize(ncols);
-    STRATICA_RETURN_NOT_OK(writer.Append(group, epochs));
-    STRATICA_ASSIGN_OR_RETURN(RosContainerPtr ros,
-                              writer.Finish(key.first, key.second, up_to));
-    apply.new_containers.push_back(std::const_pointer_cast<RosContainer>(ros));
-    if (!deletes.empty()) apply.new_dvs.push_back(MakeDeleteChunk(id, std::move(deletes)));
-    stats_.rows_moved_out += rows.size();
-  }
+  // The two epoch columns give each row its epoch and, for a deleted row, a
+  // delete at its new position; the writer keeps partitions and local
+  // segments apart.
+  const size_t ncols = ps->config().column_types.size();
+  const std::vector<int64_t>& commit = sorted.columns[ncols].ints;
+  const std::vector<int64_t>& del = sorted.columns[ncols + 1].ints;
+  std::vector<Epoch> epochs(commit.begin(), commit.end());
+  std::vector<Epoch> deletes(del.begin(), del.end());
+  sorted.columns.resize(ncols);
+  STRATICA_ASSIGN_OR_RETURN(apply.new_containers,
+                            ps->WriteSorted(sorted, epochs, deletes, up_to));
+  stats_.rows_moved_out += sorted.NumRows();
 
   Status st = ps->ApplyMoveout(apply);
   if (st.code() == StatusCode::kTxnAborted) {
     // The node crashed / was recovered, or a delete committed against the
     // WOS, while this moveout ran; the output must not be published.
-    for (const auto& c : apply.new_containers) {
-      DeleteDiscardedContainerFiles(ps->fs(), *c);
-    }
+    for (const auto& c : apply.new_containers) ps->DeleteContainerFiles(*c.container, {});
     ++stats_.stale_applies;
     return Status::OK();
   }
@@ -241,7 +209,7 @@ Result<bool> TupleMover::MergeoutOnce(ProjectionStorage* ps) {
     // Recovery rewrote the storage, or a delete committed against an
     // input, under this mergeout; discard the output (its inputs may be
     // truncated and its files already scrubbed).
-    DeleteDiscardedContainerFiles(ps->fs(), *apply.new_container);
+    ps->DeleteContainerFiles(*apply.new_container, {});
     ++stats_.stale_applies;
     return false;
   }

@@ -62,9 +62,12 @@ class TupleMover {
       : epochs_(epochs), cfg_(cfg) {}
 
   /// Move all committed WOS data (epoch <= latest queryable) to new ROS
-  /// containers; re-targets the WOS deletes of moved rows at the containers
-  /// and advances the projection's LGE. Skipped (OK) when an in-flight
-  /// delete transaction still targets the WOS.
+  /// containers and advance the projection's LGE. The sorted scan's rows
+  /// and both epoch columns go to the storage's one container writer
+  /// (ProjectionStorage::WriteSorted): one container per (partition, local
+  /// segment), each with a per-row epoch column, even for a single chunk,
+  /// and the WOS deletes of moved rows re-targeted at it. Skipped (OK) when
+  /// an in-flight delete transaction still targets the WOS.
   Status Moveout(ProjectionStorage* ps);
 
   /// One mergeout operation: pick the lowest-stratum candidate group and

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "exec/scan.h"
@@ -407,6 +408,72 @@ TEST_F(StorageFixture, CrashLowersLgeBelowLostDeletes) {
   EXPECT_EQ(TotalDeleted(ps_.GetSnapshot(epochs_.LatestQueryableEpoch())), 1u);
 }
 
+// A container's rows all carry per-row epochs or none do: a batch that
+// switches is an error, not a backfill.
+TEST_F(StorageFixture, RosWriterRejectsBatchesMixingEpochs) {
+  const auto cfg = MakeConfig();
+  RosWriter plain(&fs_, "node0/w1", 1, "p_sales", cfg.column_names, cfg.column_types,
+                  cfg.encodings);
+  ASSERT_TRUE(plain.Append(MakeRows(0, 10), {}).ok());
+  EXPECT_EQ(plain.Append(MakeRows(10, 2), {5, 5}).code(), StatusCode::kInternal);
+  RosWriter stamped(&fs_, "node0/w2", 2, "p_sales", cfg.column_names, cfg.column_types,
+                    cfg.encodings);
+  ASSERT_TRUE(stamped.Append(MakeRows(0, 2), {5, 5}).ok());
+  EXPECT_EQ(stamped.Append(MakeRows(2, 10), {}).code(), StatusCode::kInternal);
+}
+
+// Removing a container removes its DVROS files: after a mergeout retires
+// containers with persisted deletes, and after a truncation drops one and
+// empties a surviving container's chunk, every file left under the
+// projection directory belongs to the storage, so a scrub finds no orphan.
+TEST_F(StorageFixture, RemovedContainersTakeTheirDvRosFiles) {
+  auto delete_and_persist = [&](uint64_t target, std::vector<uint64_t> positions) {
+    auto txn = tm_.Begin();
+    EXPECT_TRUE(ps_.AddDeletes(target, std::move(positions), txn.get()).ok());
+    EXPECT_TRUE(tm_.Commit(txn).ok());
+    EXPECT_TRUE(mover_.MoveDeleteVectors(&ps_).ok());
+  };
+  auto count_dv_files = [&] {
+    std::vector<std::string> files = fs_.List("node0/p_sales/").value();
+    return std::count_if(files.begin(), files.end(), [](const std::string& f) {
+      return f.find("/dv") != std::string::npos;
+    });
+  };
+
+  InsertAndCommit(MakeRows(0, 40));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  InsertAndCommit(MakeRows(40, 40));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  std::vector<uint64_t> inputs;
+  for (const auto& c : ps_.Containers()) inputs.push_back(c->id);
+  ASSERT_EQ(inputs.size(), 2u);
+  delete_and_persist(inputs[0], {1, 2});
+  delete_and_persist(inputs[1], {3});
+  ASSERT_EQ(count_dv_files(), 2u);
+  ASSERT_TRUE(mover_.MergeoutAll(&ps_).ok());
+  ps_.GcRetired();
+  ASSERT_EQ(ps_.NumContainers(), 1u);
+  EXPECT_EQ(count_dv_files(), 0u);
+  EXPECT_EQ(ps_.ScrubFiles().value(), 0u);
+
+  // `older`, the merged container, survives a truncation to its epoch, and
+  // its chunks (the re-targeted deletes and a new one), deleted later,
+  // empty; `newer` is dropped with its persisted chunk.
+  Epoch merged_at = ps_.Containers()[0]->max_epoch;
+  InsertAndCommit(MakeRows(80, 40));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  uint64_t older = ps_.Containers()[0]->id;
+  uint64_t newer = ps_.Containers()[1]->id;
+  delete_and_persist(older, {0});
+  delete_and_persist(newer, {5});
+  ASSERT_EQ(count_dv_files(), 3u);
+  EXPECT_EQ(ps_.TruncateForRecovery(merged_at), merged_at);
+  ASSERT_EQ(ps_.NumContainers(), 1u);
+  EXPECT_EQ(ps_.Containers()[0]->id, older);
+  EXPECT_EQ(count_dv_files(), 0u);
+  EXPECT_EQ(ps_.ScrubFiles().value(), 0u);
+}
+
 class PartitionedStorageFixture : public StorageFixture {
  protected:
   PartitionedStorageFixture() : pps_(&fs_, "node0/p_part", MakePartitionedConfig()) {}
@@ -474,6 +541,17 @@ TEST_F(PartitionedStorageFixture, DropPartitionIsFileLevelAndImmediate) {
   ASSERT_TRUE(pps_.InsertWos(MakeRows(0, 400), txn.get()).ok());
   ASSERT_TRUE(tm_.Commit(txn).ok());
   ASSERT_TRUE(mover_.Moveout(&pps_).ok());
+  // A committed delete on a February container, persisted to DVROS: the
+  // drop must take its file along with the container's.
+  uint64_t february = 0;
+  for (const auto& c : pps_.Containers()) {
+    if (c->partition_key == 201202) february = c->id;
+  }
+  ASSERT_NE(february, 0u);
+  txn = tm_.Begin();
+  ASSERT_TRUE(pps_.AddDeletes(february, {0}, txn.get()).ok());
+  ASSERT_TRUE(tm_.Commit(txn).ok());
+  ASSERT_TRUE(mover_.MoveDeleteVectors(&pps_).ok());
 
   uint64_t before_rows = pps_.TotalRosRows();
   uint64_t before_files = fs_.List("node0/p_part").value().size();
@@ -486,6 +564,59 @@ TEST_F(PartitionedStorageFixture, DropPartitionIsFileLevelAndImmediate) {
   for (const auto& c : pps_.Containers()) {
     EXPECT_NE(c->partition_key, 201202);
   }
+  // Every file left belongs to a live container: a scrub finds no orphan.
+  EXPECT_EQ(pps_.ScrubFiles().value(), 0u);
+}
+
+// Recovery's ingest: unsorted rows with per-row commit and delete epochs
+// come out as one sorted container per (partition, local segment), each
+// row keeping its commit epoch and, at its new position, its delete epoch.
+TEST_F(PartitionedStorageFixture, IngestRecoveredSplitsSortsAndKeepsEpochs) {
+  RowBlock rows({TypeId::kInt64, TypeId::kDate, TypeId::kFloat64});
+  std::vector<Epoch> epochs, deletes;
+  std::map<int64_t, std::pair<Epoch, Epoch>> want;  // sale_id -> (epoch, delete)
+  for (int i = 0; i < 400; ++i) {
+    int64_t id = (i * 7919) % 400;  // a permutation of 0..399: unsorted
+    rows.columns[0].ints.push_back(id);
+    rows.columns[1].ints.push_back(MakeDate(2012, 1 + id % 4, 1 + id % 28));
+    rows.columns[2].doubles.push_back(id * 0.5);
+    epochs.push_back(3 + 2 * (id % 3));       // 3, 5 or 7
+    deletes.push_back(id % 20 == 0 ? 8 : 0);  // 20 deleted rows
+    want[id] = {epochs.back(), deletes.back()};
+  }
+  ASSERT_FALSE(IsSorted(rows, {1, 0}));
+  ASSERT_TRUE(pps_.IngestRecovered(std::move(rows), epochs, deletes, 9).ok());
+  EXPECT_EQ(pps_.lge(), 9u);
+
+  StorageSnapshot snap = pps_.GetSnapshot(9);
+  std::set<std::pair<int64_t, uint32_t>> groups;
+  size_t seen = 0, deleted = 0;
+  for (const auto& c : pps_.Containers()) {
+    EXPECT_TRUE(groups.insert({c->partition_key, c->local_segment}).second);
+    RowBlock got;
+    std::vector<Epoch> got_epochs;
+    ASSERT_TRUE(ReadRosContainer(&fs_, *c, &got, &got_epochs).ok());
+    EXPECT_TRUE(IsSorted(got, {1, 0}));
+    ColumnVector hashes;
+    ASSERT_TRUE(EvalExpr(*pps_.config().segmentation_expr, got, &hashes).ok());
+    std::map<uint64_t, Epoch> dels;
+    snap.ForEachDelete(c->id, 0, UINT64_MAX, [&](uint64_t p, Epoch e) { dels[p] = e; });
+    for (size_t r = 0; r < got.NumRows(); ++r) {
+      const int64_t date = got.columns[1].ints[r];
+      EXPECT_EQ(DateYear(date) * 100 + DateMonth(date), c->partition_key);
+      EXPECT_EQ(pps_.LocalSegmentOf(static_cast<uint64_t>(hashes.ints[r])),
+                c->local_segment);
+      const auto& [epoch, del] = want.at(got.columns[0].ints[r]);
+      EXPECT_EQ(got_epochs[r], epoch);
+      auto d = dels.find(r);
+      EXPECT_EQ(d == dels.end() ? 0 : d->second, del);
+      ++seen;
+    }
+    deleted += dels.size();
+  }
+  EXPECT_EQ(seen, 400u);
+  EXPECT_EQ(deleted, 20u);
+  EXPECT_GT(groups.size(), 4u);
 }
 
 }  // namespace
