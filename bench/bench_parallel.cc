@@ -25,11 +25,16 @@
 //       feeding a group-by, exercising the shared build path (one
 //       SharedJoinBuild per join, built once, probed by every fragment).
 //   BM_SelectiveScanPair — one selective query on the leading sort column
-//       of a 70-block container (it keeps 2 blocks), at fan-out 1 and 4 in
-//       turn, each database behind a FileSystem wrapper that counts read
-//       calls. Reports read_ops_ratio = fan-out-4 reads / serial reads, a
-//       deterministic count since every morsel opens exactly once;
-//       tools/check_bench_budgets.py gates it below 2 (DESIGN.md §6).
+//       of a 70-block container (it keeps 7 blocks, enough rows for the
+//       planner's fan-out gate), at fan-out 1 and 4 in turn, each database
+//       behind a FileSystem wrapper that counts read calls. Reports
+//       read_ops_ratio = fan-out-4 reads / serial reads, a deterministic
+//       count since every morsel opens exactly once, and
+//       pruned_scan_pinned_per_query = pinned threads the fan-out-4
+//       database's scheduler starts per run of a query that keeps one
+//       block (0 when the gate plans it as one pipeline);
+//       tools/check_bench_budgets.py gates them below 2 and 1 (DESIGN.md
+//       §6, §12).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -222,25 +227,40 @@ CountedDb MakeSelectiveDb(size_t fanout) {
   return out;
 }
 
-/// Keeps blocks 30 and 31 ([491520, 524288)) of the 70.
+/// Keeps blocks 30-36 ([491520, 606208)) of the 70, pruning blocks on both
+/// sides: 114688 rows, enough for the fan-out gate, so the fan-out-4 side
+/// runs the morsel carve.
 constexpr const char* kSelectiveQuery =
-    "SELECT COUNT(*), SUM(v) FROM readings WHERE id >= 500000 AND id < 520000";
+    "SELECT COUNT(*), SUM(v) FROM readings WHERE id >= 500000 AND id < 600000";
+/// Keeps block 30 alone: too few rows to fan out.
+constexpr const char* kOneBlockQuery =
+    "SELECT COUNT(*), SUM(v) FROM readings WHERE id >= 500000 AND id < 505000";
 
 void BM_SelectiveScanPair(benchmark::State& state) {
   static CountedDb serial = MakeSelectiveDb(1);
   static CountedDb parallel = MakeSelectiveDb(4);
-  uint64_t serial_reads = 0, parallel_reads = 0, queries = 0;
+  auto explain = parallel.db->Execute(std::string("EXPLAIN ") + kSelectiveQuery);
+  if (!explain.ok() || explain.value().message.find("ParallelUnion") == std::string::npos) {
+    state.SkipWithError("the fan-out-4 selective scan is not a parallel plan");
+    return;
+  }
+  const auto& sched = parallel.db->scheduler()->stats();
+  uint64_t serial_reads = 0, parallel_reads = 0, pinned = 0, queries = 0;
   for (auto _ : state) {
     uint64_t s0 = serial.fs->reads();
     auto a = serial.db->Execute(kSelectiveQuery);
     uint64_t p0 = parallel.fs->reads();
     auto b = parallel.db->Execute(kSelectiveQuery);
-    if (!a.ok() || !b.ok() || a.value().rows.ToString() != b.value().rows.ToString()) {
+    serial_reads += serial.fs->reads() - s0;
+    parallel_reads += parallel.fs->reads() - p0;
+    uint64_t t0 = sched.pinned_started.load();
+    auto one = parallel.db->Execute(kOneBlockQuery);
+    pinned += sched.pinned_started.load() - t0;
+    if (!a.ok() || !b.ok() || !one.ok() ||
+        a.value().rows.ToString() != b.value().rows.ToString()) {
       state.SkipWithError("selective scan failed or answers differ");
       return;
     }
-    serial_reads += serial.fs->reads() - s0;
-    parallel_reads += parallel.fs->reads() - p0;
     ++queries;
   }
   if (serial_reads > 0) {
@@ -251,6 +271,8 @@ void BM_SelectiveScanPair(benchmark::State& state) {
       static_cast<double>(serial_reads) / static_cast<double>(queries);
   state.counters["fanout4_reads_per_query"] =
       static_cast<double>(parallel_reads) / static_cast<double>(queries);
+  state.counters["pruned_scan_pinned_per_query"] =
+      static_cast<double>(pinned) / static_cast<double>(queries);
 }
 
 BENCHMARK(BM_ScanGroupByIoBound)

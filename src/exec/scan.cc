@@ -42,11 +42,41 @@ bool BlockPruned(const BlockMeta& bm, const PruneBound& bound) {
   return bm.row_count > bm.null_count && !RangeMayMatch(bm.min, bm.max, bound.op, bound.value);
 }
 
+size_t NumBlocks(const RosContainer& c) {
+  return c.columns.empty() ? 0 : c.columns[0].meta.blocks.size();
+}
+
+/// The prune rule (DESIGN.md §6) for one container, judged from min/max
+/// alone, before any reader opens: false when the container's column
+/// min/max excludes one of the scan's prune bounds (which includes
+/// partition pruning: partition-separated containers have tight bounds).
+/// Otherwise `kept` receives, ascending, every block BlockPruned keeps for
+/// all bounds. The morsel carve and the planner's fan-out gate (KeptRows)
+/// both decide through it, so they cannot disagree about what is read.
+bool KeepBlocks(const RosContainer& c, const ScanSpec& spec, std::vector<size_t>* kept) {
+  kept->clear();
+  // The bounds that address a stored column of this container.
+  std::vector<std::pair<const ColumnFileMeta*, const PruneBound*>> bounds;
+  for (const auto& bound : spec.prune_bounds) {
+    int proj_col = spec.projection_columns[bound.output_column];
+    if (proj_col < 0 || proj_col >= static_cast<int>(c.columns.size())) continue;
+    const ColumnFileMeta& meta = c.columns[proj_col].meta;
+    if (meta.num_rows > 0 && !RangeMayMatch(meta.min, meta.max, bound.op, bound.value)) {
+      return false;
+    }
+    bounds.push_back({&meta, &bound});
+  }
+  for (size_t b = 0; b < NumBlocks(c); ++b) {
+    bool pruned = false;
+    for (const auto& [meta, bound] : bounds) pruned |= BlockPruned(meta->blocks[b], *bound);
+    if (!pruned) kept->push_back(b);
+  }
+  return true;
+}
+
 /// Carve a snapshot's containers into block-range regions for `k` workers,
-/// keeping only blocks the scan's prune bounds may match (DESIGN.md §6).
-/// Bounds are read from the block min/max every in-memory container carries,
-/// so no pruned block range ever costs a reader open. A container whose
-/// column min/max excludes a bound yields nothing and counts as
+/// from the blocks KeepBlocks keeps, so no pruned block range ever costs a
+/// reader open. A pruned container yields nothing and counts as
 /// container-pruned; otherwise its kept blocks are split into up to `k`
 /// contiguous ranges (never fewer than one kept block per range; pruned
 /// blocks between two kept ones stay inside the range, where AdvanceRos
@@ -64,33 +94,14 @@ std::vector<ScanRegion> PlanScanRegions(const StorageSnapshot& snap, const ScanS
   std::vector<size_t> kept;
   uint64_t blocks_pruned = 0, containers_pruned = 0;
   for (const auto& c : snap.ros) {
-    // The bounds that address a stored column of this container.
-    std::vector<std::pair<const ColumnFileMeta*, const PruneBound*>> bounds;
-    bool container_pruned = false;
-    for (const auto& bound : spec.prune_bounds) {
-      int proj_col = spec.projection_columns[bound.output_column];
-      if (proj_col < 0 || proj_col >= static_cast<int>(c->columns.size())) continue;
-      const ColumnFileMeta& meta = c->columns[proj_col].meta;
-      // Container-level pruning (includes partition pruning: partition-
-      // separated containers have tight bounds).
-      container_pruned |=
-          meta.num_rows > 0 && !RangeMayMatch(meta.min, meta.max, bound.op, bound.value);
-      bounds.push_back({&meta, &bound});
-    }
-    if (container_pruned) {
+    if (!KeepBlocks(*c, spec, &kept)) {
       ++containers_pruned;
       continue;
     }
-    size_t num_blocks = c->columns.empty() ? 0 : c->columns[0].meta.blocks.size();
+    size_t num_blocks = NumBlocks(*c);
     if (num_blocks == 0) {
       all.push_back({c, 0, SIZE_MAX});
       continue;
-    }
-    kept.clear();
-    for (size_t b = 0; b < num_blocks; ++b) {
-      bool pruned = false;
-      for (const auto& [meta, bound] : bounds) pruned |= BlockPruned(meta->blocks[b], *bound);
-      if (!pruned) kept.push_back(b);
     }
     size_t pieces = std::min(k, kept.size());
     size_t carved = 0;
@@ -116,6 +127,17 @@ std::vector<ScanRegion> PlanScanRegions(const StorageSnapshot& snap, const ScanS
 }
 
 }  // namespace
+
+uint64_t KeptRows(const ProjectionStorage& storage, const ScanSpec& spec) {
+  uint64_t rows = storage.WosRowCount();
+  std::vector<size_t> kept;
+  for (const auto& c : storage.Containers()) {
+    if (!KeepBlocks(*c, spec, &kept)) continue;
+    if (NumBlocks(*c) == 0) rows += c->row_count;
+    for (size_t b : kept) rows += c->columns[0].meta.blocks[b].row_count;
+  }
+  return rows;
+}
 
 /// One stream of filtered blocks: a container region or the WOS.
 struct ScanOperator::Source {

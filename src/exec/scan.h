@@ -271,6 +271,12 @@ class ScanOperator : public Operator {
   std::vector<uint8_t> null_buf_;
 };
 
+/// The rows a scan of `storage` by `spec` reads: every WOS row, plus the
+/// rows of the ROS blocks its prune bounds keep, judged from container and
+/// block min/max by the same rule the morsel carve applies (DESIGN.md §6).
+/// The planner's fan-out gate sums it over the scan units.
+uint64_t KeptRows(const ProjectionStorage& storage, const ScanSpec& spec);
+
 /// The spec of a serial scan of one projection copy: every projection
 /// column, then the virtual columns `virtuals`. `where`, bound against the
 /// copy's columns, filters and prunes as a planned scan's WHERE does.

@@ -730,18 +730,25 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
 
   // ---- intra-node fan-out gate (DESIGN.md §12) -------------------------------
   // A unit pipeline splits into `fanout` morsel-driven fragments when the
-  // fact is big enough to amortize the extra pipelines and nothing in the
-  // plan needs what fragments cannot give: an order-carrying scan
+  // fact scan reads enough rows to amortize the extra pipelines and nothing
+  // in the plan needs what fragments cannot give: an order-carrying scan
   // (sorted_output) would interleave arbitrarily under the ParallelUnion,
   // and RIGHT/FULL joins must emit unmatched build rows exactly once, which
-  // a build shared across fragments cannot.
+  // a build shared across fragments cannot. The rows counted are the ones
+  // the scan will read (KeptRows: the WOS plus the ROS blocks its prune
+  // bounds keep), not the ones stored, so a scan pruned to a few blocks
+  // plans one pipeline. It is a gate, not a cap: a scan that clears it gets
+  // the full fan-out.
   size_t fanout = intra_node_parallelism == 0 ? 1 : intra_node_parallelism;
   bool morsel_bypass = false;
   if (fanout > 1) {
-    constexpr uint64_t kMinParallelRowsPerUnit = 32768;
-    bool ok = scope.tables[fact].est_rows >=
-              kMinParallelRowsPerUnit * std::max<size_t>(num_units, 1);
+    constexpr uint64_t kMinParallelRowsPerUnit = 65536;  // four 16Ki-row blocks
     const ScanSpec& ft = table_plans[fact].spec;
+    uint64_t kept_rows = 0;
+    for (const ProjectionStorage* unit : scope.tables[fact].units) {
+      kept_rows += KeptRows(*unit, ft);
+    }
+    bool ok = kept_rows >= kMinParallelRowsPerUnit * std::max<size_t>(num_units, 1);
     // Order-carrying scans are planned serial *explicitly* and recorded
     // (PhysicalPlan::morsel_bypass → ExecStats::morsel_bypasses), not
     // silently dropped, so fan-out accounting stays honest.

@@ -300,6 +300,20 @@ std::vector<DeleteVectorChunkPtr> ProjectionStorage::ContainerDeleteChunks(
   return out;
 }
 
+bool ProjectionStorage::MarkDeletesPersisted(const DeleteVectorChunkPtr& d,
+                                             const std::string& path, uint64_t gen) {
+  {
+    std::lock_guard lock(mu_);
+    if (generation_.load(std::memory_order_relaxed) == gen) {
+      d->persisted = true;
+      d->dv_path = path;
+      return true;
+    }
+  }
+  (void)fs_->Delete(path);
+  return false;
+}
+
 Status ProjectionStorage::ApplyMoveout(const MoveoutApply& apply) {
   std::lock_guard lock(mu_);
   if (apply.base_generation != generation_.load(std::memory_order_relaxed)) {

@@ -177,6 +177,14 @@ class ProjectionStorage {
   /// delete chunks (the DVWOS/DVROS persistence units).
   std::vector<RosContainerPtr> Containers() const;
   std::vector<DeleteVectorChunkPtr> ContainerDeleteChunks(uint64_t container_id) const;
+  /// DVWOS -> DVROS: mark the committed chunk `d` persisted in the DVROS
+  /// file `path`, written after the tuple mover sampled generation `gen`.
+  /// Under the storage mutex, so a crash, a scrub or a revalidation sees
+  /// the chunk unpersisted, or persisted with its file. If the generation
+  /// moved since (a crash, recovery or scrub), it marks nothing, removes
+  /// the file and returns false.
+  bool MarkDeletesPersisted(const DeleteVectorChunkPtr& d, const std::string& path,
+                            uint64_t gen);
 
   Status ApplyMoveout(const MoveoutApply& apply);
   Status ApplyMergeout(const MergeoutApply& apply);

@@ -26,6 +26,19 @@ RosWriter::RosWriter(FileSystem* fs, std::string dir, uint64_t container_id,
   }
 }
 
+RosWriter::~RosWriter() {
+  if (!partial_) return;
+  // Finish failed part-way: remove whatever it wrote. Deleting a file it
+  // never reached fails harmlessly.
+  for (const auto& name : names_) {
+    (void)fs_->Delete(dir_ + "/" + name + ".dat");
+    (void)fs_->Delete(dir_ + "/" + name + ".idx");
+  }
+  (void)fs_->Delete(dir_ + "/__epoch.dat");
+  (void)fs_->Delete(dir_ + "/__epoch.idx");
+  (void)fs_->Delete(dir_ + "/meta");
+}
+
 Status RosWriter::Append(const RowBlock& rows, const std::vector<Epoch>& epochs) {
   if (rows.NumColumns() != writers_.size())
     return Status::Internal("RosWriter column count mismatch");
@@ -63,6 +76,7 @@ Status RosWriter::Append(const RowBlock& rows, const std::vector<Epoch>& epochs)
 
 Result<RosContainerPtr> RosWriter::Finish(int64_t partition_key, uint32_t local_segment,
                                           Epoch uniform_epoch) {
+  partial_ = true;
   auto ros = std::make_shared<RosContainer>();
   ros->id = id_;
   ros->projection = projection_;
@@ -100,6 +114,7 @@ Result<RosContainerPtr> RosWriter::Finish(int64_t partition_key, uint32_t local_
     ros->max_epoch = uniform_epoch;
   }
   STRATICA_RETURN_NOT_OK(WriteRosMeta(fs_, *ros, dir_ + "/meta"));
+  partial_ = false;
   return RosContainerPtr(ros);
 }
 

@@ -78,7 +78,9 @@ using RosContainerPtr = std::shared_ptr<const RosContainer>;
 ///
 /// The caller guarantees sort order; the writer builds per-column files and
 /// the container metadata. Rows are appended in vectorized batches, so
-/// mergeout can stream arbitrarily large merges with bounded memory.
+/// mergeout can stream arbitrarily large merges with bounded memory. Files
+/// are written by Finish; a writer destroyed after a Finish that failed
+/// removes every file of its container, so a failed write leaves none.
 class RosWriter {
  public:
   /// `dir` is the container directory (e.g. "node0/proj_sales/c42").
@@ -86,6 +88,9 @@ class RosWriter {
             std::string projection, std::vector<std::string> column_names,
             std::vector<TypeId> column_types, std::vector<EncodingId> encodings,
             size_t rows_per_block = kDefaultRowsPerBlock);
+  ~RosWriter();
+  RosWriter(const RosWriter&) = delete;
+  RosWriter& operator=(const RosWriter&) = delete;
 
   /// Append a batch. `epochs` must be empty (all rows get the epoch passed
   /// to Finish) or have one entry per row; every batch of a container
@@ -113,6 +118,7 @@ class RosWriter {
   Epoch min_epoch_ = kUncommittedEpoch, max_epoch_ = 0;
   uint64_t rows_written_ = 0;
   size_t rows_per_block_;
+  bool partial_ = false;  ///< Finish began writing files and has not succeeded
 };
 
 /// Open a reader for one column of a container.

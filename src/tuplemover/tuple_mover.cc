@@ -227,12 +227,10 @@ Status TupleMover::MergeoutAll(ProjectionStorage* ps) {
 
 Status TupleMover::MoveDeleteVectors(ProjectionStorage* ps) {
   const uint64_t gen = ps->generation();
-  // DVWOS -> DVROS: persist committed, unpersisted chunks (the only kind
-  // ContainerDeleteChunks returns) using the same
-  // storage format as user data. WOS-target chunks stay in memory until
-  // their rows move out.
-  std::vector<RosContainerPtr> containers = ps->Containers();
-  for (const auto& c : containers) {
+  // DVWOS -> DVROS: persist the committed chunks not yet persisted, using
+  // the same storage format as user data. WOS-target chunks stay in memory
+  // until their rows move out.
+  for (const auto& c : ps->Containers()) {
     for (const auto& d : ps->ContainerDeleteChunks(c->id)) {
       if (d->persisted || d->size() == 0) continue;
       // Recovery rewrote the storage: the chunk may no longer be in the
@@ -241,8 +239,10 @@ Status TupleMover::MoveDeleteVectors(ProjectionStorage* ps) {
       if (ps->generation() != gen) return Status::OK();
       std::string path = c->dir + "/dv" + std::to_string(reinterpret_cast<uintptr_t>(d.get()));
       STRATICA_RETURN_NOT_OK(WriteDvRos(ps->fs(), *d, path));
-      d->persisted = true;
-      d->dv_path = path;
+      // A crash, recovery or scrub since `gen` may have dropped the chunk
+      // or scrubbed the file: the storage then removes it, and the next
+      // pass starts over.
+      if (!ps->MarkDeletesPersisted(d, path, gen)) return Status::OK();
       ++stats_.dv_chunks_persisted;
     }
   }

@@ -197,12 +197,12 @@ TEST_F(CompressedExecFixture, DecodeElisionCounterMoves) {
   EXPECT_GT(db_->stats()->decode_elided_bytes.load(), before);
 }
 
-// Satellite: order-carrying scans (sort elimination over the projection's
-// sort prefix) cannot ride the morsel path; when the table is otherwise
-// big enough for fan-out, the plan must record the bypass instead of
+// Order-carrying scans (sort elimination over the projection's sort
+// prefix) cannot ride the morsel path; when the scan otherwise reads
+// enough rows for fan-out, the plan must record the bypass instead of
 // silently running serial (DESIGN.md §12). Needs its own database: the
-// fan-out gate requires >= 32768 rows per scan unit before the bypass
-// (rather than the table being simply too small) is the reason to go
+// fan-out gate requires >= 65536 rows read per scan unit before the bypass
+// (rather than the scan being simply too small) is the reason to go
 // serial.
 TEST(MorselBypassTest, OrderCarryingScanRecordsBypass) {
   DatabaseOptions opts;
@@ -213,7 +213,8 @@ TEST(MorselBypassTest, OrderCarryingScanRecordsBypass) {
   auto r = db.Execute("CREATE TABLE big (a INT NOT NULL, b INT NOT NULL)");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   RowBlock rows({TypeId::kInt64, TypeId::kInt64});
-  for (int i = 0; i < 40000; ++i) {
+  constexpr int kRows = 80000;
+  for (int i = 0; i < kRows; ++i) {
     rows.columns[0].ints.push_back(i / 8);
     rows.columns[1].ints.push_back(i);
   }
@@ -223,12 +224,12 @@ TEST(MorselBypassTest, OrderCarryingScanRecordsBypass) {
   uint64_t before = db.stats()->morsel_bypasses.load();
   auto q = db.Execute("SELECT a, b FROM big ORDER BY a, b");
   ASSERT_TRUE(q.ok()) << q.status().ToString();
-  ASSERT_EQ(q.value().NumRows(), 40000u);
+  ASSERT_EQ(q.value().NumRows(), static_cast<size_t>(kRows));
   EXPECT_GT(db.stats()->morsel_bypasses.load(), before);
   // Sort elimination dropped the Sort operator; the scan itself must
   // deliver the order.
   const RowBlock& out = q.value().rows;
-  for (size_t r = 0; r < 40000; ++r) {
+  for (size_t r = 0; r < static_cast<size_t>(kRows); ++r) {
     ASSERT_EQ(out.columns[0].GetValue(r).i64(), static_cast<int64_t>(r / 8));
     ASSERT_EQ(out.columns[1].GetValue(r).i64(), static_cast<int64_t>(r));
   }

@@ -1,9 +1,10 @@
 // Unified worker pool tests (DESIGN.md §12): work-stealing under skewed
 // task costs, deadlock-free fork/join on tiny pools, pinned-thread reuse,
-// reservation->fan-out mapping, parallel-plan correctness against serial
-// plans, stats-merge exactness at 16 workers, cooperative abandonment of
-// morsel fragments under an early-closing consumer (LIMIT), and a shared
-// hash-join build spilling to sort-merge under two fragments.
+// reservation->fan-out mapping, the kept-rows fan-out gate, parallel-plan
+// correctness against serial plans, stats-merge exactness at 16 workers,
+// cooperative abandonment of morsel fragments under an early-closing
+// consumer (LIMIT), and a shared hash-join build spilling to sort-merge
+// under two fragments.
 #include "exec/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -148,10 +149,12 @@ TEST(AllowedFanoutTest, AdmissionClampScalesRealQueriesDown) {
 // ---------------------------------------------------------------------------
 // End-to-end: parallel morsel plans vs serial plans on identical data.
 
-// With the default three local segments, `fact` is three one-block
-// containers that each span every id. With one local segment it is one
-// container of 40000 rows sorted by id in 3 blocks: [0, 16384),
-// [16384, 32768) and [32768, 40000).
+// `fact` holds 8 blocks' worth of rows, ids 0..131071. With the default
+// three local segments it is three containers of about 43,700 rows, each
+// spanning every id. With one local segment it is one container sorted by
+// id in 8 full blocks: block b holds ids [16384 b, 16384 (b + 1)).
+constexpr int kFactRows = 8 * 16384;
+
 std::unique_ptr<Database> MakeDb(size_t fanout, size_t workers, uint32_t local_segments = 3) {
   DatabaseOptions opts;
   opts.num_nodes = 1;
@@ -167,10 +170,11 @@ std::unique_ptr<Database> MakeDb(size_t fanout, size_t workers, uint32_t local_s
   create(
       "CREATE TABLE fact (id INT NOT NULL, k INT, grp INT, v FLOAT)");
   create("CREATE TABLE dim (k INT NOT NULL, bucket INT)");
-  // Big enough to clear the planner's kMinParallelRowsPerUnit gate.
+  // A whole-table scan reads twice the 65536 rows per unit the planner's
+  // fan-out gate asks for; a scan its bounds prune to a block or two does
+  // not clear it.
   RowBlock fact({TypeId::kInt64, TypeId::kInt64, TypeId::kInt64, TypeId::kFloat64});
-  constexpr int kRows = 40000;
-  for (int i = 0; i < kRows; ++i) {
+  for (int i = 0; i < kFactRows; ++i) {
     fact.columns[0].ints.push_back(i);
     fact.columns[1].ints.push_back(i % 500);
     fact.columns[2].ints.push_back(i % 7);
@@ -254,8 +258,11 @@ TEST(ParallelPlanTest, MatchesSerialResults) {
         "SELECT grp, AVG(v), MIN(k) FROM fact GROUP BY grp ORDER BY grp",
         // Not partialable: raw rows cross the gather into one aggregation.
         "SELECT grp, COUNT(DISTINCT k) FROM fact GROUP BY grp ORDER BY grp",
-        // Pruned morsel scans on the leading sort column: a point, a range
-        // inside the middle block, a range across the first block boundary.
+        // Pruned scans on the leading sort column. A point and the narrow
+        // ranges keep a block or two, too few rows to fan out. With one
+        // local segment the wide ranges keep blocks 1-5 and 0-5, pruning
+        // blocks on both sides or after them, and run as morsel scans.
+        // Ranges from 16000 cross the first block boundary.
         "SELECT id, k, v FROM fact WHERE id = 20000",
         "SELECT COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact "
         "WHERE id >= 20000 AND id < 21000",
@@ -263,17 +270,31 @@ TEST(ParallelPlanTest, MatchesSerialResults) {
         "SELECT COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact "
         "WHERE id >= 16000 AND id < 17000",
         "SELECT id, grp FROM fact WHERE id >= 16000 AND id < 17000 ORDER BY id",
+        "SELECT COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact "
+        "WHERE id >= 20000 AND id < 95000",
+        "SELECT id, v FROM fact WHERE id >= 20000 AND id < 95000 AND k = 7 ORDER BY id",
+        "SELECT COUNT(*), SUM(v), MIN(id), MAX(id) FROM fact "
+        "WHERE id >= 16000 AND id < 82000",
     };
+    if (segments == 1) {
+      // The wide ranges keep 81920 and 98304 rows: they fan out.
+      for (const char* q : {"SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 95000",
+                            "SELECT COUNT(*) FROM fact WHERE id >= 16000 AND id < 82000"}) {
+        auto explain = parallel->Execute(std::string("EXPLAIN ") + q);
+        ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+        EXPECT_NE(explain.value().message.find("ParallelUnion"), std::string::npos) << q;
+      }
+    }
     for (const char* q : queries) {
       EXPECT_EQ(RunSorted(serial.get(), q), RunSorted(parallel.get(), q)) << q;
     }
     // A bound that prunes every block: no morsel, no rows, at either fan-out.
     for (Database* db : {serial.get(), parallel.get()}) {
-      auto count = db->Execute("SELECT COUNT(*) FROM fact WHERE id > 100000");
+      auto count = db->Execute("SELECT COUNT(*) FROM fact WHERE id > 200000");
       ASSERT_TRUE(count.ok()) << count.status().ToString();
       ASSERT_EQ(count.value().NumRows(), 1u);
       EXPECT_EQ(count.value().At(0, 0).i64(), 0);
-      auto rows = db->Execute("SELECT id, v FROM fact WHERE id > 100000");
+      auto rows = db->Execute("SELECT id, v FROM fact WHERE id > 200000");
       ASSERT_TRUE(rows.ok()) << rows.status().ToString();
       EXPECT_EQ(rows.value().NumRows(), 0u);
     }
@@ -287,7 +308,9 @@ TEST(ParallelPlanTest, PruningCountersMatchSerial) {
   const char* queries[] = {
       "SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 21000",
       "SELECT SUM(v) FROM fact WHERE id >= 16000 AND id < 17000",
-      "SELECT COUNT(*) FROM fact WHERE id > 100000",
+      "SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 95000",
+      "SELECT SUM(v) FROM fact WHERE id >= 16000 AND id < 82000",
+      "SELECT COUNT(*) FROM fact WHERE id > 200000",
       "SELECT id FROM fact WHERE id = 20000 AND k < 100",
       "SELECT COUNT(*) FROM fact WHERE k = 7",
   };
@@ -299,23 +322,28 @@ TEST(ParallelPlanTest, PruningCountersMatchSerial) {
       ExpectSameCounts(RunCounted(serial.get(), q), RunCounted(parallel.get(), q), q);
     }
   }
-  // On the sorted 3-block container the figures are known exactly.
+  // On the sorted 8-block container the figures are known exactly. The
+  // middle range keeps blocks 1-5 and is a morsel scan: the carve prunes
+  // block 0 before its morsels and blocks 6 and 7 after them.
   auto parallel = MakeDb(8, 4, 1);
-  ScanCounts middle =
-      RunCounted(parallel.get(), "SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 21000");
-  EXPECT_EQ(middle.rows_scanned, 16384u);
-  EXPECT_EQ(middle.blocks_pruned, 2u);
+  const char* middle_sql = "SELECT COUNT(*) FROM fact WHERE id >= 20000 AND id < 95000";
+  auto explain = parallel->Execute(std::string("EXPLAIN ") + middle_sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain.value().message.find("ParallelUnion"), std::string::npos);
+  ScanCounts middle = RunCounted(parallel.get(), middle_sql);
+  EXPECT_EQ(middle.rows_scanned, 5u * 16384);
+  EXPECT_EQ(middle.blocks_pruned, 3u);
   EXPECT_EQ(middle.containers_pruned, 0u);
-  ScanCounts none = RunCounted(parallel.get(), "SELECT COUNT(*) FROM fact WHERE id > 100000");
+  ScanCounts none = RunCounted(parallel.get(), "SELECT COUNT(*) FROM fact WHERE id > 200000");
   EXPECT_EQ(none.rows_scanned, 0u);
   EXPECT_EQ(none.blocks_pruned, 0u);
   EXPECT_EQ(none.containers_pruned, 1u);
 }
 
 TEST(ParallelPlanTest, WosScannedOnceWhenEveryRosBlockIsPruned) {
-  // ROS holds ids 0..39999; the WOS holds committed ids 100000.., this
-  // transaction's uncommitted ids 200000.. and another open transaction's
-  // ids 300000... A bound above every ROS id leaves no morsel, and the WOS
+  // ROS holds ids 0..131071; the WOS holds committed ids 200000.., this
+  // transaction's uncommitted ids 300000.. and another open transaction's
+  // ids 400000... A bound above every ROS id leaves no morsel, and the WOS
   // is still read once: committed rows and own writes, nothing else.
   auto db = MakeDb(8, 4, 1);
   auto fact_rows = [](int64_t first, int n) {
@@ -328,27 +356,27 @@ TEST(ParallelPlanTest, WosScannedOnceWhenEveryRosBlockIsPruned) {
     }
     return rows;
   };
-  ASSERT_TRUE(db->Load("fact", fact_rows(100000, 10)).ok());
+  ASSERT_TRUE(db->Load("fact", fact_rows(200000, 10)).ok());
   Cluster* cluster = db->cluster();
   auto own = cluster->txns()->Begin();
-  ASSERT_TRUE(cluster->Load("fact", fact_rows(200000, 5), own.get()).ok());
+  ASSERT_TRUE(cluster->Load("fact", fact_rows(300000, 5), own.get()).ok());
   auto other = cluster->txns()->Begin();
-  ASSERT_TRUE(cluster->Load("fact", fact_rows(300000, 7), other.get()).ok());
+  ASSERT_TRUE(cluster->Load("fact", fact_rows(400000, 7), other.get()).ok());
   ProjectionStorage* ps = cluster->node(0)->GetStorage("fact_super");
   ASSERT_NE(ps, nullptr);
   ASSERT_EQ(ps->WosRowCount(), 22u);
   ASSERT_EQ(ps->NumContainers(), 1u);
 
   std::multiset<int64_t> want;
-  for (int64_t i = 0; i < 10; ++i) want.insert(100000 + i);
-  for (int64_t i = 0; i < 5; ++i) want.insert(200000 + i);
+  for (int64_t i = 0; i < 10; ++i) want.insert(200000 + i);
+  for (int64_t i = 0; i < 5; ++i) want.insert(300000 + i);
   ScanSpec spec;
   spec.storage = ps;
   spec.projection_columns = {0};
   spec.output_names = {"id"};
   spec.output_types = {TypeId::kInt64};
   AddScanConjunct(&spec, Cmp(CompareOp::kGt, ColIdx(0, TypeId::kInt64),
-                             Lit(Value::Int64(50000))));
+                             Lit(Value::Int64(150000))));
   for (size_t fanout : {1u, 8u}) {
     SCOPED_TRACE("fan-out " + std::to_string(fanout));
     auto morsels = fanout > 1 ? std::make_shared<MorselDispenser>(fanout) : nullptr;
@@ -377,10 +405,11 @@ TEST(ParallelPlanTest, WosScannedOnceWhenEveryRosBlockIsPruned) {
 }
 
 TEST(ParallelPlanTest, AllNullBlockOfLeadingSortColumnNeverPrunes) {
-  // `n` is sorted by the nullable `a`: 20000 NULLs, then a = 0..19999, so
-  // its first block (16384 rows) is all NULL and has no min/max. A bound on
-  // `a` must keep that block — NULL stats never prune — at every fan-out,
-  // even though none of its rows can match.
+  // `n` is sorted by the nullable `a`: 70000 NULLs, then a = 0..19999, so
+  // its first four blocks (65536 rows) are all NULL and have no min/max. A
+  // bound on `a` must keep them — NULL stats never prune — at every fan-out,
+  // even though none of their rows can match. Kept, they are enough rows
+  // for a bound on `a` to plan a morsel scan.
   auto make_db = [](size_t fanout, size_t workers) {
     DatabaseOptions opts;
     opts.num_nodes = 1;
@@ -391,9 +420,9 @@ TEST(ParallelPlanTest, AllNullBlockOfLeadingSortColumnNeverPrunes) {
     auto db = std::make_unique<Database>(opts);
     EXPECT_TRUE(db->Execute("CREATE TABLE n (a INT, b INT NOT NULL)").ok());
     RowBlock rows({TypeId::kInt64, TypeId::kInt64});
-    for (int64_t i = 0; i < 40000; ++i) {
-      rows.columns[0].Append(i < 20000 ? Value::Null(TypeId::kInt64)
-                                       : Value::Int64(i - 20000));
+    for (int64_t i = 0; i < 90000; ++i) {
+      rows.columns[0].Append(i < 70000 ? Value::Null(TypeId::kInt64)
+                                       : Value::Int64(i - 70000));
       rows.columns[1].ints.push_back(i);
     }
     EXPECT_TRUE(db->Load("n", rows).ok());
@@ -415,14 +444,86 @@ TEST(ParallelPlanTest, AllNullBlockOfLeadingSortColumnNeverPrunes) {
     EXPECT_EQ(RunSorted(serial.get(), q), RunSorted(parallel.get(), q)) << q;
     ExpectSameCounts(RunCounted(serial.get(), q), RunCounted(parallel.get(), q), q);
   }
-  // a < 100: the all-NULL block and the block holding a = 0..12767 are
-  // read; only the last block (a >= 12768) is pruned.
+  // a < 100: the four all-NULL blocks and the block holding the last NULLs
+  // and a = 0..11919 are read; only the last block (a >= 11920) is pruned.
   ScanCounts low = RunCounted(parallel.get(), "SELECT COUNT(*) FROM n WHERE a < 100");
-  EXPECT_EQ(low.rows_scanned, 32768u);
+  EXPECT_EQ(low.rows_scanned, 5u * 16384);
   EXPECT_EQ(low.blocks_pruned, 1u);
   auto count = parallel->Execute("SELECT COUNT(*) FROM n WHERE a < 100");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count.value().At(0, 0).i64(), 100);
+}
+
+TEST(ParallelPlanTest, PrunedScanPlansSerial) {
+  // The fan-out gate counts the rows a scan will read, not the rows its
+  // table stores. On the sorted 8-block container `id < 100` keeps one
+  // block, so the fan-out-8 database plans it as one pipeline, and it
+  // answers and counts as the fan-out-1 database does. A whole-table
+  // aggregate keeps every block and still fans out.
+  auto serial = MakeDb(1, 1, 1);
+  auto parallel = MakeDb(8, 4, 1);
+  const std::string pruned = "SELECT COUNT(*), SUM(v), MAX(id) FROM fact WHERE id < 100";
+  auto explain = parallel->Execute("EXPLAIN " + pruned);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain.value().message.find("ParallelUnion"), std::string::npos)
+      << explain.value().message;
+  EXPECT_EQ(RunSorted(serial.get(), pruned), RunSorted(parallel.get(), pruned));
+  ScanCounts counts = RunCounted(parallel.get(), pruned);
+  ExpectSameCounts(RunCounted(serial.get(), pruned), counts, pruned);
+  EXPECT_EQ(counts.rows_scanned, 16384u);
+  EXPECT_EQ(counts.blocks_pruned, 7u);
+  // One pipeline starts no pinned producer thread.
+  uint64_t pinned = parallel->scheduler()->stats().pinned_started.load();
+  ASSERT_TRUE(parallel->Execute(pruned).ok());
+  EXPECT_EQ(parallel->scheduler()->stats().pinned_started.load(), pinned);
+
+  auto whole = parallel->Execute("EXPLAIN SELECT COUNT(*), SUM(v) FROM fact");
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_NE(whole.value().message.find("ParallelUnion"), std::string::npos)
+      << whole.value().message;
+}
+
+TEST(ParallelPlanTest, PrunedScanGateAveragesOverUnits) {
+  // Four nodes, K = 1: the gate asks for 65536 rows read per scan unit, on
+  // average over the four units. `fact` holds 300000 rows, about 75000 per
+  // node in one container sorted by id. `id < 1000` keeps each node's first
+  // block: 65536 rows in all, enough for one unit but not for four, so it
+  // plans serial. A whole-table aggregate reads every row and fans out.
+  auto make_db = [](size_t fanout, size_t workers) {
+    DatabaseOptions opts;
+    opts.num_nodes = 4;
+    opts.k_safety = 1;
+    opts.local_segments_per_node = 1;
+    opts.intra_node_parallelism = fanout;
+    opts.worker_threads = workers;
+    auto db = std::make_unique<Database>(opts);
+    EXPECT_TRUE(db->Execute("CREATE TABLE fact (id INT NOT NULL, v FLOAT)").ok());
+    RowBlock rows({TypeId::kInt64, TypeId::kFloat64});
+    for (int64_t i = 0; i < 300000; ++i) {
+      rows.columns[0].ints.push_back(i);
+      rows.columns[1].doubles.push_back((i % 97) * 0.25);
+    }
+    EXPECT_TRUE(db->Load("fact", rows).ok());
+    EXPECT_TRUE(db->RunTupleMover().ok());
+    return db;
+  };
+  auto serial = make_db(1, 1);
+  auto parallel = make_db(4, 4);
+  const std::string pruned = "SELECT COUNT(*), SUM(v), MAX(id) FROM fact WHERE id < 1000";
+  const std::string whole = "SELECT COUNT(*), SUM(v), MAX(id) FROM fact";
+  auto explain = parallel->Execute("EXPLAIN " + pruned);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_EQ(explain.value().message.find("ParallelUnion"), std::string::npos)
+      << explain.value().message;
+  explain = parallel->Execute("EXPLAIN " + whole);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain.value().message.find("ParallelUnion"), std::string::npos)
+      << explain.value().message;
+  for (const std::string& q : {pruned, whole}) {
+    EXPECT_EQ(RunSorted(serial.get(), q), RunSorted(parallel.get(), q)) << q;
+    ExpectSameCounts(RunCounted(serial.get(), q), RunCounted(parallel.get(), q), q);
+  }
+  EXPECT_EQ(RunCounted(parallel.get(), pruned).rows_scanned, 4u * 16384);
 }
 
 TEST(ParallelPlanTest, StatsMergeExactAt16Workers) {
@@ -432,9 +533,9 @@ TEST(ParallelPlanTest, StatsMergeExactAt16Workers) {
   uint64_t before = db->stats()->rows_scanned.load();
   auto r = db->Execute("SELECT COUNT(*) FROM fact");
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().At(0, 0).i64(), 40000);
+  EXPECT_EQ(r.value().At(0, 0).i64(), kFactRows);
   uint64_t scanned = db->stats()->rows_scanned.load() - before;
-  EXPECT_EQ(scanned, 40000u);
+  EXPECT_EQ(scanned, static_cast<uint64_t>(kFactRows));
 }
 
 TEST(ParallelPlanTest, LimitAbandonsMorselWorkersCleanly) {
@@ -448,13 +549,14 @@ TEST(ParallelPlanTest, LimitAbandonsMorselWorkersCleanly) {
   // The database must remain fully usable afterwards.
   auto again = db->Execute("SELECT COUNT(*) FROM fact");
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().At(0, 0).i64(), 40000);
+  EXPECT_EQ(again.value().At(0, 0).i64(), kFactRows);
 }
 
 TEST(ParallelPlanTest, ReservationNeverExceededUnderParallelStress) {
   // Concurrent parallel queries against a small pool: the admission gauge
   // may never exceed the pool, and every query still answers (possibly at
-  // reduced fan-out via AllowedFanout).
+  // reduced fan-out via AllowedFanout). `t` is big enough for the planner's
+  // fan-out gate (65536 rows read per unit).
   DatabaseOptions opts;
   opts.num_nodes = 1;
   opts.intra_node_parallelism = 8;
@@ -463,7 +565,7 @@ TEST(ParallelPlanTest, ReservationNeverExceededUnderParallelStress) {
   Database db(opts);
   ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT NOT NULL, v INT)").ok());
   RowBlock rows({TypeId::kInt64, TypeId::kInt64});
-  for (int i = 0; i < 40000; ++i) {
+  for (int i = 0; i < 80000; ++i) {
     rows.columns[0].ints.push_back(i);
     rows.columns[1].ints.push_back(i % 13);
   }

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 
+#include "common/fault_fs.h"
 #include "exec/scan.h"
 #include "storage/sort_util.h"
 #include "tuplemover/tuple_mover.h"
@@ -155,6 +156,29 @@ TEST_F(StorageFixture, DirectRosRollbackDeletesFiles) {
   ASSERT_TRUE(files.ok());
   EXPECT_EQ(files.value().size(), 0u);
   EXPECT_EQ(ps_.NumContainers(), 0u);
+}
+
+TEST_F(StorageFixture, FailedDirectLoadLeavesNoFiles) {
+  // Writing the container's last column index fails: the load fails, and
+  // the container's writer removes the files it wrote before the fault, so
+  // a scrub afterwards finds nothing to remove.
+  FaultFs faulty(&fs_, /*seed=*/1);
+  FaultRule rule;
+  rule.path_pattern = ".*/price\\.idx";
+  rule.op_mask = kFaultWrite;
+  rule.kind = FaultKind::kPersistentError;
+  faulty.AddRule(rule);
+  ProjectionStorage ps(&faulty, "node0/p_faulty", MakeConfig());
+  auto txn = tm_.Begin();
+  EXPECT_FALSE(ps.InsertDirectRos(MakeRows(0, 50), txn.get()).ok());
+  tm_.Rollback(txn);
+  EXPECT_GT(faulty.stats().persistent_errors.load(), 0u);
+  faulty.ClearRules();
+  EXPECT_EQ(fs_.List("node0/p_faulty/").value().size(), 0u);
+  auto removed = ps.ScrubFiles();
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed.value(), 0u);
+  EXPECT_EQ(ps.NumContainers(), 0u);
 }
 
 TEST_F(StorageFixture, DeleteVectorHidesRowsAtSnapshot) {

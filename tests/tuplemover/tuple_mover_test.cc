@@ -11,7 +11,9 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <thread>
 
+#include "common/fault_fs.h"
 #include "common/rng.h"
 #include "exec/scan.h"
 #include "storage/projection_storage.h"
@@ -360,6 +362,71 @@ TEST(TupleMoverMergePathTest, DeleteCommittedDuringMergeoutStaysDeleted) {
   live = live_v();
   EXPECT_EQ(live.size(), 599u);
   EXPECT_EQ(live.count(doomed_v), 0u);
+}
+
+// A mover pass persisting delete chunks races a crash that drops the
+// unpersisted ones (MarkNodeDown runs CrashVolatileState on another
+// thread). Each chunk ends persisted with its DVROS file, or dropped with
+// no file left behind: every persisted chunk's file reads back, and a
+// scrub finds nothing to remove. Under TSan this also checks that the two
+// threads touch a chunk's persisted state only under the storage mutex.
+TEST(TupleMoverMergePathTest, DeleteVectorMoveRacesCrash) {
+  MoverWorld world;
+  // Each DVROS write takes 1 ms, so the crash lands while the mover is
+  // part-way through a round's chunks.
+  FaultFs fs(&world.fs, /*seed=*/3);
+  FaultRule slow_dv_writes;
+  slow_dv_writes.path_pattern = ".*/dv[0-9]+";
+  slow_dv_writes.op_mask = kFaultWrite;
+  slow_dv_writes.kind = FaultKind::kLatency;
+  slow_dv_writes.latency_us = 1000;
+  fs.AddRule(slow_dv_writes);
+  ProjectionStorage ps(&fs, "node0/q", world.ps->config());
+  RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
+  for (int i = 0; i < 200; ++i) {
+    rows.columns[0].ints.push_back(i % 40);
+    rows.columns[1].strings.push_back("x");
+    rows.columns[2].ints.push_back(i);
+  }
+  auto load = world.tm->Begin();
+  ASSERT_TRUE(ps.InsertWos(std::move(rows), load.get()).ok());
+  ASSERT_TRUE(world.tm->Commit(load).ok());
+  ASSERT_TRUE(world.mover->Moveout(&ps).ok());
+  ASSERT_EQ(ps.NumContainers(), 1u);
+  const uint64_t target = ps.Containers()[0]->id;
+  auto dv_files = [&] {
+    std::vector<std::string> files = world.fs.List("node0/q/").value();
+    return std::count_if(files.begin(), files.end(), [](const std::string& f) {
+      return f.find("/dv") != std::string::npos;
+    });
+  };
+
+  // 10 rounds of 20 one-row chunks delete each row once.
+  constexpr uint64_t kChunksPerRound = 20;
+  for (uint64_t round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (uint64_t i = 0; i < kChunksPerRound; ++i) {
+      auto txn = world.tm->Begin();
+      ASSERT_TRUE(ps.AddDeletes(target, {round * kChunksPerRound + i}, txn.get()).ok());
+      ASSERT_TRUE(world.tm->Commit(txn).ok());
+    }
+    const auto before = dv_files();
+    std::atomic<bool> done{false};
+    Status moved;
+    std::thread mover([&] {
+      moved = world.mover->MoveDeleteVectors(&ps);
+      done = true;
+    });
+    // Crash once the mover has written a DVROS file this round.
+    while (!done.load() && dv_files() == before) std::this_thread::yield();
+    ps.CrashVolatileState();
+    mover.join();
+    ASSERT_TRUE(moved.ok()) << moved.ToString();
+    EXPECT_TRUE(ps.Revalidate().ok());
+    auto removed = ps.ScrubFiles();
+    ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+    EXPECT_EQ(removed.value(), 0u);
+  }
 }
 
 }  // namespace

@@ -12,10 +12,16 @@ current directory and checks the budgets DESIGN.md states for them:
     delete chunks outside its blocks vs the same read with no deletes,
     DESIGN.md §1) must stay below 1.5. Gated.
   * BENCH_parallel.json — `read_ops_ratio` of BM_SelectiveScanPair (storage
-    read calls of a query that keeps 2 of 70 blocks at fan-out 4 vs the
+    read calls of a query that keeps 7 of 70 blocks at fan-out 4 vs the
     same query serial, DESIGN.md §6) must stay below 2: the morsel carve
     opens no reader for a pruned block range. The count is deterministic.
     Gated.
+  * BENCH_parallel.json — `pruned_scan_pinned_per_query` of
+    BM_SelectiveScanPair (pinned threads the fan-out-4 database starts per
+    run of a query that keeps 1 of the 70 blocks, DESIGN.md §12) must stay
+    below 1: the fan-out gate counts the rows a scan reads, so that query
+    plans one pipeline and starts no producer thread. A fanned-out plan
+    reads 4. Deterministic. Gated.
   * BENCH_cluster_scale.json — `hedged_p99_over_baseline` of every
     BM_HedgedTailPair node count (5% stragglers with hedging vs an
     all-healthy cluster, DESIGN.md §11) should stay below 2. Reported but
@@ -38,6 +44,8 @@ BUDGETS = [
     ("BENCH_tuple_mover.json", "BM_ReadAfterDeletesPair", "read_after_deletes_ratio", 1.5,
      True),
     ("BENCH_parallel.json", "BM_SelectiveScanPair", "read_ops_ratio", 2.0, True),
+    ("BENCH_parallel.json", "BM_SelectiveScanPair", "pruned_scan_pinned_per_query", 1.0,
+     True),
     ("BENCH_cluster_scale.json", "BM_HedgedTailPair", "hedged_p99_over_baseline", 2.0,
      False),
 ]
