@@ -377,10 +377,7 @@ Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
   auto projections = catalog_.ProjectionsForTable(table);
   std::stable_sort(projections.begin(), projections.end(),
                    [](const ProjectionDef& a, const ProjectionDef& b) {
-                     auto rank = [](const ProjectionDef& p) {
-                       return (p.is_super && !p.IsPrejoin()) ? 0 : 1;
-                     };
-                     return rank(a) < rank(b);
+                     return a.is_super && !b.is_super;
                    });
 
   // A DELETE is a scan that outputs positions (Section 3.7.1): per copy,
@@ -388,20 +385,15 @@ Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
   // come out with their target and position, grouped by target into one
   // delete chunk each.
   for (const auto& proj : projections) {
-    const bool is_super = proj.is_super && !proj.IsPrejoin();
     const size_t ncols = proj.columns.size();
-    BindSchema schema;
     std::vector<std::pair<size_t, size_t>> content_cols;  // (projection, table)
-    for (size_t c = 0; c < ncols; ++c) {
-      int tc = def.FindColumn(proj.columns[c].name);
-      schema.Add(proj.columns[c].name, tc >= 0 ? def.columns[tc].type : TypeId::kInt64);
-      if (tc >= 0) content_cols.emplace_back(c, static_cast<size_t>(tc));
-    }
+    for (size_t c = 0; c < ncols; ++c)
+      content_cols.emplace_back(c, static_cast<size_t>(proj.columns[c].table_column));
     // A projection lacking a predicate column deletes the rows the super
     // projections captured instead, each copy matching them by content over
     // the columns it shares with the table.
     ExprPtr pred = where ? CloneExpr(where) : nullptr;
-    const bool use_content_match = pred && !BindExpr(pred, schema).ok();
+    const bool use_content_match = pred && !BindExpr(pred, proj.ToBindSchema(def)).ok();
     if (use_content_match && !captured)
       return Status::NotImplemented(
           "DELETE predicate references columns missing from projection ", proj.name,
@@ -422,7 +414,7 @@ Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
         std::sort(hit.begin(), hit.end());  // back in target, position order
         rows = ApplyPermutation(rows, hit);
       }
-      if (is_super && !captured) {
+      if (proj.is_super && !captured) {
         // Capture table-ordered row content once (for UPDATE re-insert and
         // narrow-projection content matching).
         for (size_t tc = 0; tc < def.columns.size(); ++tc) {
@@ -440,7 +432,7 @@ Status Database::ApplyDelete(const std::string& table, const ExprPtr& where,
             std::vector<uint64_t>(positions.begin() + lo, positions.begin() + hi), txn));
       }
     }
-    if (is_super) captured = true;
+    if (proj.is_super) captured = true;
   }
   return Status::OK();
 }

@@ -37,22 +37,8 @@ int ProjectionDef::FindColumn(const std::string& col_name) const {
 
 BindSchema ProjectionDef::ToBindSchema(const TableDef& table) const {
   BindSchema s;
-  for (const auto& pc : columns) {
-    TypeId t = TypeId::kInt64;
-    if (pc.table_column >= 0 && pc.table_column < static_cast<int>(table.columns.size()))
-      t = table.columns[pc.table_column].type;
-    s.Add(pc.name, t);
-  }
+  for (const auto& pc : columns) s.Add(pc.name, table.columns[pc.table_column].type);
   return s;
-}
-
-std::vector<TypeId> ProjectionDef::ColumnTypes(const TableDef& table) const {
-  std::vector<TypeId> types;
-  for (const auto& pc : columns) {
-    types.push_back(pc.table_column >= 0 ? table.columns[pc.table_column].type
-                                         : TypeId::kInt64);
-  }
-  return types;
 }
 
 Status Catalog::CreateTable(TableDef table) {
@@ -114,10 +100,8 @@ Status Catalog::ValidateProjection(ProjectionDef* proj) const {
   if (proj->columns.empty())
     return Status::InvalidArgument("projection needs columns: ", proj->name);
 
-  // Resolve anchor-table columns (prejoined dimension columns keep -1 and
-  // are typed by the load path).
+  // Resolve every column against the anchor table.
   for (auto& pc : proj->columns) {
-    if (pc.name.find('.') != std::string::npos && proj->IsPrejoin()) continue;
     int idx = table.FindColumn(pc.name);
     if (idx < 0)
       return Status::AnalysisError("projection column not in table: ", pc.name);
@@ -253,19 +237,6 @@ Status Catalog::Save(FileSystem* fs, const std::string& path) const {
       out << "pcolumn\t" << pc.name << "\t" << pc.table_column << "\t"
           << static_cast<int>(pc.encoding) << "\n";
     }
-    for (const auto& pj : p.prejoins) {
-      out << "prejoin\t" << pj.dim_table << "\t";
-      for (size_t i = 0; i < pj.fact_join_columns.size(); ++i) {
-        if (i) out << ",";
-        out << pj.fact_join_columns[i];
-      }
-      out << "\t";
-      for (size_t i = 0; i < pj.dim_join_columns.size(); ++i) {
-        if (i) out << ",";
-        out << pj.dim_join_columns[i];
-      }
-      out << "\n";
-    }
   }
   // Catalog snapshots carry the integrity footer: a torn backup must fail
   // restore loudly, not parse a prefix (DESIGN.md §10).
@@ -348,13 +319,6 @@ Status Catalog::Load(FileSystem* fs, const std::string& path) {
       cur_proj->columns.push_back(
           {f[1], std::atoi(f[2].c_str()),
            static_cast<EncodingId>(std::atoi(f[3].c_str()))});
-    } else if (f[0] == "prejoin") {
-      if (!cur_proj) return Status::Corruption("prejoin before projection");
-      PrejoinDimension pj;
-      pj.dim_table = f[1];
-      pj.fact_join_columns = SplitCommas(f[2]);
-      pj.dim_join_columns = SplitCommas(f[3]);
-      cur_proj->prejoins.push_back(std::move(pj));
     } else {
       return Status::Corruption("unknown catalog record: ", f[0]);
     }
@@ -364,9 +328,14 @@ Status Catalog::Load(FileSystem* fs, const std::string& path) {
     if (t.partition_by) STRATICA_RETURN_NOT_OK(BindExpr(t.partition_by, t.ToBindSchema()));
   }
   for (auto& [name, p] : projections_) {
+    auto it = tables_.find(p.anchor_table);
+    if (it == tables_.end()) return Status::Corruption("projection without table");
+    for (const auto& pc : p.columns) {
+      if (pc.table_column < 0 ||
+          pc.table_column >= static_cast<int>(it->second.columns.size()))
+        return Status::Corruption("projection column not in table: ", pc.name);
+    }
     if (!p.segmentation.replicated) {
-      auto it = tables_.find(p.anchor_table);
-      if (it == tables_.end()) return Status::Corruption("projection without table");
       STRATICA_RETURN_NOT_OK(
           BindExpr(p.segmentation.expr, p.ToBindSchema(it->second)));
     }

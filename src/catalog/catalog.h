@@ -61,19 +61,13 @@ struct SegmentationSpec {
   std::string ToString() const;
 };
 
+/// One stored column of a projection. Every projection column is a column
+/// of its anchor table: a projection stores only its anchor table's rows.
 struct ProjectionColumnDef {
-  std::string name;       // anchor-table column name ("dim.col" for prejoins)
-  int table_column = -1;  // index into the anchor table's columns; -1 for
-                          // prejoined dimension columns
+  std::string name;       // anchor-table column name
+  int table_column = -1;  // index into the anchor table's columns; set (>= 0)
+                          // by validation and kept by catalog load
   EncodingId encoding = EncodingId::kAuto;
-};
-
-/// N:1 prejoin specification (Section 3.3): rows of the anchor (fact) table
-/// are joined with dimension rows at load time and stored denormalized.
-struct PrejoinDimension {
-  std::string dim_table;
-  std::vector<std::string> fact_join_columns;
-  std::vector<std::string> dim_join_columns;
 };
 
 struct ProjectionDef {
@@ -82,15 +76,12 @@ struct ProjectionDef {
   std::vector<ProjectionColumnDef> columns;
   std::vector<uint32_t> sort_columns;  // indexes into `columns`, major first
   SegmentationSpec segmentation;
-  std::vector<PrejoinDimension> prejoins;
   bool is_super = false;
   std::string buddy_of;  // primary projection name when this is a buddy copy
 
   int FindColumn(const std::string& col_name) const;
-  /// Schema of the projection's stored rows.
+  /// Schema of the projection's stored rows (a validated def only).
   BindSchema ToBindSchema(const TableDef& table) const;
-  std::vector<TypeId> ColumnTypes(const TableDef& table) const;
-  bool IsPrejoin() const { return !prejoins.empty(); }
 };
 
 /// \brief Thread-safe catalog with DDL operations and snapshot persistence.

@@ -1,9 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "common/hash.h"
 #include "storage/sort_util.h"
 
 namespace stratica {
@@ -122,20 +120,7 @@ Result<ProjectionStorageConfig> Cluster::MakeStorageConfig(
   cfg.projection = def.name;
   BindSchema proj_schema;
   for (const auto& pc : def.columns) {
-    TypeId type;
-    if (pc.table_column >= 0) {
-      type = table.columns[pc.table_column].type;
-    } else {
-      // Prejoined dimension column "dim.col".
-      auto dot = pc.name.find('.');
-      if (dot == std::string::npos)
-        return Status::Internal("unresolved projection column: ", pc.name);
-      STRATICA_ASSIGN_OR_RETURN(TableDef dim,
-                                catalog_->GetTable(pc.name.substr(0, dot)));
-      int dc = dim.FindColumn(pc.name.substr(dot + 1));
-      if (dc < 0) return Status::AnalysisError("unknown dimension column: ", pc.name);
-      type = dim.columns[dc].type;
-    }
+    TypeId type = table.columns[pc.table_column].type;
     cfg.column_names.push_back(pc.name);
     cfg.column_types.push_back(type);
     cfg.encodings.push_back(pc.encoding);
@@ -262,100 +247,6 @@ Status Cluster::DropProjectionWithBuddies(const std::string& projection) {
   return st;
 }
 
-Result<RowBlock> Cluster::BuildPrejoinRows(const ProjectionDef& proj,
-                                           const RowBlock& rows,
-                                           std::vector<RejectedRecord>* rejected,
-                                           Epoch snapshot) {
-  STRATICA_ASSIGN_OR_RETURN(TableDef fact, catalog_->GetTable(proj.anchor_table));
-  // Gather each dimension's rows (dimensions are small by definition of the
-  // N:1 prejoin) in table order and index the live ones by join key.
-  struct DimData {
-    TableDef table;
-    CopyRows rows;
-    std::vector<int> dim_cols;       // join key columns in dim block
-    std::vector<int> fact_cols;      // join key columns in fact block
-    std::unordered_map<uint64_t, uint32_t> index;
-  };
-  std::vector<DimData> dims;
-  for (const auto& pj : proj.prejoins) {
-    DimData d;
-    STRATICA_ASSIGN_OR_RETURN(d.table, catalog_->GetTable(pj.dim_table));
-    std::vector<ProjectionColumnDef> columns;
-    for (size_t c = 0; c < d.table.columns.size(); ++c)
-      columns.push_back({d.table.columns[c].name, static_cast<int>(c)});
-    // The first super projection whose every slot has a live copy.
-    bool found = false;
-    for (const auto& dp : catalog_->ProjectionsForTable(pj.dim_table)) {
-      if (!dp.is_super) continue;
-      auto got = Gather(dp, columns, 0, snapshot);
-      if (got.ok()) {
-        d.rows = std::move(got).value();
-        found = true;
-        break;
-      }
-      if (got.status().code() != StatusCode::kClusterUnavailable) return got.status();
-    }
-    if (!found)
-      return Status::ClusterUnavailable("dimension ", pj.dim_table,
-                                        " unavailable for prejoin load");
-    for (const auto& c : pj.dim_join_columns) {
-      int idx = d.table.FindColumn(c);
-      if (idx < 0) return Status::AnalysisError("bad prejoin dim column: ", c);
-      d.dim_cols.push_back(idx);
-    }
-    for (const auto& c : pj.fact_join_columns) {
-      int idx = fact.FindColumn(c);
-      if (idx < 0) return Status::AnalysisError("bad prejoin fact column: ", c);
-      d.fact_cols.push_back(idx);
-    }
-    for (uint32_t r = 0; r < d.rows.rows.NumRows(); ++r) {
-      if (d.rows.deletes[r] != 0) continue;  // deleted at the snapshot
-      uint64_t h = 0x9b97;
-      for (int c : d.dim_cols) h = HashCombine(h, d.rows.rows.columns[c].HashEntry(r));
-      d.index.emplace(h, r);
-    }
-    dims.push_back(std::move(d));
-  }
-
-  // Match every fact row, then gather the output a column at a time.
-  std::vector<uint32_t> kept;
-  std::vector<std::vector<uint32_t>> dim_rows(dims.size());
-  for (size_t r = 0; r < rows.NumRows(); ++r) {
-    size_t di = 0;
-    for (; di < dims.size(); ++di) {
-      uint64_t h = 0x9b97;
-      for (int c : dims[di].fact_cols) h = HashCombine(h, rows.columns[c].HashEntry(r));
-      auto it = dims[di].index.find(h);
-      if (it == dims[di].index.end()) break;
-      dim_rows[di].push_back(it->second);
-    }
-    if (di == dims.size()) {
-      kept.push_back(static_cast<uint32_t>(r));
-      continue;
-    }
-    rejected->push_back(
-        {r, "no matching row in prejoin dimension " + dims[di].table.name});
-    for (size_t dj = 0; dj < di; ++dj) dim_rows[dj].pop_back();
-  }
-  STRATICA_ASSIGN_OR_RETURN(ProjectionStorageConfig cfg, MakeStorageConfig(proj, 0));
-  RowBlock out(cfg.column_types);
-  for (size_t oc = 0; oc < proj.columns.size(); ++oc) {
-    const auto& pc = proj.columns[oc];
-    if (pc.table_column >= 0) {
-      out.columns[oc].AppendGather(rows.columns[pc.table_column], kept);
-      continue;
-    }
-    auto dot = pc.name.find('.');
-    auto dim = std::find_if(dims.begin(), dims.end(), [&](const DimData& d) {
-      return d.table.name == pc.name.substr(0, dot);
-    });
-    if (dim == dims.end()) return Status::Internal("no prejoin dimension for ", pc.name);
-    int dc = dim->table.FindColumn(pc.name.substr(dot + 1));
-    out.columns[oc].AppendGather(dim->rows.rows.columns[dc], dim_rows[dim - dims.begin()]);
-  }
-  return out;
-}
-
 Status Cluster::RouteAndInsert(const ProjectionDef& proj, RowBlock rows,
                                Transaction* txn, bool direct_ros) {
   const size_t n_rows = rows.NumRows();
@@ -448,30 +339,11 @@ Result<LoadResult> Cluster::Load(const std::string& table, const RowBlock& rows,
     direct_ros = true;  // large loads waste WOS memory (Section 7)
   }
 
+  // Each projection stores the accepted rows' columns it names.
   for (const auto& proj : catalog_->ProjectionsForTable(table)) {
     RowBlock proj_rows;
-    if (proj.IsPrejoin()) {
-      std::vector<RejectedRecord> prejoin_rejects;
-      STRATICA_ASSIGN_OR_RETURN(
-          proj_rows,
-          BuildPrejoinRows(proj, accepted, &prejoin_rejects, txn->snapshot_epoch()));
-      // Buddy copies reject the same orphan rows; report each row once.
-      for (auto& rej : prejoin_rejects) {
-        bool dup = false;
-        for (const auto& seen : result.rejected) {
-          dup |= seen.row_index == rej.row_index && seen.reason == rej.reason;
-        }
-        if (!dup) result.rejected.push_back(std::move(rej));
-      }
-    } else {
-      std::vector<TypeId> types;
-      for (const auto& pc : proj.columns)
-        types.push_back(def.columns[pc.table_column].type);
-      proj_rows = RowBlock(types);
-      for (size_t c = 0; c < proj.columns.size(); ++c) {
-        proj_rows.columns[c] = accepted.columns[proj.columns[c].table_column];
-      }
-    }
+    for (const auto& pc : proj.columns)
+      proj_rows.columns.push_back(accepted.columns[pc.table_column]);
     STRATICA_RETURN_NOT_OK(RouteAndInsert(proj, std::move(proj_rows), txn, direct_ros));
   }
   return result;

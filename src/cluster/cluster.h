@@ -155,8 +155,8 @@ class Cluster {
   /// Route `rows` of `table` to every projection copy on every up node.
   /// `direct_ros` forces the WOS bypass; by default large loads, and loads
   /// into a copy whose WOS is saturated, bypass automatically per config.
-  /// Non-conforming rows (NULL in a non-nullable
-  /// column, missing prejoin dimension match) are rejected, not loaded.
+  /// Rows with a NULL in a non-nullable column are rejected, not loaded;
+  /// every projection of `table` stores the same accepted rows.
   Result<LoadResult> Load(const std::string& table, const RowBlock& rows,
                           Transaction* txn, bool direct_ros = false);
 
@@ -238,12 +238,6 @@ class Cluster {
   Status RebalanceToNodeCount(uint32_t new_count);
   Status RouteAndInsert(const ProjectionDef& proj, RowBlock rows, Transaction* txn,
                         bool direct_ros);
-  /// Build prejoined rows for a prejoin projection (Section 3.3): N:1 join
-  /// of `rows` (in anchor-table column order) with dimension rows live at
-  /// `snapshot`; unmatched rows are rejected, in row order.
-  Result<RowBlock> BuildPrejoinRows(const ProjectionDef& proj, const RowBlock& rows,
-                                    std::vector<RejectedRecord>* rejected,
-                                    Epoch snapshot);
   /// Copy epochs (lge, up_to] — or (0, up_to] when `full_rebuild`, which
   /// also guts the target copy, but only *after* the source read succeeded
   /// (a failed read must not destroy the last intact data of the copy).
@@ -252,11 +246,11 @@ class Cluster {
                                  bool full_rebuild = false);
   /// RefreshProjection body; runs with the anchor table's S lock held so
   /// every error path still releases it in the caller.
-  Status RefreshProjectionLocked(const ProjectionDef& def, const TableDef& table,
-                                 const ProjectionDef& src, Epoch now);
+  Status RefreshProjectionLocked(const ProjectionDef& def, const ProjectionDef& src,
+                                 Epoch now);
 
-  // --- copy path (Section 5.2): recovery, repair, refresh, rebalance and the
-  // prejoin dimension read all run slot source -> gather -> route -> replay.
+  // --- copy path (Section 5.2): recovery, repair, refresh and rebalance all
+  // run slot source -> gather -> route -> replay.
 
   /// Rows gathered from live copies: each with its commit epoch, its delete
   /// epoch (0 = live at the read epoch) and the node it was read from.
@@ -282,7 +276,7 @@ class Cluster {
                                 uint32_t* host);
   /// Gather: read ring slot `slot` of `src` (every slot when unset) at
   /// `at`, each through SlotSource, into one block in the order of
-  /// `columns` (matched to `src`'s by table column, else by name), never
+  /// `columns` (matched to `src`'s by table column), never
   /// from a node in `exclude`. Each slot is a history scan of one copy; a
   /// copy whose read fails has its node excluded for the slot, and the slot
   /// is retried on the next copy until none is left.

@@ -1,12 +1,12 @@
 // The copy path (Section 5.2): node recovery, quarantine repair, projection
-// refresh, elastic rebalance and the prejoin dimension read all copy
-// epoch-stamped rows and delete markers from live copies the same way. The
-// slot source picks the copy serving each ring slot (the projection's own,
-// then its buddies); the gather reads those slots into one block in the
-// caller's column order; the replay routes the rows by the ring, ingests the
-// ones committed after `from` with their epochs, and re-resolves later
-// deletes of older rows on the destination by content (the "separate plan"
-// the paper uses to move delete vectors).
+// refresh and elastic rebalance all copy epoch-stamped rows and delete
+// markers from live copies the same way. The slot source picks the copy
+// serving each ring slot (the projection's own, then its buddies); the
+// gather reads those slots into one block in the caller's column order; the
+// replay routes the rows by the ring, ingests the ones committed after
+// `from` with their epochs, and re-resolves later deletes of older rows on
+// the destination by content (the "separate plan" the paper uses to move
+// delete vectors).
 //
 // Recovery first truncates the node to its Last Good Epoch (WOS contents
 // died with it), then runs the path in two phases: a lock-free historical
@@ -148,10 +148,7 @@ Result<Cluster::CopyRows> Cluster::Gather(const ProjectionDef& src,
   std::vector<size_t> src_cols;
   for (const auto& c : columns) {
     size_t s = 0;
-    while (s < src.columns.size() &&
-           !(c.table_column >= 0 ? src.columns[s].table_column == c.table_column
-                                 : src.columns[s].name == c.name))
-      ++s;
+    while (s < src.columns.size() && src.columns[s].table_column != c.table_column) ++s;
     if (s == src.columns.size())
       return Status::Internal("projection ", src.name, " lacks column ", c.name);
     src_cols.push_back(s);
@@ -407,7 +404,6 @@ Result<uint64_t> Cluster::RepairQuarantined() {
 
 Status Cluster::RefreshProjection(const std::string& projection) {
   STRATICA_ASSIGN_OR_RETURN(ProjectionDef def, catalog_->GetProjection(projection));
-  STRATICA_ASSIGN_OR_RETURN(TableDef table, catalog_->GetTable(def.anchor_table));
 
   // Source: a super projection of the anchor table outside the refreshed
   // projection's own buddy family, preferring one that holds data.
@@ -415,7 +411,7 @@ Status Cluster::RefreshProjection(const std::string& projection) {
   std::vector<ProjectionDef> supers;
   for (const auto& p : catalog_->ProjectionsForTable(def.anchor_table)) {
     std::string p_family = p.buddy_of.empty() ? p.name : p.buddy_of;
-    if (p.is_super && !p.IsPrejoin() && p_family != family) supers.push_back(p);
+    if (p.is_super && p_family != family) supers.push_back(p);
   }
   std::stable_sort(supers.begin(), supers.end(),
                    [&](const ProjectionDef& a, const ProjectionDef& b) {
@@ -439,42 +435,18 @@ Status Cluster::RefreshProjection(const std::string& projection) {
   STRATICA_RETURN_NOT_OK(
       locks_.Acquire(txn->id(), def.anchor_table, LockMode::kS));
   Epoch now = epochs_.LatestQueryableEpoch();
-  Status st = RefreshProjectionLocked(def, table, supers.front(), now);
+  Status st = RefreshProjectionLocked(def, supers.front(), now);
   // Release on every path — an early error return must not leak the S
   // lock (it would wedge all future DML on the anchor table).
   txns_.Rollback(txn);  // bookkeeping txn held no data
   return st;
 }
 
-Status Cluster::RefreshProjectionLocked(const ProjectionDef& def, const TableDef& table,
-                                        const ProjectionDef& src, Epoch now) {
+Status Cluster::RefreshProjectionLocked(const ProjectionDef& def, const ProjectionDef& src,
+                                        Epoch now) {
   // Every ring slot of the source, from any live copy, in the target's
-  // column order — or in table order for a prejoin, whose dimension columns
-  // come from the join.
-  std::vector<ProjectionColumnDef> columns = def.columns;
-  if (def.IsPrejoin()) {
-    columns.clear();
-    for (size_t c = 0; c < table.columns.size(); ++c)
-      columns.push_back({table.columns[c].name, static_cast<int>(c)});
-  }
-  STRATICA_ASSIGN_OR_RETURN(CopyRows all, Gather(src, columns, 0, now));
-  if (def.IsPrejoin()) {
-    std::vector<RejectedRecord> rejected;
-    STRATICA_ASSIGN_OR_RETURN(RowBlock joined,
-                              BuildPrejoinRows(def, all.rows, &rejected, now));
-    // Rejects come in row order; the joined rows keep the others' epochs.
-    std::vector<uint32_t> kept;
-    auto rej = rejected.begin();
-    for (uint32_t r = 0; r < all.rows.NumRows(); ++r) {
-      if (rej != rejected.end() && rej->row_index == r) {
-        ++rej;
-      } else {
-        kept.push_back(r);
-      }
-    }
-    all = all.Select(kept);
-    all.rows = std::move(joined);
-  }
+  // column order.
+  STRATICA_ASSIGN_OR_RETURN(CopyRows all, Gather(src, def.columns, 0, now));
   SegmentationRing ring = this->ring();
   std::vector<ProjectionStorage*> targets(ring.num_nodes(), nullptr);
   for (uint32_t ni = 0; ni < ring.num_nodes(); ++ni) {

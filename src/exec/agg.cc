@@ -90,10 +90,10 @@ void AggState::Update(const AggSpec& spec, const ColumnVector& col, size_t phys,
       break;
     }
     case AggKind::kCountDistinct: {
-      if (!distinct) distinct = std::make_unique<std::set<std::string>>();
+      if (!distinct) distinct = std::make_unique<DistinctSet>();
       std::string key;
       EncodeValue(&key, col.GetValue(phys));
-      distinct->insert(std::move(key));
+      distinct->Insert(std::move(key));
       break;
     }
     case AggKind::kCountStar:
@@ -113,8 +113,8 @@ void AggState::Merge(const AggSpec& spec, const AggState& other) {
     }
   }
   if (other.distinct) {
-    if (!distinct) distinct = std::make_unique<std::set<std::string>>();
-    distinct->insert(other.distinct->begin(), other.distinct->end());
+    if (!distinct) distinct = std::make_unique<DistinctSet>();
+    for (const auto& v : other.distinct->values) distinct->Insert(v);
   }
 }
 
@@ -170,7 +170,7 @@ Value AggState::Final(const AggSpec& spec) const {
     case AggKind::kMax:
       return has_value ? extreme : Value::Null(spec.input_type);
     case AggKind::kCountDistinct:
-      return Value::Int64(distinct ? static_cast<int64_t>(distinct->size()) : 0);
+      return Value::Int64(distinct ? static_cast<int64_t>(distinct->values.size()) : 0);
   }
   return Value::Null(TypeId::kInt64);
 }
@@ -201,7 +201,7 @@ void AggState::EmitPartial(const AggSpec& spec, std::vector<ColumnVector>* cols,
       break;
     case AggKind::kCountDistinct:
       (*cols)[first_col].Append(
-          Value::Int64(distinct ? static_cast<int64_t>(distinct->size()) : 0));
+          Value::Int64(distinct ? static_cast<int64_t>(distinct->values.size()) : 0));
       break;
   }
 }
@@ -213,10 +213,10 @@ std::string AggState::Serialize(const AggSpec& spec) const {
   PutFixed(&out, dsum);
   out.push_back(has_value ? 1 : 0);
   if (has_value) EncodeValue(&out, extreme);
-  uint64_t nd = distinct ? distinct->size() : 0;
+  uint64_t nd = distinct ? distinct->values.size() : 0;
   PutVarint64(&out, nd);
   if (distinct) {
-    for (const auto& s : *distinct) {
+    for (const auto& s : distinct->values) {
       PutVarint64(&out, s.size());
       out.append(s);
     }
@@ -242,12 +242,12 @@ Result<AggState> AggState::Parse(const AggSpec& spec, const std::string& data) {
   uint64_t nd;
   if (!GetVarint64(data, &offset, &nd)) return Status::Corruption("agg: nd");
   if (nd > 0) {
-    st.distinct = std::make_unique<std::set<std::string>>();
+    st.distinct = std::make_unique<DistinctSet>();
     for (uint64_t i = 0; i < nd; ++i) {
       uint64_t len;
       if (!GetVarint64(data, &offset, &len) || offset + len > data.size())
         return Status::Corruption("agg: distinct entry");
-      st.distinct->insert(data.substr(offset, len));
+      st.distinct->Insert(data.substr(offset, len));
       offset += len;
     }
   }

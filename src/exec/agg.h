@@ -39,6 +39,18 @@ struct AggSpec {
   bool Partialable() const { return kind != AggKind::kCountDistinct; }
 };
 
+/// \brief COUNT(DISTINCT) values, serialized, with their footprint kept in
+/// step with every insertion that adds a value.
+struct DistinctSet {
+  std::set<std::string> values;
+  size_t bytes = 0;  ///< sum over `values` of size() + 32
+
+  void Insert(std::string v) {
+    const size_t n = v.size() + 32;
+    if (values.insert(std::move(v)).second) bytes += n;
+  }
+};
+
 /// \brief Accumulator for one (group, aggregate) pair.
 struct AggState {
   int64_t count = 0;
@@ -46,7 +58,7 @@ struct AggState {
   double dsum = 0;
   bool has_value = false;  // for MIN/MAX
   Value extreme;
-  std::unique_ptr<std::set<std::string>> distinct;  // serialized values
+  std::unique_ptr<DistinctSet> distinct;
 
   AggState() = default;
   AggState(AggState&&) = default;
@@ -60,8 +72,7 @@ struct AggState {
     dsum = other.dsum;
     has_value = other.has_value;
     extreme = other.extreme;
-    distinct = other.distinct ? std::make_unique<std::set<std::string>>(*other.distinct)
-                              : nullptr;
+    distinct = other.distinct ? std::make_unique<DistinctSet>(*other.distinct) : nullptr;
     return *this;
   }
 
@@ -83,13 +94,7 @@ struct AggState {
   std::string Serialize(const AggSpec& spec) const;
   static Result<AggState> Parse(const AggSpec& spec, const std::string& data);
 
-  size_t MemoryBytes() const {
-    size_t n = sizeof(AggState);
-    if (distinct) {
-      for (const auto& s : *distinct) n += s.size() + 32;
-    }
-    return n;
-  }
+  size_t MemoryBytes() const { return sizeof(AggState) + (distinct ? distinct->bytes : 0); }
 };
 
 /// Evaluation phase of a GroupBy operator.

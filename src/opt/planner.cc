@@ -279,7 +279,6 @@ Result<PhysicalPlan> Planner::PlanSelect(const SelectStmt& stmt,
     int64_t best_score = INT64_MIN;
     for (const auto& p : candidates) {
       if (p.segmentation.node_offset != 0) continue;  // buddies join via units
-      if (p.IsPrejoin()) continue;
       if (!p.is_super) continue;  // narrow projections need column analysis; a
                                   // super always works — prefer it unless a
                                   // narrow one scores higher below.

@@ -713,7 +713,6 @@ class Parser {
     std::vector<std::pair<std::string, EncodingId>> cols;
     do {
       std::string name = lex_.Next().raw;
-      if (lex_.Accept(".")) name += "." + lex_.Next().raw;  // prejoin dim col
       EncodingId enc = EncodingId::kAuto;
       if (lex_.Accept("ENCODING")) {
         STRATICA_ASSIGN_OR_RETURN(enc, EncodingFromName(lex_.Next().raw));

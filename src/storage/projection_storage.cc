@@ -475,7 +475,7 @@ void ProjectionStorage::RebuildDeleteListsLocked() {
 
 Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
   std::vector<StoredContainer> dropped;
-  std::vector<DeleteVectorChunkPtr> emptied;
+  std::vector<std::string> stale_dvs;  // DVROS files of trimmed chunks
   Epoch trunc = lge;
   {
     std::lock_guard lock(mu_);
@@ -500,31 +500,25 @@ Epoch ProjectionStorage::TruncateForRecovery(Epoch lge) {
       }
     }
     // Drop the surviving containers' delete entries newer than the
-    // truncation point. A chunk left empty goes, its DVROS file with it.
+    // truncation point. A committed chunk is never changed in place (the
+    // mover reads it off the mutex): a trimmed chunk gives way to a new,
+    // unpersisted one holding the entries it keeps, or to none, and its
+    // DVROS file goes. The next mover pass persists the new chunk.
     for (auto& d : deletes_) {
-      std::vector<uint64_t> keep_pos;
-      std::vector<Epoch> keep_ep;
-      for (size_t i = 0; i < d->positions.size(); ++i) {
-        if (d->epochs[i] <= trunc) {
-          keep_pos.push_back(d->positions[i]);
-          keep_ep.push_back(d->epochs[i]);
-        }
+      DeleteList keep;
+      for (size_t i = 0; i < d->size(); ++i) {
+        if (d->epochs[i] <= trunc) keep.push_back({d->positions[i], d->epochs[i]});
       }
-      d->positions = std::move(keep_pos);
-      d->epochs = std::move(keep_ep);
+      if (keep.size() == d->size()) continue;
+      if (d->persisted) stale_dvs.push_back(d->dv_path);
+      d = keep.empty() ? nullptr : MakeDeleteChunk(d->target_id, std::move(keep));
     }
-    auto empty = std::stable_partition(
-        deletes_.begin(), deletes_.end(),
-        [](const DeleteVectorChunkPtr& d) { return d->size() != 0; });
-    emptied.assign(empty, deletes_.end());
-    deletes_.erase(empty, deletes_.end());
+    deletes_.erase(std::remove(deletes_.begin(), deletes_.end(), nullptr), deletes_.end());
     RebuildDeleteListsLocked();
     lge_ = std::min(lge_, trunc);
   }
   for (const auto& d : dropped) DeleteContainerFiles(*d.container, d.dvs);
-  for (const auto& d : emptied) {
-    if (d->persisted) (void)fs_->Delete(d->dv_path);
-  }
+  for (const auto& path : stale_dvs) (void)fs_->Delete(path);
   return trunc;
 }
 

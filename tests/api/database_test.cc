@@ -194,5 +194,30 @@ TEST_F(DatabaseFixture, ErrorsAreCleanStatuses) {
   EXPECT_FALSE(db_->Execute("SELECT region FROM sales GROUP BY cust").ok());
 }
 
+// A projection stores only its anchor table's rows: neither a column of
+// another table nor a join in the defining SELECT is accepted, and the
+// rejected statement leaves no catalog entry and no storage behind.
+TEST_F(DatabaseFixture, CreateProjectionRejectsOtherTablesColumns) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"CREATE PROJECTION p (id, customers.tier) AS SELECT id, tier FROM sales", "'.'"},
+      {"CREATE PROJECTION p (id, cust) AS SELECT id, cust FROM sales "
+       "JOIN customers ON sales.cust = customers.cust_id",
+       "JOIN"},
+  };
+  for (const auto& [sql, near] : cases) {
+    SCOPED_TRACE(sql);
+    auto r = db_->Execute(sql);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << r.status().ToString();
+    EXPECT_NE(r.status().message().find(near), std::string::npos) << r.status().ToString();
+    EXPECT_FALSE(db_->catalog()->GetProjection("p").ok());
+    EXPECT_EQ(db_->catalog()->ProjectionsForTable("sales").size(), 2u);  // super + buddy
+    for (uint32_t n = 0; n < db_->cluster()->num_nodes(); ++n) {
+      EXPECT_EQ(db_->cluster()->node(n)->GetStorage("p"), nullptr);
+      EXPECT_EQ(db_->cluster()->node(n)->GetStorage("p_b1"), nullptr);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stratica

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "expr/serialize.h"
 
 namespace stratica {
@@ -116,6 +117,35 @@ TEST(CatalogTest, SnapshotPersistenceRoundTrip) {
   EXPECT_EQ(proj.value().columns[0].encoding, EncodingId::kRle);
   // Rebinding happened on load.
   EXPECT_GE(proj.value().segmentation.expr->children[0]->column_index, 0);
+}
+
+// Every projection column is a column of its anchor table. A snapshot
+// holding a prejoin projection (a dimension column with no table index and
+// its `prejoin` record) fails to load loudly rather than dropping the join.
+TEST(CatalogTest, SnapshotWithPrejoinRecordIsCorrupt) {
+  MemFileSystem fs;
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateTable(Sales()).ok());
+  ASSERT_TRUE(catalog.CreateProjection(Super()).ok());
+  ASSERT_TRUE(catalog.Save(&fs, "catalog/snapshot").ok());
+  std::string text = ReadFileChecksummed(&fs, "catalog/snapshot").value();
+  ASSERT_EQ(text.back(), '\n');
+  const std::string dim_column = "pcolumn\tcustomers.region\t-1\t0\n";
+
+  ASSERT_TRUE(WriteFileChecksummed(&fs, "catalog/prejoin",
+                                   text + dim_column + "prejoin\tcustomers\tid\tcust_id\n")
+                  .ok());
+  Catalog restored;
+  Status st = restored.Load(&fs, "catalog/prejoin");
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("unknown catalog record: prejoin"), std::string::npos)
+      << st.ToString();
+
+  // Without the record, the unresolved column alone is rejected too.
+  ASSERT_TRUE(WriteFileChecksummed(&fs, "catalog/dim_column", text + dim_column).ok());
+  st = restored.Load(&fs, "catalog/dim_column");
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("customers.region"), std::string::npos) << st.ToString();
 }
 
 TEST(CatalogTest, DropTableCascadesProjections) {

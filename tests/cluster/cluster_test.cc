@@ -141,15 +141,15 @@ class ClusterFixture : public ::testing::Test {
     return sum;
   }
 
-  // Delete rows whose first column is below `bound` from `table`'s super
+  // Delete rows whose first column is below `bound` from the sales super
   // projection and buddy on every up node, by issuing delete vectors
   // (simulating a DELETE statement's effect); returns the commit epoch.
-  Epoch DeleteIdsBelow(int64_t bound, const std::string& table = "sales") {
+  Epoch DeleteIdsBelow(int64_t bound) {
     Epoch now = cluster_->epochs()->LatestQueryableEpoch();
     auto txn = cluster_->txns()->Begin();
     for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
       if (!cluster_->node(n)->up()) continue;
-      for (const std::string& proj : {table + "_super", table + "_super_b1"}) {
+      for (const std::string proj : {"sales_super", "sales_super_b1"}) {
         auto* ps = cluster_->node(n)->GetStorage(proj);
         auto read = ScanCopy(&fs_, ps, now, {kScanTarget, kScanPosition, kScanDeleteEpoch});
         EXPECT_TRUE(read.ok());
@@ -183,59 +183,6 @@ class ClusterFixture : public ::testing::Test {
     narrow.sort_columns = {0};
     narrow.segmentation.expr = Func(FuncKind::kHash, {Col("cust")});
     return narrow;
-  }
-
-  // The `customers` dimension (cust 0..39 only; sales reference 0..49) and
-  // the `sales_prejoin` projection that denormalizes its region.
-  void CreateCustomersAndPrejoin() {
-    TableDef dim;
-    dim.name = "customers";
-    dim.columns = {{"cust_id", TypeId::kInt64, false},
-                   {"region", TypeId::kString, true}};
-    ASSERT_TRUE(cluster_->CreateTableWithSuperProjection(std::move(dim)).ok());
-    RowBlock dim_rows({TypeId::kInt64, TypeId::kString});
-    for (int i = 0; i < 40; ++i) {
-      dim_rows.columns[0].ints.push_back(i);
-      dim_rows.columns[1].strings.push_back(i % 2 ? "east" : "west");
-    }
-    auto txn = cluster_->txns()->Begin();
-    ASSERT_TRUE(cluster_->Load("customers", dim_rows, txn.get()).ok());
-    ASSERT_TRUE(cluster_->Commit(txn).ok());
-
-    ProjectionDef prejoin;
-    prejoin.name = "sales_prejoin";
-    prejoin.anchor_table = "sales";
-    prejoin.columns = {{"sale_id", -1, EncodingId::kAuto},
-                       {"cust", -1, EncodingId::kAuto},
-                       {"price", -1, EncodingId::kAuto},
-                       {"customers.region", -1, EncodingId::kRle}};
-    prejoin.sort_columns = {1};
-    prejoin.segmentation.expr = Func(FuncKind::kHash, {Col("sale_id")});
-    prejoin.prejoins.push_back({"customers", {"cust"}, {"cust_id"}});
-    ASSERT_TRUE(cluster_->CreateProjectionWithBuddies(prejoin).ok());
-  }
-
-  // Every copy of `sales_prejoin` holds `want_rows` rows across the nodes,
-  // each with the region its cust maps to.
-  void ExpectPrejoinRows(uint64_t want_rows) {
-    Epoch now = cluster_->epochs()->LatestQueryableEpoch();
-    for (const std::string proj : {"sales_prejoin", "sales_prejoin_b1"}) {
-      SCOPED_TRACE(proj);
-      uint64_t prejoin_rows = 0;
-      for (uint32_t n = 0; n < cluster_->num_nodes(); ++n) {
-        auto* ps = cluster_->node(n)->GetStorage(proj);
-        ASSERT_NE(ps, nullptr);
-        auto read = ScanCopy(&fs_, ps, now, {kScanDeleteEpoch});
-        ASSERT_TRUE(read.ok());
-        const RowBlock& rows = read.value();
-        prejoin_rows += rows.NumRows();
-        for (size_t r = 0; r < rows.NumRows(); ++r) {
-          int64_t cust = rows.columns[1].ints[r];
-          EXPECT_EQ(rows.columns[3].strings[r], cust % 2 ? "east" : "west");
-        }
-      }
-      EXPECT_EQ(prejoin_rows, want_rows);
-    }
   }
 
   MemFileSystem fs_;
@@ -535,60 +482,6 @@ TEST_F(ClusterFixture, AhmHeldWhileNodeDown) {
   ASSERT_TRUE(cluster_->RunTupleMover().ok());
   ASSERT_TRUE(cluster_->AdvanceAhm().ok());
   EXPECT_GT(cluster_->epochs()->ahm(), ahm1);
-}
-
-TEST_F(ClusterFixture, PrejoinProjectionDenormalizesAndRejectsOrphans) {
-  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
-  auto txn2 = cluster_->txns()->Begin();
-  auto result = cluster_->Load("sales", MakeRows(0, 100), txn2.get());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(cluster_->Commit(txn2).ok());
-  // Rows with cust in 40..49 have no dimension match: rejected from the
-  // prejoin projection (Section 7, rejected records).
-  EXPECT_EQ(result.value().rejected.size(), 20u);  // 100 rows, cust = i%50
-
-  // The prejoin projection stores the denormalized region column.
-  ExpectPrejoinRows(80);
-}
-
-// The dimension read takes each ring slot from any live copy, so a prejoin
-// load succeeds with a node down; recovery then fills that node's copies.
-TEST_F(ClusterFixture, PrejoinLoadSucceedsWithNodeDown) {
-  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
-  ASSERT_TRUE(cluster_->MarkNodeDown(1).ok());
-  auto txn = cluster_->txns()->Begin();
-  auto result = cluster_->Load("sales", MakeRows(0, 100), txn.get());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(cluster_->Commit(txn).ok());
-  EXPECT_EQ(result.value().rejected.size(), 20u);
-
-  ASSERT_TRUE(cluster_->RecoverNode(1).ok());
-  ExpectPrejoinRows(80);
-}
-
-// Only dimension rows live at the load's snapshot join: a deleted customer
-// rejects its sales like a missing one.
-TEST_F(ClusterFixture, PrejoinLoadRejectsDeletedDimensionRows) {
-  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
-  ASSERT_GT(DeleteIdsBelow(10, "customers"), 0u);
-  auto txn = cluster_->txns()->Begin();
-  auto result = cluster_->Load("sales", MakeRows(0, 100), txn.get());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(cluster_->Commit(txn).ok());
-  EXPECT_EQ(result.value().rejected.size(), 40u);  // cust 0..9 and 40..49
-  ExpectPrejoinRows(60);
-}
-
-// Refresh of a prejoin projection over rows loaded before it existed joins
-// them exactly as a load would have.
-TEST_F(ClusterFixture, PrejoinRefreshOverExistingRows) {
-  LoadAndCommit(0, 100);
-  ASSERT_NO_FATAL_FAILURE(CreateCustomersAndPrejoin());
-  Status refreshed = cluster_->RefreshProjection("sales_prejoin");
-  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
-  refreshed = cluster_->RefreshProjection("sales_prejoin_b1");
-  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
-  ExpectPrejoinRows(80);
 }
 
 // A small WOS capacity: once a copy's WOS is saturated, loads into it go

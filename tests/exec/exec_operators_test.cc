@@ -355,6 +355,50 @@ RowBlock SmallBlock(std::vector<int64_t> keys, std::vector<int64_t> vals) {
   return b;
 }
 
+// COUNT(DISTINCT)'s footprint is kept as values are added, so MemoryBytes
+// costs O(1); it equals a walk of the set after updates (repeats and NULLs
+// included), a merge of overlapping sets, a copy and a serialize/parse
+// round trip.
+TEST(AggStateTest, DistinctMemoryBytesMatchesWalk) {
+  auto walk = [](const AggState& st) {
+    size_t n = sizeof(AggState);
+    if (st.distinct) {
+      for (const auto& v : st.distinct->values) n += v.size() + 32;
+    }
+    return n;
+  };
+  AggSpec spec;
+  spec.kind = AggKind::kCountDistinct;
+  spec.input_column = 0;
+  spec.input_type = TypeId::kString;
+  ColumnVector col(TypeId::kString);
+  for (int i = 0; i < 200; ++i) {
+    if (i % 17 == 0) {
+      col.Append(Value::Null(TypeId::kString));
+    } else {
+      col.Append(Value::String("v" + std::to_string(i % 40) + std::string(i % 5, 'x')));
+    }
+  }
+  AggState a, b;
+  EXPECT_EQ(a.MemoryBytes(), walk(a));
+  for (size_t r = 0; r < 120; ++r) {
+    a.Update(spec, col, r, 1);
+    ASSERT_EQ(a.MemoryBytes(), walk(a)) << "row " << r;
+  }
+  for (size_t r = 80; r < col.Size(); ++r) b.Update(spec, col, r, 2);
+  EXPECT_EQ(b.MemoryBytes(), walk(b));
+  a.Merge(spec, b);
+  EXPECT_EQ(a.MemoryBytes(), walk(a));
+  EXPECT_EQ(a.Final(spec).i64(), static_cast<int64_t>(a.distinct->values.size()));
+
+  AggState copy = a;
+  EXPECT_EQ(copy.MemoryBytes(), a.MemoryBytes());
+  auto parsed = AggState::Parse(spec, a.Serialize(spec));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().MemoryBytes(), walk(parsed.value()));
+  EXPECT_EQ(parsed.value().MemoryBytes(), a.MemoryBytes());
+}
+
 TEST_F(ExecFixture, HashJoinAllTypes) {
   // probe: keys 1,2,3,4 ; build: keys 3,4,5
   auto mk_probe = [] {

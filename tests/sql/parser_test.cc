@@ -96,8 +96,8 @@ TEST(ParserTest, CreateTableWithPartition) {
 
 TEST(ParserTest, CreateProjectionFull) {
   auto stmt = ParseSql(
-      "CREATE PROJECTION p (a ENCODING RLE, b, customers.region) AS "
-      "SELECT a, b, region FROM t ORDER BY a, b SEGMENTED BY HASH(a) KSAFE 1");
+      "CREATE PROJECTION p (a ENCODING RLE, b, c) AS "
+      "SELECT a, b, c FROM t ORDER BY a, b SEGMENTED BY HASH(a) KSAFE 1");
   ASSERT_TRUE(stmt.ok());
   const auto& def = stmt.value().create_projection.def;
   EXPECT_EQ(def.columns.size(), 3u);

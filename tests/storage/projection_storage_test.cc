@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -495,6 +496,67 @@ TEST_F(StorageFixture, RemovedContainersTakeTheirDvRosFiles) {
   ASSERT_EQ(ps_.NumContainers(), 1u);
   EXPECT_EQ(ps_.Containers()[0]->id, older);
   EXPECT_EQ(count_dv_files(), 0u);
+  EXPECT_EQ(ps_.ScrubFiles().value(), 0u);
+}
+
+// Truncation trims a persisted chunk without rewriting it: the entries at
+// or below the truncation point move to a new chunk, the old DVROS file
+// goes, and the next mover pass persists the new chunk. No DVROS file on
+// disk holds a delete newer than the truncation point.
+TEST_F(StorageFixture, TruncationLeavesNoDvRosEntryPastIt) {
+  auto delete_rows = [&](uint64_t target, std::vector<uint64_t> positions) {
+    auto txn = tm_.Begin();
+    EXPECT_TRUE(ps_.AddDeletes(target, std::move(positions), txn.get()).ok());
+    auto e = tm_.Commit(txn);
+    EXPECT_TRUE(e.ok());
+    return e.ok() ? e.value() : 0;
+  };
+  // The delete epochs the DVROS files on disk hold, sorted.
+  auto epochs_on_disk = [&] {
+    std::vector<Epoch> epochs;
+    const std::vector<std::string> files = fs_.List("node0/p_sales/").value();
+    for (const auto& f : files) {
+      if (f.find("/dv") == std::string::npos) continue;
+      auto chunk = ReadDvRos(&fs_, f, 0);
+      EXPECT_TRUE(chunk.ok()) << f << ": " << chunk.status().ToString();
+      if (chunk.ok()) epochs.insert(epochs.end(), chunk.value()->epochs.begin(),
+                                    chunk.value()->epochs.end());
+    }
+    std::sort(epochs.begin(), epochs.end());
+    return epochs;
+  };
+
+  // Mergeout re-targets two containers' deletes, committed at `kept` and
+  // `trimmed`, onto one chunk of the merged container.
+  InsertAndCommit(MakeRows(0, 40));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  InsertAndCommit(MakeRows(40, 40));
+  ASSERT_TRUE(mover_.Moveout(&ps_).ok());
+  std::vector<uint64_t> inputs;
+  for (const auto& c : ps_.Containers()) inputs.push_back(c->id);
+  ASSERT_EQ(inputs.size(), 2u);
+  const Epoch kept = delete_rows(inputs[0], {1, 2});
+  const Epoch trimmed = delete_rows(inputs[1], {3});
+  ASSERT_TRUE(mover_.MergeoutAll(&ps_).ok());
+  ps_.GcRetired();
+  ASSERT_EQ(ps_.NumContainers(), 1u);
+  const uint64_t merged = ps_.Containers()[0]->id;
+  ASSERT_EQ(ps_.ContainerDeleteChunks(merged).size(), 1u);
+  ASSERT_TRUE(mover_.MoveDeleteVectors(&ps_).ok());
+  ASSERT_EQ(epochs_on_disk(), (std::vector<Epoch>{kept, kept, trimmed}));
+
+  EXPECT_EQ(ps_.TruncateForRecovery(kept), kept);
+  ASSERT_EQ(ps_.NumContainers(), 1u);
+  EXPECT_EQ(epochs_on_disk(), std::vector<Epoch>{});
+  EXPECT_EQ(ps_.ScrubFiles().value(), 0u);
+  auto chunks = ps_.ContainerDeleteChunks(merged);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0]->epochs, (std::vector<Epoch>{kept, kept}));
+  EXPECT_FALSE(chunks[0]->persisted);
+
+  ASSERT_TRUE(mover_.MoveDeleteVectors(&ps_).ok());
+  EXPECT_EQ(epochs_on_disk(), (std::vector<Epoch>{kept, kept}));
+  EXPECT_TRUE(ps_.Revalidate().ok());
   EXPECT_EQ(ps_.ScrubFiles().value(), 0u);
 }
 

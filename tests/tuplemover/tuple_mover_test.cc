@@ -364,6 +364,77 @@ TEST(TupleMoverMergePathTest, DeleteCommittedDuringMergeoutStaysDeleted) {
   EXPECT_EQ(live.count(doomed_v), 0u);
 }
 
+// One container of 200 rows in a storage whose DVROS writes each take
+// 1 ms, so an interruption from another thread lands while a mover pass is
+// part-way through persisting a round's delete chunks.
+struct SlowDvWorld {
+  MoverWorld world;
+  FaultFs fs{&world.fs, /*seed=*/3};
+  ProjectionStorage ps{&fs, "node0/q", world.ps->config()};
+  uint64_t target = 0;
+
+  SlowDvWorld() {
+    FaultRule slow_dv_writes;
+    slow_dv_writes.path_pattern = ".*/dv[0-9]+";
+    slow_dv_writes.op_mask = kFaultWrite;
+    slow_dv_writes.kind = FaultKind::kLatency;
+    slow_dv_writes.latency_us = 1000;
+    fs.AddRule(slow_dv_writes);
+    RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
+    for (int i = 0; i < 200; ++i) {
+      rows.columns[0].ints.push_back(i % 40);
+      rows.columns[1].strings.push_back("x");
+      rows.columns[2].ints.push_back(i);
+    }
+    auto load = world.tm->Begin();
+    EXPECT_TRUE(ps.InsertWos(std::move(rows), load.get()).ok());
+    EXPECT_TRUE(world.tm->Commit(load).ok());
+    EXPECT_TRUE(world.mover->Moveout(&ps).ok());
+    EXPECT_EQ(ps.NumContainers(), 1u);
+    target = ps.Containers()[0]->id;
+  }
+
+  std::vector<std::string> DvFiles() const {
+    std::vector<std::string> files = world.fs.List("node0/q/").value();
+    files.erase(std::remove_if(files.begin(), files.end(),
+                               [](const std::string& f) {
+                                 return f.find("/dv") == std::string::npos;
+                               }),
+                files.end());
+    return files;
+  }
+
+  /// Deletes rows first..first+count-1, one committed chunk each; returns
+  /// their commit epochs.
+  std::vector<Epoch> DeleteEach(uint64_t first, uint64_t count) {
+    std::vector<Epoch> epochs;
+    for (uint64_t i = first; i < first + count; ++i) {
+      auto txn = world.tm->Begin();
+      EXPECT_TRUE(ps.AddDeletes(target, {i}, txn.get()).ok());
+      auto e = world.tm->Commit(txn);
+      EXPECT_TRUE(e.ok());
+      epochs.push_back(e.ok() ? e.value() : 0);
+    }
+    return epochs;
+  }
+
+  /// Runs a mover pass persisting delete chunks and calls `interrupt` once
+  /// the pass has written a DVROS file; returns the pass's status.
+  Status MoveWhile(const std::function<void()>& interrupt) {
+    const size_t before = DvFiles().size();
+    std::atomic<bool> done{false};
+    Status moved;
+    std::thread mover([&] {
+      moved = world.mover->MoveDeleteVectors(&ps);
+      done = true;
+    });
+    while (!done.load() && DvFiles().size() == before) std::this_thread::yield();
+    interrupt();
+    mover.join();
+    return moved;
+  }
+};
+
 // A mover pass persisting delete chunks races a crash that drops the
 // unpersisted ones (MarkNodeDown runs CrashVolatileState on another
 // thread). Each chunk ends persisted with its DVROS file, or dropped with
@@ -371,61 +442,48 @@ TEST(TupleMoverMergePathTest, DeleteCommittedDuringMergeoutStaysDeleted) {
 // scrub finds nothing to remove. Under TSan this also checks that the two
 // threads touch a chunk's persisted state only under the storage mutex.
 TEST(TupleMoverMergePathTest, DeleteVectorMoveRacesCrash) {
-  MoverWorld world;
-  // Each DVROS write takes 1 ms, so the crash lands while the mover is
-  // part-way through a round's chunks.
-  FaultFs fs(&world.fs, /*seed=*/3);
-  FaultRule slow_dv_writes;
-  slow_dv_writes.path_pattern = ".*/dv[0-9]+";
-  slow_dv_writes.op_mask = kFaultWrite;
-  slow_dv_writes.kind = FaultKind::kLatency;
-  slow_dv_writes.latency_us = 1000;
-  fs.AddRule(slow_dv_writes);
-  ProjectionStorage ps(&fs, "node0/q", world.ps->config());
-  RowBlock rows({TypeId::kInt64, TypeId::kString, TypeId::kInt64});
-  for (int i = 0; i < 200; ++i) {
-    rows.columns[0].ints.push_back(i % 40);
-    rows.columns[1].strings.push_back("x");
-    rows.columns[2].ints.push_back(i);
-  }
-  auto load = world.tm->Begin();
-  ASSERT_TRUE(ps.InsertWos(std::move(rows), load.get()).ok());
-  ASSERT_TRUE(world.tm->Commit(load).ok());
-  ASSERT_TRUE(world.mover->Moveout(&ps).ok());
-  ASSERT_EQ(ps.NumContainers(), 1u);
-  const uint64_t target = ps.Containers()[0]->id;
-  auto dv_files = [&] {
-    std::vector<std::string> files = world.fs.List("node0/q/").value();
-    return std::count_if(files.begin(), files.end(), [](const std::string& f) {
-      return f.find("/dv") != std::string::npos;
-    });
-  };
-
+  SlowDvWorld w;
   // 10 rounds of 20 one-row chunks delete each row once.
-  constexpr uint64_t kChunksPerRound = 20;
   for (uint64_t round = 0; round < 10; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    for (uint64_t i = 0; i < kChunksPerRound; ++i) {
-      auto txn = world.tm->Begin();
-      ASSERT_TRUE(ps.AddDeletes(target, {round * kChunksPerRound + i}, txn.get()).ok());
-      ASSERT_TRUE(world.tm->Commit(txn).ok());
-    }
-    const auto before = dv_files();
-    std::atomic<bool> done{false};
-    Status moved;
-    std::thread mover([&] {
-      moved = world.mover->MoveDeleteVectors(&ps);
-      done = true;
-    });
-    // Crash once the mover has written a DVROS file this round.
-    while (!done.load() && dv_files() == before) std::this_thread::yield();
-    ps.CrashVolatileState();
-    mover.join();
+    w.DeleteEach(round * 20, 20);
+    Status moved = w.MoveWhile([&] { w.ps.CrashVolatileState(); });
     ASSERT_TRUE(moved.ok()) << moved.ToString();
-    EXPECT_TRUE(ps.Revalidate().ok());
-    auto removed = ps.ScrubFiles();
+    EXPECT_TRUE(w.ps.Revalidate().ok());
+    auto removed = w.ps.ScrubFiles();
     ASSERT_TRUE(removed.ok()) << removed.status().ToString();
     EXPECT_EQ(removed.value(), 0u);
+  }
+}
+
+// A mover pass persisting delete chunks races a recovery truncation to the
+// middle of the round's deletes. Truncation never rewrites a chunk the pass
+// may be reading; it swaps chunks out (under TSan a rewrite in place is a
+// data race with the pass's DVROS write). Afterwards exactly the deletes at
+// or below the truncation point survive, no DVROS file on disk holds a
+// later one, and a scrub finds nothing to remove.
+TEST(TupleMoverMergePathTest, DeleteVectorMoveRacesTruncation) {
+  SlowDvWorld w;
+  for (uint64_t round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const Epoch trunc = w.DeleteEach(round * 20, 20)[9];
+    Status moved = w.MoveWhile([&] { EXPECT_EQ(w.ps.TruncateForRecovery(trunc), trunc); });
+    ASSERT_TRUE(moved.ok()) << moved.ToString();
+    EXPECT_TRUE(w.ps.Revalidate().ok());
+    auto removed = w.ps.ScrubFiles();
+    ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+    EXPECT_EQ(removed.value(), 0u);
+    uint64_t kept = 0;
+    for (const auto& d : w.ps.ContainerDeleteChunks(w.target)) {
+      kept += d->size();
+      for (Epoch e : d->epochs) EXPECT_LE(e, trunc);
+    }
+    EXPECT_EQ(kept, 10 * (round + 1));
+    for (const auto& f : w.DvFiles()) {
+      auto on_disk = ReadDvRos(&w.world.fs, f, w.target);
+      ASSERT_TRUE(on_disk.ok()) << f << ": " << on_disk.status().ToString();
+      for (Epoch e : on_disk.value()->epochs) EXPECT_LE(e, trunc) << f;
+    }
   }
 }
 
